@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .association import (
     AssociationEvent,
     OrderedDistances,
     _cluster_integral,
+    _spike_hints,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     exclusion_radius_mbs,
@@ -34,7 +35,7 @@ from .model import (
     derive_tier,
     hat_ratios,
 )
-from .specfun import comp_inc_beta, faa_coefficient, integer_partitions
+from .specfun import faa_coefficient, integer_partitions
 
 _NEGATIVE_CLAMP = -1e-8   # tolerated cancellation in the derivative sums
 _CLUSTER_CLAMP = -1e-3    # partial-fraction weights cancel a bit harder
@@ -131,13 +132,33 @@ def laplace_context(sctx: ServingContext, scenario: Scenario, threshold: float) 
 # Laplace transform of the interference
 
 
+def _frozen(*arrays) -> tuple:
+    """Make cached arrays read-only, since every caller shares them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=256)
+def _beta_tier_weights(psi: int, alpha: float):
+    """Regularized-Beta parameters (q_i, p_i) = (i-2/alpha, psi-i+2/alpha)
+    and weights C(psi,i) * B(p_i, q_i), i = 1..psi."""
+    i = np.arange(1, psi + 1)
+    q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
+    return _frozen(q, p, special.comb(psi, i, exact=False) * special.beta(p, q))
+
+
 def _beta_tier_sum(psi: int, alpha: float, w: float) -> float:
     """sum_{i=1..psi} C(psi,i) * B'(psi-i+2/alpha, i-2/alpha, w): one tier's
-    Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d."""
-    return sum(
-        math.comb(psi, i) * comp_inc_beta(psi - i + 2.0 / alpha, i - 2.0 / alpha, w)
-        for i in range(1, psi + 1)
-    )
+    Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d.
+
+    B'(p, q, w) = B(p, q) * I_{1-w}(q, p) is the complementary incomplete
+    Beta over [w, 1], so the whole sum is one betainc call.
+    """
+    q, p, weights = _beta_tier_weights(psi, alpha)
+    if psi == 1:  # scalar call: array set-up would cost more than the sum
+        return float(weights[0] * special.betainc(q[0], p[0], 1.0 - w))
+    return float(weights @ special.betainc(q, p, 1.0 - w))
 
 
 def _log_laplace_beta(ctx: LaplaceContext) -> float:
@@ -213,65 +234,76 @@ def laplace_interference_radial(ctx: LaplaceContext, epsrel: float = 1e-12) -> f
     return math.exp(-2.0 * math.pi * total)
 
 
-def _rising(a: int, n: int) -> int:
-    """Rising factorial a (a+1) ... (a+n-1)."""
-    return math.prod(range(a, a + n))
+@lru_cache(maxsize=256)
+def _tail_constants(psi: int, nmax: int, alpha: float):
+    """Orders n = 1..nmax: Beta parameters a_n = n - 2/alpha, the scales
+    B(a_n, psi + 2/alpha)/alpha, and the signed rising factorials
+    (-1)^n (psi)_n of the n-th log-Laplace derivative."""
+    n = np.arange(1, nmax + 1)
+    a = n - 2.0 / alpha
+    return _frozen(a, special.beta(a, psi + 2.0 / alpha) / alpha, np.cumprod(-(psi + n - 1.0)))
 
 
-def _radial_tail_integral(
-    v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10
-) -> float:
-    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv.
+def _radial_tail_integral(v0: float, psi: int, nmax: int, alpha: float) -> np.ndarray:
+    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax.
 
-    Dimensionless core of every n-th log-Laplace derivative; the kernel is
-    branched at v=1 so v^(+-alpha) stays inside float range at both ends.
+    Dimensionless core of every n-th log-Laplace derivative. With
+    x = v^-alpha and u = x/(1+x) it is the incomplete Beta
+    (1/alpha) * B(a, b) * I_{u0}(a, b), a = n - 2/alpha > 0, b = psi + 2/alpha,
+    u0 = 1/(1 + v0^alpha); all orders go through one betainc call.
     """
-
-    def kernel(v):
-        if v <= 0.0:
-            return 0.0
-        if v <= 1.0:
-            return v ** (1.0 + alpha * psi) * (1.0 + v ** alpha) ** (-(psi + n))
-        return v ** (1.0 - n * alpha) * (1.0 + v ** (-alpha)) ** (-(psi + n))
-
-    if v0 > 2.0:
-        # Rescale to a unit lower limit: a power-law tail starting at a huge
-        # v0 defeats the infinite-interval transform's default scale.
-        val, err = integrate.quad(
-            lambda y: v0 * kernel(v0 * y), 1.0, np.inf,
-            epsabs=1e-14, epsrel=epsrel, limit=300,
-        )
+    a, scale, _ = _tail_constants(psi, nmax, alpha)
+    if v0 > 1.0:  # u0 = x0/(1+x0): neither v0^alpha nor its inverse overflows
+        x0 = v0 ** (-alpha)
+        u0 = x0 / (1.0 + x0)
     else:
-        val, err = integrate.quad(kernel, v0, np.inf, epsabs=1e-14, epsrel=epsrel, limit=300)
-    if not math.isfinite(val):
-        raise IntegrationFailure(
-            f"radial tail integral diverged: psi={psi}, n={n}, v0={v0}"
-        )
-    return val
+        u0 = 1.0 / (1.0 + v0 ** alpha)
+    return scale * special.betainc(a, psi + 2.0 / alpha, u0)
 
 
-def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
-    """n-th derivative of g(s) = -sN + log L_I(s), n >= 1, by adaptive
-    quadrature of the differentiated radial integral."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
+    """s^n * g^(n)(s) for n = 1..nmax, g(s) = -sN + log L_I(s).
+
+    Scaling by s^n keeps every order in float range. Each tier adds
+    (-1)^n (psi)_n * 2*pi*lambda * (s*p)^(2/alpha) times its radial tail
+    integral at v0 = d / (s*p)^(1/alpha).
+    """
     s = ctx.s
     if s <= 0.0:
         raise ValueError("log-Laplace derivatives need s > 0")
-    sc = ctx.scenario
-    alpha = sc.pathloss
-    total = -sc.noise if n == 1 else 0.0
-    sign = -1.0 if n % 2 else 1.0
+    alpha = ctx.scenario.pathloss
+    out = np.zeros(nmax)
+    out[0] = -s * ctx.scenario.noise
     for lam, p, psi, d in ctx.tiers():
         if lam == 0.0:
             continue
         v0 = d / (s * p) ** (1.0 / alpha)
-        val = _radial_tail_integral(v0, psi, n, alpha)
-        total += (
-            sign * 2.0 * math.pi * lam * _rising(psi, n) * p ** n
-            * (s * p) ** (2.0 / alpha - n) * val
+        signed_rising = _tail_constants(psi, nmax, alpha)[2]
+        out += (
+            2.0 * math.pi * lam * (s * p) ** (2.0 / alpha) * signed_rising
+            * _radial_tail_integral(v0, psi, nmax, alpha)
         )
-    return total
+    return out
+
+
+def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
+    """n-th derivative of g(s) = -sN + log L_I(s), n >= 1, in closed form."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return float(_log_derivatives(ctx, n)[-1]) / ctx.s ** n
+
+
+@lru_cache(maxsize=None)
+def _bell_table(k: int) -> tuple:
+    """One (chain-rule coefficient, ((j, m), ...)) per partition of k, listing
+    only the part sizes j that occur, each with its multiplicity m."""
+    return tuple(
+        (
+            float(faa_coefficient(part)),
+            tuple((j, m) for j, m in enumerate(part.multiplicities, start=1) if m),
+        )
+        for part in integer_partitions(k)
+    )
 
 
 def _bell_sum(g_derivs, k: int) -> float:
@@ -279,13 +311,31 @@ def _bell_sum(g_derivs, k: int) -> float:
     if k == 0:
         return 1.0
     total = 0.0
-    for part in integer_partitions(k):
-        term = float(faa_coefficient(part))
-        for j, m in enumerate(part.multiplicities, start=1):
-            if m:
-                term *= g_derivs[j - 1] ** m
+    for coef, factors in _bell_table(k):
+        term = coef
+        for j, m in factors:
+            term *= g_derivs[j - 1] ** m
         total += term
     return total
+
+
+def _bell_series(sigmas, order: int) -> list:
+    """(-1)^k/k! * B_k(sigmas) for k = 0..order-1."""
+    return [(-1.0) ** k / math.factorial(k) * _bell_sum(sigmas, k) for k in range(order)]
+
+
+def _laplace_series(ctx: LaplaceContext, order: int) -> list:
+    """Terms (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)] for k = 0..order-1.
+
+    Their sum is the coverage of a Gamma(order,1)-faded link at this
+    geometry. B_k is homogeneous of degree k, so s^k B_k(g', g'', ...) is
+    B_k over the scaled log-derivatives s^j g^(j).
+    """
+    base = math.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
+    if base == 0.0:
+        return [0.0] * order
+    sigmas = _log_derivatives(ctx, order - 1).tolist() if order > 1 else []
+    return [base * term for term in _bell_series(sigmas, order)]
 
 
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
@@ -296,12 +346,10 @@ def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    noise_g = -ctx.s * ctx.scenario.noise
-    base = math.exp(noise_g + _log_laplace_beta(ctx))
+    base = math.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
     if k == 0:
         return base
-    derivs = [log_laplace_derivative(ctx, j) for j in range(1, k + 1)]
-    return base * _bell_sum(derivs, k)
+    return base * _bell_sum(_log_derivatives(ctx, k).tolist(), k) / ctx.s ** k
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +358,11 @@ def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
 
 def _tail_weights(ctx: LaplaceContext, order: int) -> float:
     """sum_{k<order} (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)], the coverage of a
-    Gamma(order,1)-faded link at this geometry. Shares the log-derivatives
-    across all orders instead of re-deriving them per k."""
-    s = ctx.s
-    base = math.exp(-s * ctx.scenario.noise + _log_laplace_beta(ctx))
-    if base == 0.0:
-        return 0.0
-    derivs = [log_laplace_derivative(ctx, j) for j in range(1, order)]
-    total = 0.0
-    factor = 1.0  # (-s)^k / k!
-    for k in range(order):
-        total += factor * _bell_sum(derivs, k)
-        factor *= -s / (k + 1)
-    value = base * total
+    Gamma(order,1)-faded link at this geometry."""
+    value = sum(_laplace_series(ctx, order))
     if value < _NEGATIVE_CLAMP:
         raise IntegrationFailure(
-            f"derivative sum went negative beyond tolerance: {value} at s={s}"
+            f"derivative sum went negative beyond tolerance: {value} at s={ctx.s}"
         )
     return min(max(value, 0.0), 1.0)
 
@@ -407,19 +444,13 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> float:
     gains = [scenario.small.power * r ** (-alpha) for r in sctx.distances]
     total = 0.0
     for b, weights in _erlang_mixture(gains, order, scenario.numerics.pole_merge_rtol):
-        s_b = threshold / b
-        ctx = LaplaceContext(s=s_b, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario)
-        base = math.exp(-s_b * scenario.noise + _log_laplace_beta(ctx))
-        if base == 0.0:
-            continue
-        m = len(weights)
-        derivs = [log_laplace_derivative(ctx, j) for j in range(1, m)]
+        ctx = LaplaceContext(
+            s=threshold / b, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
+        )
         # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
         cum = np.cumsum(weights[::-1])[::-1]  # cum[k] = sum_{l >= k+1} w_l
-        factor = 1.0
-        for k in range(m):
-            total += cum[k] * factor * base * _bell_sum(derivs, k)
-            factor *= -s_b / (k + 1)
+        terms = _laplace_series(ctx, len(weights))
+        total += sum(c * term for c, term in zip(cum.tolist(), terms))
     if total < _CLUSTER_CLAMP:
         raise IntegrationFailure(
             f"cluster mixture coverage went negative beyond tolerance: {total}"
@@ -443,41 +474,6 @@ def _gauss_panel(a: float, b: float, n: int):
     return mid + half * x, half * w
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _bell_tau_polys(sigmas, kmax: int) -> list:
-    """Complete Bell polynomials B_0..B_kmax of degree-1 arguments.
-
-    sigmas[j-1] = (c_j, b_j) stands for sigma_j = c_j + b_j*tau; returns one
-    coefficient list in tau per order (B_k has degree <= k).
-    """
-    powers = []
-    for c, b in sigmas:
-        row = [[1.0]]
-        for _ in range(kmax):
-            row.append(_poly_mul(row[-1], [c, b]))
-        powers.append(row)
-    out = [[1.0]]
-    for k in range(1, kmax + 1):
-        acc = [0.0] * (k + 1)
-        for part in integer_partitions(k):
-            term = [float(faa_coefficient(part))]
-            for j, m in enumerate(part.multiplicities, start=1):
-                if m:
-                    term = _poly_mul(term, powers[j - 1][m])
-            for q, v in enumerate(term):
-                acc[q] += v
-        out.append(acc)
-    return out
-
-
 def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     """P[SINR > threshold and the macro side wins] under cooperation.
 
@@ -488,7 +484,8 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     coverage kernel linear in tau: the two tier fields contribute
     log-Laplace slopes -A*tau and derivative terms s^j g^(j) = b_j*tau,
     while the K conditioned small BSs contribute tau-free point terms. The
-    tau average then collapses to Gamma moments (K+q)!/D^(K+1+q), leaving a
+    tau average is then a Gamma(K+1) average of a degree-kmax polynomial in
+    tau, exact on kmax//2 + 1 generalized Gauss-Laguerre nodes, leaving a
     single K-dimensional cone integral, done on Gauss-Legendre panels under
     a rational map aimed at the scale where the kernel actually varies.
     """
@@ -510,16 +507,15 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     # Macro-field constants: the dimensionless exclusion limit r/(s*p_m)^(1/alpha)
     # is T^(-1/alpha) at every serving distance, so these are per-threshold.
     a_macro = two_a * t ** two_a * _beta_tier_sum(psi_m, alpha, 1.0 / (1.0 + t))
-    v0_m = t ** (-1.0 / alpha)
-    b_macro = [
-        (-1.0) ** j * 2.0 * _rising(psi_m, j) * t ** two_a
-        * _radial_tail_integral(v0_m, psi_m, j, alpha, epsrel=1e-8)
-        for j in range(1, kmax + 1)
-    ]
+    b_macro = (
+        2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
+        * _radial_tail_integral(t ** (-1.0 / alpha), psi_m, kmax, alpha)
+    ).tolist()
+    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
 
     x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
     lb_outer = (beta / big_k) ** (-two_a)
-    factorials = [math.factorial(big_k + q) for q in range(kmax + 1)]
+    lag_y, lag_w = (v.tolist() for v in special.roots_genlaguerre(kmax // 2 + 1, big_k))
 
     def panel_points(lo, hi, scale):
         """Quadrature pairs (x, w) on (lo, hi): a linear Gauss panel resolves
@@ -545,16 +541,12 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
             for j in range(1, kmax + 1):
                 c_tot[j - 1] += psi_s * (-1.0) ** j * math.factorial(j - 1) * u ** j
         d = 1.0 + lhat * xs[-1] + a_macro + a_small
-        sigmas = [(c_tot[j], b_macro[j] + b_small[j]) for j in range(kmax)]
-        bells = _bell_tau_polys(sigmas, kmax)
-        dpow = [d ** (-(big_k + 1 + q)) for q in range(kmax + 1)]
+        b_tot = [bm + bs for bm, bs in zip(b_macro, b_small)]
         acc = 0.0
-        sign_fact = 1.0  # (-1)^k / k!
-        for k in range(kmax + 1):
-            ek = bells[k]
-            acc += sign_fact * sum(ek[q] * factorials[q] * dpow[q] for q in range(len(ek)))
-            sign_fact *= -1.0 / (k + 1)
-        return math.exp(logp) * acc
+        for y, w in zip(lag_y, lag_w):  # tau = y / d
+            sigmas = [c + b * y / d for c, b in zip(c_tot, b_tot)]
+            acc += w * sum(_bell_series(sigmas, kmax + 1))
+        return math.exp(logp) * acc * d ** (-(big_k + 1))
 
     def inner_levels(i, budget, upper, xs, a_small, b_small) -> float:
         """Integrate x_i over (lower feasibility bound, x_{i+1}), recursing down."""
@@ -584,11 +576,7 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
             psi_s, alpha, 1.0 / (1.0 + y_k)
         )
         v0_s = math.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
-        b_small = [
-            (-1.0) ** j * 2.0 * lhat * _rising(psi_s, j) * (t * p_hat) ** two_a
-            * _radial_tail_integral(v0_s, psi_s, j, alpha, epsrel=1e-8)
-            for j in range(1, kmax + 1)
-        ]
+        b_small = (b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)).tolist()
         if big_k == 1:
             val = kernel_at((x_k,), a_small, b_small)
         else:
@@ -619,18 +607,6 @@ class CoverageQuery:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.event is not None and self.event.cooperative != (self.mode == COOPERATIVE):
             raise ValueError(f"event {self.event} inconsistent with mode {self.mode!r}")
-
-
-def _spike_hints(scale: float, upper: float) -> list | None:
-    """Break-point hints bracketing an integrand feature of width ~scale.
-
-    Deep-tail thresholds concentrate all coverage mass in a region far
-    narrower than the integration range; adaptive quadrature's initial grid
-    can step straight over it. Hinting a few decades around the feature
-    forces panel boundaries there.
-    """
-    pts = [scale * f for f in (0.1, 1.0, 10.0, 100.0) if 0.0 < scale * f < upper]
-    return pts or None
 
 
 def _quad_probability(

@@ -138,6 +138,20 @@ def _arrival_samples(k: int, n: int, seed: int) -> np.ndarray:
     return rng.standard_exponential((n, k)).cumsum(axis=1)
 
 
+def _spike_hints(scale: float | None, upper: float) -> list | None:
+    """Break-point hints bracketing an integrand feature of width ~scale.
+
+    Deep-tail thresholds concentrate all coverage mass in a region far
+    narrower than the integration range; adaptive quadrature's initial grid
+    can step straight over it. Hinting a few decades around the feature
+    forces panel boundaries there. scale=None means no feature to hint.
+    """
+    if scale is None:
+        return None
+    pts = [scale * f for f in (0.1, 1.0, 10.0, 100.0) if 0.0 < scale * f < upper]
+    return pts or None
+
+
 def _cluster_integral(
     scenario: Scenario, h=None, epsabs: float | None = None, spike: float | None = None
 ) -> float:
@@ -161,47 +175,35 @@ def _cluster_integral(
     def radius(t):
         return np.sqrt(t / (math.pi * lam_s))
 
-    def hints(upper):
-        if spike is None:
-            return None
-        pts = [spike * f for f in (0.1, 1.0, 10.0, 100.0) if 0.0 < spike * f < upper]
-        return pts or None
+    if k <= 2:
+        if k == 1:
+            def integrand(t1):
+                w = math.exp(-c * t1 - t1)
+                return w if h is None else w * h((radius(t1),))
+        else:
+            def integrand(t2):
+                t2_half = t2 ** (-alpha / 2.0)
 
-    if k == 1:
-        def integrand(t1):
-            w = math.exp(-c * t1 - t1)
-            return w if h is None else w * h((radius(t1),))
+                def over_z(z):
+                    t1 = t2 * z
+                    if t1 <= 1e-60:  # nearest point on top of the user
+                        eta_term = 0.0
+                    else:
+                        eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
+                    w = math.exp(-c * eta_term)
+                    return w if h is None else w * h((radius(t1), radius(t2)))
 
-        tmax = -math.log(num.tail_mass) + 5.0
-        val, err = integrate.quad(
-            integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=hints(tmax)
-        )
-        return val
-
-    if k == 2:
-        def inner(t2):
-            t2_half = t2 ** (-alpha / 2.0)
-
-            def over_z(z):
-                t1 = t2 * z
-                if t1 <= 1e-60:  # nearest point on top of the user
-                    eta_term = 0.0
-                else:
-                    eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
-                w = math.exp(-c * eta_term)
-                return w if h is None else w * h((radius(t1), radius(t2)))
-
-            z_hints = None
-            if spike is not None and spike < t2:
-                z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
-            val, _ = integrate.quad(
-                over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
-            )
-            return t2 * math.exp(-t2) * val
+                z_hints = None
+                if spike is not None and spike < t2:
+                    z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
+                val, _ = integrate.quad(
+                    over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
+                )
+                return t2 * math.exp(-t2) * val
 
         tmax = -math.log(num.tail_mass) + 5.0
         val, err = integrate.quad(
-            inner, 0.0, tmax, epsabs=epsabs, limit=200, points=hints(tmax)
+            integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
         )
         if err > max(epsabs * 100.0, 1e-6):
             raise RuntimeError(

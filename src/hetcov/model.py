@@ -108,7 +108,6 @@ class Numerics:
 
     quad_epsabs      absolute tolerance for association/pdf integrals
     coverage_epsabs  absolute tolerance for probability integrals
-    rate_epsabs      absolute tolerance for the rate integral, bit/s/Hz
     tail_mass        neglected tail mass when truncating radial integrals
     cluster_fading   cluster signal model: "exact" decomposes the sum of
                      per-link Gamma powers by partial fractions; "gamma"
@@ -122,7 +121,6 @@ class Numerics:
 
     quad_epsabs: float = 1e-10
     coverage_epsabs: float = 1e-6
-    rate_epsabs: float = 1e-4
     tail_mass: float = 1e-8
     cluster_fading: str = "exact"
     pole_merge_rtol: float | None = None

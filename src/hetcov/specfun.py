@@ -109,11 +109,6 @@ class Partition:
         """k: the integer being partitioned, sum of j * multiplicities[j-1]."""
         return sum((j + 1) * m for j, m in enumerate(self.multiplicities))
 
-    @property
-    def blocks(self) -> int:
-        """Number of parts."""
-        return sum(self.multiplicities)
-
 
 @lru_cache(maxsize=None)
 def _partition_multiplicities(k: int) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,15 @@
-"""Shared generators for randomized numeric tests."""
+"""Shared generators for randomized numeric tests, and independent reference
+evaluations that the engine's closed forms are checked against."""
+
+import math
 
 import numpy as np
+from scipy import integrate
 
 from hetcov.analysis import LaplaceContext, laplace_context, serving_context
 from hetcov.association import AssociationEvent
 from hetcov.model import Scenario, TierParams
+from hetcov.specfun import faa_coefficient, integer_partitions
 
 EVENTS_BY_MODE = {
     "noncooperative": (AssociationEvent.MACRO, AssociationEvent.SMALL),
@@ -58,3 +63,56 @@ def random_laplace_context(rng: np.random.Generator, scenario=None) -> LaplaceCo
         serving = (float(rng.uniform(1.0, 30.0)),)
     sctx = serving_context(event, scenario, serving)
     return laplace_context(sctx, scenario, threshold=float(rng.uniform(0.1, 5.0)))
+
+
+def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10) -> float:
+    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv by QUADPACK.
+
+    The kernel is branched at v=1 so v^(+-alpha) stays inside float range at
+    both ends; a lower limit v0 > 2 is rescaled to 1, because a power-law
+    tail starting at a huge v0 defeats the infinite-interval transform's
+    default scale.
+    """
+
+    def kernel(v):
+        if v <= 0.0:
+            return 0.0
+        if v <= 1.0:
+            return v ** (1.0 + alpha * psi) * (1.0 + v ** alpha) ** (-(psi + n))
+        return v ** (1.0 - n * alpha) * (1.0 + v ** (-alpha)) ** (-(psi + n))
+
+    if v0 > 2.0:
+        val, _ = integrate.quad(
+            lambda y: v0 * kernel(v0 * y), 1.0, np.inf, epsabs=0.0, epsrel=epsrel, limit=300
+        )
+    else:
+        val, _ = integrate.quad(kernel, v0, np.inf, epsabs=0.0, epsrel=epsrel, limit=300)
+    return val
+
+
+def log_laplace_derivative_quad(ctx: LaplaceContext, n: int) -> float:
+    """n-th derivative of -sN + log L_I(s) through radial_tail_quad."""
+    s, sc = ctx.s, ctx.scenario
+    alpha = sc.pathloss
+    total = -sc.noise if n == 1 else 0.0
+    for lam, p, psi, d in ctx.tiers():
+        val = radial_tail_quad(d / (s * p) ** (1.0 / alpha), psi, n, alpha)
+        rising = math.prod(range(psi, psi + n))
+        total += (
+            (-1.0) ** n * 2.0 * math.pi * lam * rising * p**n * (s * p) ** (2.0 / alpha - n) * val
+        )
+    return total
+
+
+def bell_sum_by_partitions(g_derivs, k: int) -> float:
+    """Complete Bell polynomial of order k, walking the partitions of k."""
+    if k == 0:
+        return 1.0
+    total = 0.0
+    for part in integer_partitions(k):
+        term = float(faa_coefficient(part))
+        for j, m in enumerate(part.multiplicities, start=1):
+            if m:
+                term *= g_derivs[j - 1] ** m
+        total += term
+    return total

@@ -9,13 +9,22 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from helpers import EVENTS_BY_MODE, random_laplace_context, random_scenario
+from helpers import (
+    EVENTS_BY_MODE,
+    bell_sum_by_partitions,
+    log_laplace_derivative_quad,
+    radial_tail_quad,
+    random_laplace_context,
+    random_scenario,
+)
 from hetcov.analysis import (
     CoverageQuery,
     IntegrationFailure,
     LaplaceContext,
     _bell_sum,
     _coop_macro_joint,
+    _log_derivatives,
+    _radial_tail_integral,
     _tail_weights,
     coverage,
     coverage_conditional,
@@ -30,7 +39,7 @@ from hetcov.analysis import (
 )
 from hetcov.association import AssociationEvent, assoc_prob_sbs_cluster
 from hetcov.model import Scenario, TierParams, default_scenario
-from hetcov.specfun import gamma_ccdf
+from hetcov.specfun import MAX_PARTITION_ORDER, gamma_ccdf
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -156,6 +165,45 @@ class TestLaplaceDerivatives:
         with pytest.raises(ValueError):
             laplace_derivative(ctx, -1)
 
+    def test_vectorized_orders_match_scalar_and_quadrature(self):
+        # _log_derivatives holds s^j g^(j) for every order at once; each entry
+        # must equal the single-order function, and that the quadrature form
+        rng = np.random.default_rng(14)
+        for noise in (0.0, 1e-3):
+            for _ in range(10):
+                ctx = random_laplace_context(
+                    rng, random_scenario(rng, noise_choices=(noise,))
+                )
+                nmax = int(rng.integers(1, 9))
+                scaled = _log_derivatives(ctx, nmax)
+                for j in range(1, nmax + 1):
+                    single = log_laplace_derivative(ctx, j)
+                    assert_allclose(scaled[j - 1] / ctx.s**j, single, rtol=1e-14)
+                    assert_allclose(single, log_laplace_derivative_quad(ctx, j), rtol=1e-8)
+
+
+class TestRadialTailClosedForm:
+    def test_matches_quadrature_oracle(self):
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            alpha = float(rng.uniform(2.05, 6.0))
+            psi = int(rng.integers(1, 9))
+            n = int(rng.integers(1, MAX_PARTITION_ORDER + 1))
+            v0 = float(10.0 ** rng.uniform(-6.0, 4.0))
+            got = _radial_tail_integral(v0, psi, n, alpha)[n - 1]
+            # atol only admits values that underflow toward subnormals
+            assert_allclose(
+                got, radial_tail_quad(v0, psi, n, alpha), rtol=1e-8, atol=1e-290,
+                err_msg=f"alpha={alpha}, psi={psi}, n={n}, v0={v0}",
+            )
+
+    @pytest.mark.parametrize("v0", [0.0, 1e-300, 1e300])
+    def test_domain_edges_stay_finite(self, v0):
+        for alpha in (2.01, 4.0, 6.0):
+            for psi in (1, 8):
+                vals = _radial_tail_integral(v0, psi, MAX_PARTITION_ORDER, alpha)
+                assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
 
 class TestBellAssembly:
     def test_identity_argument(self):
@@ -166,6 +214,13 @@ class TestBellAssembly:
     def test_all_ones_gives_bell_numbers(self):
         for k, expected in enumerate(BELL_NUMBERS):
             assert _bell_sum([1.0] * max(1, k), k) == pytest.approx(expected)
+
+    def test_table_matches_partition_loop(self):
+        rng = np.random.default_rng(16)
+        for k in range(MAX_PARTITION_ORDER + 1):
+            for _ in range(3):
+                g = rng.normal(scale=2.0, size=max(1, k)).tolist()
+                assert _bell_sum(g, k) == bell_sum_by_partitions(g, k)
 
 
 class TestGammaTailSeam:

@@ -13,6 +13,7 @@ from helpers import random_scenario
 from hetcov.association import (
     AssociationEvent,
     OrderedDistances,
+    _cluster_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     association_probabilities,
@@ -224,6 +225,13 @@ class TestClusterAssociation:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             association_probabilities(default_scenario(), "both")
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_k1_unresolved_integrand_raises(self):
+        # the K=1 quadrature's error estimate is checked, as K=2's is
+        s = default_scenario(cluster_size=1)
+        with pytest.raises(RuntimeError):
+            _cluster_integral(s, h=lambda r: math.sin(1e6 * r[0]) ** 2)
 
 
 class TestMbsWinProb:
