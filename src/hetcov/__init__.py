@@ -8,7 +8,7 @@ direct simulation of Poisson-dropped base stations with Gamma fading. The
 """
 
 from .association import AssociationEvent, association_probabilities, select_tier
-from .analysis import CoverageQuery, coverage, coverage_overall, mean_rate
+from .analysis import coverage_overall, mean_rate
 from .mcsim import empirical_association, empirical_coverage, empirical_rate, run_trials
 from .model import (
     COOPERATIVE,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociationEvent",
     "COOPERATIVE",
-    "CoverageQuery",
     "MODES",
     "NONCOOPERATIVE",
     "STRATEGIES",
@@ -35,7 +34,6 @@ __all__ = [
     "TierParams",
     "apply_strategy",
     "association_probabilities",
-    "coverage",
     "coverage_overall",
     "default_scenario",
     "empirical_association",

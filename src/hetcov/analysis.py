@@ -19,16 +19,18 @@ from scipy import integrate, special
 
 from .association import (
     AssociationEvent,
+    IntegrationFailure,
     OrderedDistances,
+    _chunked,
+    _cluster_exclusion,
     _cluster_integral,
-    _spike_hints,
+    _panel_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     exclusion_radius_mbs,
     mbs_win_prob,
 )
 from .model import (
-    COOPERATIVE,
     MODES,
     NONCOOPERATIVE,
     Scenario,
@@ -41,10 +43,6 @@ _NEGATIVE_CLAMP = -1e-8   # tolerated cancellation in the derivative sums
 _CLUSTER_CLAMP = -1e-3    # partial-fraction weights cancel a bit harder
 
 
-class IntegrationFailure(RuntimeError):
-    """An adaptive quadrature could not meet its tolerance."""
-
-
 @dataclass(frozen=True)
 class LaplaceContext:
     """Argument bundle for the interference Laplace transform.
@@ -52,17 +50,21 @@ class LaplaceContext:
     s         Laplace argument, m^alpha / W (typically T * r^alpha / p)
     d_macro   closest possible macro interferer, m
     d_small   closest possible small interferer, m
+
+    The three may be floats or broadcastable 1-D arrays, one entry per
+    serving geometry; the functions taking a context then return one value
+    (or one row of values) per geometry.
     """
 
-    s: float
-    d_macro: float
-    d_small: float
+    s: float | np.ndarray
+    d_macro: float | np.ndarray
+    d_small: float | np.ndarray
     scenario: Scenario
 
     def __post_init__(self):
-        if self.s < 0.0:
+        if np.less(self.s, 0.0).any():
             raise ValueError(f"s must be >= 0, got {self.s}")
-        if self.d_macro < 0.0 or self.d_small < 0.0:
+        if np.less(self.d_macro, 0.0).any() or np.less(self.d_small, 0.0).any():
             raise ValueError("exclusion distances must be >= 0")
 
     def tiers(self):
@@ -95,8 +97,6 @@ def serving_context(event: AssociationEvent, scenario: Scenario, serving) -> Ser
     cooperation reuses the single-small surrogate beta^(-1/alpha) r (exact
     for K=1).
     """
-    alpha = scenario.pathloss
-    beta = hat_ratios(scenario).macro_advantage
     r = tuple(float(v) for v in np.atleast_1d(serving))
     if event is AssociationEvent.CLUSTER:
         if len(r) != scenario.cluster_size:
@@ -105,9 +105,18 @@ def serving_context(event: AssociationEvent, scenario: Scenario, serving) -> Ser
         return ServingContext(event, r, d_macro=d_m, d_small=r[-1])
     if len(r) != 1:
         raise ValueError(f"event {event} takes one serving distance, got {len(r)}")
+    d_macro, d_small = _single_exclusions(event, scenario, r[0])
+    return ServingContext(event, r, d_macro=d_macro, d_small=d_small)
+
+
+def _single_exclusions(event: AssociationEvent, scenario: Scenario, r):
+    """(d_macro, d_small) of a single-server event serving from r, a float or
+    an array of distances."""
+    alpha = scenario.pathloss
+    beta = hat_ratios(scenario).macro_advantage
     if event.macro_serving:
-        return ServingContext(event, r, d_macro=r[0], d_small=beta ** (-1.0 / alpha) * r[0])
-    return ServingContext(event, r, d_macro=beta ** (1.0 / alpha) * r[0], d_small=r[0])
+        return r, beta ** (-1.0 / alpha) * r
+    return beta ** (1.0 / alpha) * r, r
 
 
 def laplace_context(sctx: ServingContext, scenario: Scenario, threshold: float) -> LaplaceContext:
@@ -148,35 +157,37 @@ def _beta_tier_weights(psi: int, alpha: float):
     return _frozen(q, p, special.comb(psi, i, exact=False) * special.beta(p, q))
 
 
-def _beta_tier_sum(psi: int, alpha: float, w: float) -> float:
+def _beta_tier_sum(psi: int, alpha: float, w):
     """sum_{i=1..psi} C(psi,i) * B'(psi-i+2/alpha, i-2/alpha, w): one tier's
     Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d.
 
     B'(p, q, w) = B(p, q) * I_{1-w}(q, p) is the complementary incomplete
-    Beta over [w, 1], so the whole sum is one betainc call.
+    Beta over [w, 1], so the whole sum is one betainc call, for a float w
+    or elementwise over an array of them.
     """
     q, p, weights = _beta_tier_weights(psi, alpha)
-    if psi == 1:  # scalar call: array set-up would cost more than the sum
-        return float(weights[0] * special.betainc(q[0], p[0], 1.0 - w))
-    return float(weights @ special.betainc(q, p, 1.0 - w))
+    if psi == 1:  # one term: no axis to contract
+        return weights[0] * special.betainc(q[0], p[0], 1.0 - w)
+    return special.betainc(q, p, np.asarray(1.0 - w)[..., None]) @ weights
 
 
-def _log_laplace_beta(ctx: LaplaceContext) -> float:
+def _log_laplace_beta(ctx: LaplaceContext):
     """log L_I(s) via the complementary-incomplete-Beta closed form.
 
     Each tier contributes -(2*pi/alpha) * lambda * (s*p)^(2/alpha) times its
     Beta-form factor.
     """
     s = ctx.s
-    if s == 0.0:
+    if np.ndim(s) == 0 and s == 0.0:
         return 0.0
     alpha = ctx.scenario.pathloss
     total = 0.0
     for lam, p, psi, d in ctx.tiers():
         if lam == 0.0:
             continue
-        w = 1.0 / (1.0 + s * p * d ** (-alpha)) if d > 0.0 else 0.0
-        total += lam * (s * p) ** (2.0 / alpha) * _beta_tier_sum(psi, alpha, w)
+        d_alpha = np.power(d, alpha)
+        w = d_alpha / (d_alpha + s * p)  # (1 + s*p*d^(-alpha))^(-1), 0 at d = 0
+        total = total + lam * (s * p) ** (2.0 / alpha) * _beta_tier_sum(psi, alpha, w)
     return -(2.0 * math.pi / alpha) * total
 
 
@@ -244,44 +255,46 @@ def _tail_constants(psi: int, nmax: int, alpha: float):
     return _frozen(a, special.beta(a, psi + 2.0 / alpha) / alpha, np.cumprod(-(psi + n - 1.0)))
 
 
-def _radial_tail_integral(v0: float, psi: int, nmax: int, alpha: float) -> np.ndarray:
+def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
     """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax.
 
     Dimensionless core of every n-th log-Laplace derivative. With
     x = v^-alpha and u = x/(1+x) it is the incomplete Beta
     (1/alpha) * B(a, b) * I_{u0}(a, b), a = n - 2/alpha > 0, b = psi + 2/alpha,
-    u0 = 1/(1 + v0^alpha); all orders go through one betainc call.
+    u0 = 1/(1 + v0^alpha); all orders go through one betainc call. An array
+    of v0 gives one row of orders per entry.
     """
     a, scale, _ = _tail_constants(psi, nmax, alpha)
-    if v0 > 1.0:  # u0 = x0/(1+x0): neither v0^alpha nor its inverse overflows
-        x0 = v0 ** (-alpha)
-        u0 = x0 / (1.0 + x0)
-    else:
-        u0 = 1.0 / (1.0 + v0 ** alpha)
-    return scale * special.betainc(a, psi + 2.0 / alpha, u0)
+    v0 = np.asarray(v0, dtype=float)
+    # u0 = x0/(1+x0) with x0 = v0^-alpha above v0 = 1, 1/(1+v0^alpha) below:
+    # neither power overflows
+    x0 = np.maximum(v0, 1.0) ** (-alpha)
+    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
+    return scale * special.betainc(a, psi + 2.0 / alpha, u0[..., None])
 
 
 def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
-    """s^n * g^(n)(s) for n = 1..nmax, g(s) = -sN + log L_I(s).
+    """s^n * g^(n)(s) for n = 1..nmax, g(s) = -sN + log L_I(s), along the
+    last axis (one row per entry of an array context).
 
     Scaling by s^n keeps every order in float range. Each tier adds
     (-1)^n (psi)_n * 2*pi*lambda * (s*p)^(2/alpha) times its radial tail
     integral at v0 = d / (s*p)^(1/alpha).
     """
     s = ctx.s
-    if s <= 0.0:
+    if np.less_equal(s, 0.0).any():
         raise ValueError("log-Laplace derivatives need s > 0")
     alpha = ctx.scenario.pathloss
-    out = np.zeros(nmax)
-    out[0] = -s * ctx.scenario.noise
+    out = np.zeros(np.shape(s) + (nmax,))
+    out[..., 0] = -s * ctx.scenario.noise
     for lam, p, psi, d in ctx.tiers():
         if lam == 0.0:
             continue
         v0 = d / (s * p) ** (1.0 / alpha)
         signed_rising = _tail_constants(psi, nmax, alpha)[2]
         out += (
-            2.0 * math.pi * lam * (s * p) ** (2.0 / alpha) * signed_rising
-            * _radial_tail_integral(v0, psi, nmax, alpha)
+            np.asarray(2.0 * math.pi * lam * (s * p) ** (2.0 / alpha))[..., None]
+            * signed_rising * _radial_tail_integral(v0, psi, nmax, alpha)
         )
     return out
 
@@ -324,18 +337,19 @@ def _bell_series(sigmas, order: int) -> list:
     return [(-1.0) ** k / math.factorial(k) * _bell_sum(sigmas, k) for k in range(order)]
 
 
-def _laplace_series(ctx: LaplaceContext, order: int) -> list:
-    """Terms (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)] for k = 0..order-1.
+def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
+    """Terms (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)] for k = 0..order-1, along
+    the last axis.
 
     Their sum is the coverage of a Gamma(order,1)-faded link at this
     geometry. B_k is homogeneous of degree k, so s^k B_k(g', g'', ...) is
     B_k over the scaled log-derivatives s^j g^(j).
     """
-    base = math.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
-    if base == 0.0:
-        return [0.0] * order
-    sigmas = _log_derivatives(ctx, order - 1).tolist() if order > 1 else []
-    return [base * term for term in _bell_series(sigmas, order)]
+    base = np.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
+    if not base.any():
+        return np.zeros(np.shape(base) + (order,))
+    sigmas = _log_derivatives(ctx, order - 1) if order > 1 else np.zeros((0,))
+    return np.stack([base * t for t in _bell_series(sigmas.T, order)], axis=-1)
 
 
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
@@ -356,106 +370,162 @@ def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
 # Coverage kernels (probability of exceeding the threshold at fixed geometry)
 
 
-def _tail_weights(ctx: LaplaceContext, order: int) -> float:
+def _tail_weights(ctx: LaplaceContext, order: int):
     """sum_{k<order} (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)], the coverage of a
-    Gamma(order,1)-faded link at this geometry."""
-    value = sum(_laplace_series(ctx, order))
-    if value < _NEGATIVE_CLAMP:
+    Gamma(order,1)-faded link at this geometry (one value per geometry)."""
+    value = _laplace_series(ctx, order).sum(axis=-1)
+    if (value < _NEGATIVE_CLAMP).any():
+        worst = int(np.argmin(value))
         raise IntegrationFailure(
-            f"derivative sum went negative beyond tolerance: {value} at s={ctx.s}"
+            f"derivative sum went negative beyond tolerance: {np.ravel(value)[worst]} "
+            f"at s={np.ravel(ctx.s)[worst]}"
         )
-    return min(max(value, 0.0), 1.0)
+    return np.minimum(np.maximum(value, 0.0), 1.0)
 
 
 def _single_server_kernel(
-    scenario: Scenario, event: AssociationEvent, r: float, threshold: float
-) -> float:
-    """Conditional coverage given a single serving BS at distance r."""
-    if r <= 0.0:
-        return 1.0
-    sctx = serving_context(event, scenario, (r,))
-    ctx = laplace_context(sctx, scenario, threshold)
-    order = derive_tier(scenario.macro if event.macro_serving else scenario.small).fading_order
-    return _tail_weights(ctx, order)
+    scenario: Scenario, event: AssociationEvent, r, threshold: float
+) -> np.ndarray:
+    """Conditional coverage given a single serving BS, at each distance of
+    the 1-D array r."""
+    r = np.asarray(r, dtype=float)
+    tier = scenario.macro if event.macro_serving else scenario.small
+    # laplace_context's single-server argument s = T * r^alpha / p_serve
+    s = threshold * np.maximum(r, 0.0) ** scenario.pathloss / tier.power
+    # s = 0 (a server at, or numerically at, zero distance): the series is
+    # its k = 0 term L_I(0) = 1, certain coverage
+    live = s > 0.0
+    out = np.ones(r.shape)
+    d_macro, d_small = _single_exclusions(event, scenario, r[live])
+    ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
+    out[live] = _tail_weights(ctx, derive_tier(tier).fading_order)
+    return out
 
 
-def _erlang_mixture(gains, order: int, merge_rtol: float | None = None):
-    """Partial-fraction form of prod_i (1 + a_i s)^(-order).
+def _pole_weights(poles) -> list:
+    """Partial-fraction weights of prod_i (1 + b_i s)^(-m_i) over arrays of
+    pole gains: for each pole (b, w) with w[:, l-1] the weight of
+    (1 + b s)^(-l), l = 1..m.
 
-    Returns [(pole gain b, weights w_1..w_m)] so the product equals
-    sum over poles of sum_l w_l (1 + b s)^(-l); near-equal gains are merged
-    into one higher-multiplicity pole first (the merged distribution
-    matches to second order in the gap, and the split form would lose
-    precision to cancellation).
+    The weights of pole i depend on the gain ratios q_j = b_j/b_i alone:
+    w_l = c_(m_i - l) for the Taylor coefficients c of the other poles'
+    factor prod_j (1 - q_j + q_j x)^(-m_j), from the log-derivative
+    recursion c_0 = prod_j (1 - q_j)^(-m_j),
+    c_n = (1/n) sum_(v=1..n) (-1)^v (sum_j m_j rho_j^v) c_(n-v),
+    rho_j = q_j/(1 - q_j). In ratios the recursion stays in float range
+    however far apart the gains are.
+    """
+    out = []
+    for i, (bi, mi) in enumerate(poles):
+        ratios = [(bj / bi, mj) for j, (bj, mj) in enumerate(poles) if j != i]
+        c = [np.ones_like(bi)]
+        for q, mj in ratios:
+            c[0] = c[0] * (1.0 - q) ** (-mj)
+        with np.errstate(divide="ignore"):
+            rho = [1.0 / (1.0 / q - 1.0) for q, _ in ratios]
+        power_sums = [
+            (-1.0) ** v * sum((mj * r ** v for (_, mj), r in zip(ratios, rho)), np.zeros_like(bi))
+            for v in range(1, mi)
+        ]
+        for n in range(1, mi):
+            c.append(sum(power_sums[v - 1] * c[n - v] for v in range(1, n + 1)) / n)
+        out.append((bi, np.stack(c[::-1], axis=-1)))
+    return out
+
+
+def _erlang_mixture(gains, order: int, merge_rtol: float | None = None) -> list:
+    """Partial-fraction form of prod_i (1 + a_i s)^(-order), row by row over
+    an (n, K) array of gains.
+
+    Near-equal gains are merged into one higher-multiplicity pole first (the
+    merged distribution matches to second order in the gap, and the split
+    form would lose precision to cancellation): walking the descending
+    gains, each joins the group before it when within merge_rtol of that
+    group's mean. Rows are grouped by this merge pattern, at most 2^(K-1)
+    of them. Returns [(rows, [(b, w), ...])], one entry per pattern: the
+    indices of its rows and, per pole, gains b of shape (len(rows),) and
+    weights w of shape (len(rows), m), so that the product equals
+    sum over poles of sum_l w[:, l-1] (1 + b s)^(-l).
 
     merge_rtol=None balances the two error sources: split weights grow like
-    gap^-(n_tot - 1) for n_tot = len(gains) * order total pole order, so the
-    gap is set where that amplification of float roundoff reaches ~1e-8,
-    while the merge bias stays O(gap^2) inside a gap-wide region.
+    gap^-(n_tot - 1) for n_tot = K * order total pole order, so the gap is
+    set where that amplification of float roundoff reaches ~1e-8, while the
+    merge bias stays O(gap^2) inside a gap-wide region.
     """
-    a = np.sort(np.asarray(gains, dtype=float))[::-1]
+    a = np.sort(np.asarray(gains, dtype=float), axis=1)[:, ::-1]
+    n, k = a.shape
     if merge_rtol is None:
-        n_tot = len(a) * order
+        n_tot = k * order
         if n_tot <= 1:
             merge_rtol = 1e-8
         else:
             merge_rtol = min(0.1, max(1e-8, 10.0 ** (-8.0 / (n_tot - 1))))
-    groups: list[tuple[float, int]] = []
-    for ai in a:
-        if groups and abs(groups[-1][0] / ai - 1.0) < merge_rtol:
-            mean, cnt = groups[-1]
-            groups[-1] = ((mean * cnt + ai) / (cnt + 1), cnt + 1)
-        else:
-            groups.append((ai, 1))
-    poles = [(b, cnt * order) for b, cnt in groups]
+    # bit j-1 of a row's pattern: gain j joined the group before it
+    pattern = np.zeros(n, dtype=np.int64)
+    mean, cnt = a[:, 0], np.ones(n)
+    for j in range(1, k):
+        joins = np.abs(mean / a[:, j] - 1.0) < merge_rtol
+        pattern |= joins.astype(np.int64) << (j - 1)
+        mean = np.where(joins, (mean * cnt + a[:, j]) / (cnt + 1), a[:, j])
+        cnt = np.where(joins, cnt + 1, 1.0)
     out = []
-    for i, (bi, mi) in enumerate(poles):
-        others = [(bj, mj) for j, (bj, mj) in enumerate(poles) if j != i]
-        c = np.zeros(mi)
-        c[0] = math.prod((1.0 - bj / bi) ** (-mj) for bj, mj in others) if others else 1.0
-        rho = [bi * bj / (bi - bj) for bj, _ in others]
-        ms = [mj for _, mj in others]
-        for m in range(1, mi):
-            acc = 0.0
-            for v in range(1, m + 1):
-                log_term = ((-1.0) ** v / v) * sum(mj * r ** v for mj, r in zip(ms, rho))
-                acc += v * log_term * c[m - v]
-            c[m] = acc / m
-        weights = np.array([c[mi - l] / bi ** (mi - l) for l in range(1, mi + 1)])
-        out.append((bi, weights))
+    for code in np.unique(pattern).tolist():
+        rows = np.flatnonzero(pattern == code)
+        starts = [0] + [j for j in range(1, k) if not code >> (j - 1) & 1]
+        poles = []
+        for lo, hi in zip(starts, starts[1:] + [k]):
+            mean = a[rows, lo]
+            for i in range(1, hi - lo):  # the running mean the merge test saw
+                mean = (mean * i + a[rows, lo + i]) / (i + 1)
+            poles.append((mean, (hi - lo) * order))
+        out.append((rows, _pole_weights(poles)))
     return out
 
 
-def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> float:
-    """Conditional coverage given the cluster serves from these distances.
+def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarray:
+    """Conditional coverage given the cluster serves from these distances,
+    one value per row of an (n, K) array of ascending distances.
 
     "exact" decomposes the non-coherent power sum of Gamma-faded links by
     partial fractions; "gamma" collapses it to one mean-matched Gamma.
     """
-    if any(r <= 0.0 for r in distances):
-        # A zero-distance server has unbounded mean power: certain coverage.
-        return 1.0
-    sctx = serving_context(AssociationEvent.CLUSTER, scenario, distances)
-    order = derive_tier(scenario.small).fading_order
+    r = np.asarray(distances, dtype=float)
     alpha = scenario.pathloss
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        path_gain = r ** (-alpha)
+        # laplace_context's mean-matched argument s = T / (p_s sum r_i^-alpha),
+        # the least of the Laplace arguments the exact form uses
+        s = threshold / (scenario.small.power * path_gain.sum(axis=1))
+    # s = 0 (a server at, or numerically at, zero distance): the series is
+    # its k = 0 term L_I(0) = 1, certain coverage
+    live = s > 0.0
+    out = np.ones(len(r))
+    r, path_gain = r[live], path_gain[live]
+    if not len(r):
+        return out
+    order = derive_tier(scenario.small).fading_order
+    d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
     if scenario.numerics.cluster_fading == "gamma":
-        ctx = laplace_context(sctx, scenario, threshold)
-        return _tail_weights(ctx, order)
-    gains = [scenario.small.power * r ** (-alpha) for r in sctx.distances]
-    total = 0.0
-    for b, weights in _erlang_mixture(gains, order, scenario.numerics.pole_merge_rtol):
-        ctx = LaplaceContext(
-            s=threshold / b, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
-        )
-        # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
-        cum = np.cumsum(weights[::-1])[::-1]  # cum[k] = sum_{l >= k+1} w_l
-        terms = _laplace_series(ctx, len(weights))
-        total += sum(c * term for c, term in zip(cum.tolist(), terms))
-    if total < _CLUSTER_CLAMP:
+        ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
+        out[live] = _tail_weights(ctx, order)
+        return out
+    gains = scenario.small.power * path_gain
+    total = np.zeros(len(r))
+    for rows, poles in _erlang_mixture(gains, order, scenario.numerics.pole_merge_rtol):
+        for b, weights in poles:
+            ctx = LaplaceContext(
+                s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
+                scenario=scenario,
+            )
+            # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
+            cum = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]  # cum[:, k] = sum_{l>k} w_l
+            total[rows] += (cum * _laplace_series(ctx, weights.shape[1])).sum(axis=1)
+    if np.any(total < _CLUSTER_CLAMP):
         raise IntegrationFailure(
-            f"cluster mixture coverage went negative beyond tolerance: {total}"
+            f"cluster mixture coverage went negative beyond tolerance: {total.min()}"
         )
-    return min(max(total, 0.0), 1.0)
+    out[live] = np.clip(total, 0.0, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +557,9 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     tau average is then a Gamma(K+1) average of a degree-kmax polynomial in
     tau, exact on kmax//2 + 1 generalized Gauss-Laguerre nodes, leaving a
     single K-dimensional cone integral, done on Gauss-Legendre panels under
-    a rational map aimed at the scale where the kernel actually varies.
+    a rational map aimed at the scale where the kernel actually varies. The
+    panels' node set is built level by level as arrays, and the kernel runs
+    once over all of it.
     """
     sc = scenario
     if sc.noise != 0.0:
@@ -510,111 +582,85 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     b_macro = (
         2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
         * _radial_tail_integral(t ** (-1.0 / alpha), psi_m, kmax, alpha)
-    ).tolist()
+    )
     b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
 
     x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
     lb_outer = (beta / big_k) ** (-two_a)
-    lag_y, lag_w = (v.tolist() for v in special.roots_genlaguerre(kmax // 2 + 1, big_k))
+    lag_y, lag_w = special.roots_genlaguerre(kmax // 2 + 1, big_k)
+    # (-1)^j (j-1)! psi_s, the j-th log-derivative weight of one small BS's u^j
+    point_coeff = psi_s * np.cumprod(np.r_[-1.0, -np.arange(1.0, kmax)])[:kmax]
 
     def panel_points(lo, hi, scale):
-        """Quadrature pairs (x, w) on (lo, hi): a linear Gauss panel resolves
-        structure of width ~scale above lo; a log-space panel (node count
-        grown with the decade span) covers the algebraically decaying rest."""
+        """Quadrature nodes and weights on (lo, hi): a linear Gauss panel
+        resolves structure of width ~scale above lo; a log-space panel (node
+        count grown with the decade span) covers the algebraically decaying
+        rest."""
         xb = min(hi, lo + 3.0 * scale)
         xs, ws = _gauss_panel(lo, xb, 16)
-        pts = list(zip(xs, ws))
         if hi > xb * (1.0 + 1e-12):
             zspan = math.log(hi / xb)
             zs, wz = _gauss_panel(math.log(xb), math.log(hi), max(12, int(2.0 * zspan) + 8))
-            pts += [(math.exp(z), w * math.exp(z)) for z, w in zip(zs, wz)]
-        return pts
+            xs, ws = np.concatenate([xs, np.exp(zs)]), np.concatenate([ws, wz * np.exp(zs)])
+        return xs, ws
 
-    def kernel_at(xs, a_small, b_small) -> float:
-        """Coverage kernel at one cone point, tau already integrated out."""
-        logp = 0.0
-        c_tot = [0.0] * kmax
-        for x in xs:
-            y = t * p_hat * x ** (-alpha / 2.0)
-            logp -= psi_s * math.log1p(y)
-            u = y / (1.0 + y)
-            for j in range(1, kmax + 1):
-                c_tot[j - 1] += psi_s * (-1.0) ** j * math.factorial(j - 1) * u ** j
-        d = 1.0 + lhat * xs[-1] + a_macro + a_small
-        b_tot = [bm + bs for bm, bs in zip(b_macro, b_small)]
+    def kernel_at(xs, a_small, b_small):
+        """Coverage kernel at cone points, one per row of xs (innermost
+        coordinate first, the outermost x_K last), tau already integrated out."""
+        y = t * p_hat * xs ** (-alpha / 2.0)
+        logp = -psi_s * np.log1p(y).sum(axis=1)
+        u = y / (1.0 + y)
+        c_tot = point_coeff * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
+        d = 1.0 + lhat * xs[:, -1] + a_macro + a_small
+        b_tot = b_macro + b_small
         acc = 0.0
-        for y, w in zip(lag_y, lag_w):  # tau = y / d
-            sigmas = [c + b * y / d for c, b in zip(c_tot, b_tot)]
-            acc += w * sum(_bell_series(sigmas, kmax + 1))
-        return math.exp(logp) * acc * d ** (-(big_k + 1))
-
-    def inner_levels(i, budget, upper, xs, a_small, b_small) -> float:
-        """Integrate x_i over (lower feasibility bound, x_{i+1}), recursing down."""
-        lb = (budget / i) ** (-two_a)
-        if upper <= lb:
-            return 0.0
-        total = 0.0
-        for x, w in panel_points(lb, upper, max(x_scale, lb)):
-            if i == 1:
-                val = kernel_at((x, *xs), a_small, b_small)
-            else:
-                val = inner_levels(
-                    i - 1, budget - x ** (-alpha / 2.0), x, (x, *xs), a_small, b_small
-                )
-            total += w * val
-        return total
+        for y, w in zip(lag_y.tolist(), lag_w.tolist()):  # tau = y / d
+            sigmas = c_tot + b_tot * (y / d)[:, None]
+            acc = acc + w * sum(_bell_series(sigmas.T, kmax + 1))
+        return np.exp(logp) * acc * d ** (-(big_k + 1))
 
     # Beyond x_max the integrand is below weight * 1, whose tail mass is
     # ~2/(lhat * x); the cap keeps the truncation under ~1e-7.
     outer_scale = max(x_scale, lb_outer, (1.0 + a_macro) / lhat)
     x_max = max(2e7 / lhat, 1e3 * (lb_outer + 3.0 * outer_scale))
-    total = 0.0
-    for x_k, w in panel_points(lb_outer, x_max, outer_scale):
-        # Small-field constants depend only on the outermost coordinate.
-        y_k = t * p_hat * x_k ** (-alpha / 2.0)
-        a_small = lhat * two_a * (t * p_hat) ** two_a * _beta_tier_sum(
-            psi_s, alpha, 1.0 / (1.0 + y_k)
-        )
-        v0_s = math.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
-        b_small = (b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)).tolist()
-        if big_k == 1:
-            val = kernel_at((x_k,), a_small, b_small)
-        else:
-            val = inner_levels(
-                big_k - 1, beta - x_k ** (-alpha / 2.0), x_k, (x_k,), a_small, b_small
-            )
-        total += w * val
-    return lhat ** big_k * total
+    x_k, w = panel_points(lb_outer, x_max, outer_scale)
+    # Small-field constants depend only on the outermost coordinate.
+    y_k = t * p_hat * x_k ** (-alpha / 2.0)
+    a_small = lhat * two_a * (t * p_hat) ** two_a * _beta_tier_sum(
+        psi_s, alpha, 1.0 / (1.0 + y_k)
+    )
+    v0_s = np.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
+    b_small = b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)
+
+    # Inner levels i = K-1..1: x_i runs over (lower feasibility bound, x_{i+1}).
+    xs, owner = x_k[:, None], np.arange(len(x_k))
+    budget = beta - x_k ** (-alpha / 2.0)
+    for i in range(big_k - 1, 0, -1):
+        lb = (budget / i) ** (-two_a)
+        level = [
+            (row, *panel_points(lb[row], xs[row, 0], max(x_scale, lb[row])))
+            for row in np.flatnonzero(xs[:, 0] > lb).tolist()
+        ]
+        if not level:
+            return 0.0
+        rows = np.concatenate([np.full(len(x), row) for row, x, _ in level])
+        x_i = np.concatenate([x for _, x, _ in level])
+        w = w[rows] * np.concatenate([wx for _, _, wx in level])
+        xs, owner = np.column_stack([x_i, xs[rows]]), owner[rows]
+        budget = budget[rows] - x_i ** (-alpha / 2.0)
+
+    vals = _chunked(kernel_at, xs, a_small[owner], b_small[owner])
+    return lhat ** big_k * float(w @ vals)
 
 
 # ---------------------------------------------------------------------------
 # Conditional and overall coverage
 
 
-@dataclass(frozen=True)
-class CoverageQuery:
-    """What to evaluate: threshold (linear), mode, and an optional event
-    (None = overall coverage for the mode)."""
-
-    threshold: float
-    mode: str
-    event: AssociationEvent | None = None
-
-    def __post_init__(self):
-        if self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.event is not None and self.event.cooperative != (self.mode == COOPERATIVE):
-            raise ValueError(f"event {self.event} inconsistent with mode {self.mode!r}")
-
-
-def _quad_probability(
-    integrand, upper: float, epsabs: float, what: str, points=None
-) -> float:
-    val, err = integrate.quad(
-        integrand, 0.0, upper, epsabs=epsabs, limit=200, points=points
-    )
+def _probability_integral(integrand, upper: float, epsabs: float, what: str, spike) -> float:
+    """int_0^upper of a probability density over an array of nodes, by
+    vectorized tanh-sinh; raises when the error estimate misses the gate."""
+    val, err = _panel_integral(integrand, upper, epsabs, what, spike)
     if err > max(50.0 * epsabs, 1e-4):
         raise IntegrationFailure(f"{what}: estimate {val}, error bound {err}")
     return val
@@ -646,12 +692,11 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
             mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
 
         def integrand(tau):
-            r = math.sqrt(tau / mix)
-            return math.exp(-tau) * _single_server_kernel(scenario, event, r, threshold)
+            r = np.sqrt(tau / mix)
+            return np.exp(-tau) * _single_server_kernel(scenario, event, r, threshold)
 
-        p = _quad_probability(
-            integrand, tau_max, num.coverage_epsabs, f"coverage {event}",
-            points=_spike_hints(tau_star, tau_max),
+        p = _probability_integral(
+            integrand, tau_max, num.coverage_epsabs, f"coverage {event}", tau_star
         )
         return min(max(p, 0.0), 1.0)
 
@@ -667,15 +712,16 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
         mix = math.pi * lam_m
 
         def integrand(tau):
-            r = math.sqrt(tau / mix)
-            win = mbs_win_prob(scenario, r)
-            if win == 0.0:
-                return 0.0
-            return math.exp(-tau) * win * _single_server_kernel(scenario, event, r, threshold)
+            r = np.sqrt(tau / mix)
+            # a macro BS on top of the user always wins
+            win = np.fromiter(
+                (mbs_win_prob(scenario, x) if x > 0.0 else 1.0 for x in r.tolist()),
+                dtype=float, count=len(r),
+            )
+            return np.exp(-tau) * win * _single_server_kernel(scenario, event, r, threshold)
 
-        p = _quad_probability(
-            integrand, tau_max, num.coverage_epsabs, "coverage macro_coop",
-            points=_spike_hints(tau_star, tau_max),
+        p = _probability_integral(
+            integrand, tau_max, num.coverage_epsabs, "coverage macro_coop", tau_star
         )
         return min(max(p / norm, 0.0), 1.0)
 
@@ -705,13 +751,6 @@ def coverage_overall(mode: str, scenario: Scenario, threshold: float) -> float:
         p_macro = coverage_conditional(AssociationEvent.MACRO_COOP, scenario, threshold)
         p_small = coverage_conditional(AssociationEvent.CLUSTER, scenario, threshold)
     return (1.0 - a) * p_macro + a * p_small
-
-
-def coverage(query: CoverageQuery, scenario: Scenario) -> float:
-    """Evaluate a CoverageQuery (dispatch sugar over the two functions above)."""
-    if query.event is None:
-        return coverage_overall(query.mode, scenario, query.threshold)
-    return coverage_conditional(query.event, scenario, query.threshold)
 
 
 # ---------------------------------------------------------------------------

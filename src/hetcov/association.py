@@ -29,6 +29,10 @@ from .model import (
 )
 
 
+class IntegrationFailure(RuntimeError):
+    """An adaptive quadrature could not meet its tolerance."""
+
+
 class AssociationEvent(Enum):
     """Who serves the typical user."""
 
@@ -112,10 +116,14 @@ def exclusion_radius_mbs(scenario: Scenario, sbs_distances) -> float:
     k = scenario.cluster_size
     if len(r) < k:
         raise ValueError(f"need {k} distances, got {len(r)}")
+    return float(_cluster_exclusion(scenario, np.array(r.r[:k])))
+
+
+def _cluster_exclusion(scenario: Scenario, r: np.ndarray):
+    """exclusion_radius_mbs over the last axis of r, K distances per row, unchecked."""
     alpha = scenario.pathloss
     gain_ratio = _biased_gain(scenario.small) / _biased_gain(scenario.macro)
-    power_sum = gain_ratio * sum(ri ** (-alpha) for ri in r.r[:k])
-    return power_sum ** (-1.0 / alpha)
+    return (gain_ratio * (r ** (-alpha)).sum(axis=-1)) ** (-1.0 / alpha)
 
 
 def assoc_prob_sbs_single(scenario: Scenario) -> float:
@@ -152,17 +160,76 @@ def _spike_hints(scale: float | None, upper: float) -> list | None:
     return pts or None
 
 
+# Points per integrand call: a cone integral's refinement levels reach 50k
+# nodes, and one batch's intermediates must not set the process's peak memory.
+_CHUNK = 4096
+# Outer nodes per inner quadrature of the K=2 cone integral: each brings up
+# to three inner intervals of 66 first-level nodes, so one inner level's work
+# arrays stay within a few chunks.
+_OUTER_NODES = 64
+
+
+def _chunked(f, *arrays, size: int = _CHUNK) -> np.ndarray:
+    """f over the leading axis of the arrays, at most size entries per call."""
+    n = len(arrays[0])
+    if n <= size:
+        return f(*arrays)
+    return np.concatenate([f(*(a[i:i + size] for a in arrays)) for i in range(0, n, size)])
+
+
+def _check_quadrature(val, err, epsabs: float, what: str):
+    """Raise unless the error estimate of a cone integral meets its gate."""
+    if err > max(epsabs * 100.0, 1e-6):
+        raise IntegrationFailure(f"{what} did not converge: estimate {val}, error {err}")
+
+
+def _tanhsinh(f, a, b, epsabs: float, what: str, args=()):
+    """Vectorized tanh-sinh quadrature of f over the intervals (a, b).
+
+    Returns per-interval integrals and error estimates; an interval that
+    does not converge (maximum level reached, non-finite values) raises.
+    """
+    res = integrate.tanhsinh(f, a, b, args=args, atol=epsabs)
+    failed = res.status != 0
+    if np.any(failed):
+        raise IntegrationFailure(
+            f"{what} did not converge on {int(failed.sum())} of {failed.size} intervals: "
+            f"status {np.unique(res.status[failed]).tolist()}, "
+            f"estimate {res.integral[failed].ravel()[:3].tolist()}"
+        )
+    return res.integral, res.error
+
+
+def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None, size=_CHUNK):
+    """(integral, error estimate) of f over (0, upper) by tanh-sinh on panels
+    split at the spike hints; f maps a 1-D array of nodes, at most size of
+    them per call, to their values."""
+    edges = np.array([0.0, *(_spike_hints(spike, upper) or ()), upper])
+    val, err = _tanhsinh(
+        lambda x: _chunked(f, x.ravel(), size=size).reshape(x.shape),
+        edges[:-1], edges[1:], epsabs, what,
+    )
+    return float(val.sum()), float(err.sum())
+
+
 def _cluster_integral(
     scenario: Scenario, h=None, epsabs: float | None = None, spike: float | None = None
 ) -> float:
     """Integral of h(r_1..r_K) * exp(-lambda_m*pi*eta^(2/alpha)) * f(r) over
     the ordered cone, where f is the joint PDF of the K nearest small-BS
-    distances. h=None means h=1, giving the cluster association probability.
+    distances. h maps an (n, K) array of ascending distance rows to n values;
+    h=None means h=1, giving the cluster association probability.
 
-    Quadrature in arrival coordinates for K <= 2; for K > 2 the expectation
-    is taken over a cached deterministic sample of arrival vectors. spike
-    hints the arrival coordinate where h concentrates (a coverage kernel at
-    a deep-tail threshold is a narrow peak the initial grid would miss).
+    For K <= 2, tanh-sinh quadrature in arrival coordinates, each level's
+    nodes evaluated by one h call per chunk: K=1 on panels split at the spike
+    hints; K=2 as t2 on those panels outside and z = t1/t2 in (0, 1) inside,
+    split at z = spike/t2 and integrated for a whole group of outer nodes
+    per call. The gate takes the outer error plus the largest inner error
+    (the outer weight t2*exp(-t2) integrates to at most 1). For K > 2 the
+    expectation is taken over a cached deterministic sample of arrival
+    vectors. spike hints the arrival coordinate where h concentrates (a
+    coverage kernel at a deep-tail threshold is a narrow peak the initial
+    grid would miss).
     """
     num = scenario.numerics
     if epsabs is None:
@@ -175,50 +242,60 @@ def _cluster_integral(
     def radius(t):
         return np.sqrt(t / (math.pi * lam_s))
 
-    if k <= 2:
-        if k == 1:
-            def integrand(t1):
-                w = math.exp(-c * t1 - t1)
-                return w if h is None else w * h((radius(t1),))
-        else:
-            def integrand(t2):
-                t2_half = t2 ** (-alpha / 2.0)
+    def weighted(w, rows):
+        return w if h is None else w * h(rows)
 
-                def over_z(z):
-                    t1 = t2 * z
-                    if t1 <= 1e-60:  # nearest point on top of the user
-                        eta_term = 0.0
-                    else:
-                        eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
-                    w = math.exp(-c * eta_term)
-                    return w if h is None else w * h((radius(t1), radius(t2)))
+    if k > 2:
+        def sample_values(t):
+            eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
+            return weighted(np.exp(-c * eta_term), radius(t))
 
-                z_hints = None
-                if spike is not None and spike < t2:
-                    z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
-                val, _ = integrate.quad(
-                    over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
-                )
-                return t2 * math.exp(-t2) * val
+        t = _arrival_samples(k, num.cluster_samples, scenario.seed)
+        return float(_chunked(sample_values, t).mean())
 
-        tmax = -math.log(num.tail_mass) + 5.0
-        val, err = integrate.quad(
-            integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
-        )
-        if err > max(epsabs * 100.0, 1e-6):
-            raise RuntimeError(
-                f"cluster cone integral did not converge: estimate {val}, error {err}"
+    tmax = -math.log(num.tail_mass) + 5.0
+    what = "cluster cone integral"
+    if k == 1:
+        def point_values(t1):
+            return weighted(np.exp(-c * t1 - t1), radius(t1)[:, None])
+
+        val, err = _panel_integral(point_values, tmax, epsabs, what, spike)
+    else:
+        inner_err = [0.0]
+
+        def point_values(z, t2):
+            t1 = t2 * z
+            with np.errstate(divide="ignore"):
+                eta_term = (t1 ** (-alpha / 2.0) + t2 ** (-alpha / 2.0)) ** (-2.0 / alpha)
+            eta_term[t1 <= 1e-60] = 0.0  # nearest point on top of the user
+            rows = np.column_stack([radius(t1), radius(t2)])
+            return weighted(np.exp(-c * eta_term), rows)
+
+        def over_z(z, t2):
+            z, t2 = np.broadcast_arrays(z, t2)
+            return _chunked(point_values, z.ravel(), t2.ravel()).reshape(z.shape)
+
+        def outer_values(t2):
+            z_hints = np.empty((len(t2), 0))
+            if spike is not None:
+                with np.errstate(divide="ignore"):
+                    z_hints = np.sort([
+                        np.minimum(spike / t2, 1.0),
+                        np.where(spike < t2, np.minimum(10.0 * spike / t2, 0.5), 1.0),
+                    ], axis=0).T
+            z_edges = np.column_stack([np.zeros_like(t2), z_hints, np.ones_like(t2)])
+            lo, hi = z_edges[:, :-1], z_edges[:, 1:]
+            val, err = _tanhsinh(
+                over_z, lo, hi, epsabs, f"{what} (inner)",
+                args=(np.broadcast_to(t2[:, None], lo.shape),),
             )
-        return val
+            inner_err[0] = max(inner_err[0], float(err.sum(axis=-1).max()))
+            return t2 * np.exp(-t2) * val.sum(axis=-1)
 
-    t = _arrival_samples(k, num.cluster_samples, scenario.seed)
-    eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-    w = np.exp(-c * eta_term)
-    if h is None:
-        return float(w.mean())
-    rows = radius(t)
-    vals = np.fromiter((h(tuple(row)) for row in rows), dtype=float, count=len(rows))
-    return float((w * vals).mean())
+        val, err = _panel_integral(outer_values, tmax, epsabs, what, spike, _OUTER_NODES)
+        err += inner_err[0]
+    _check_quadrature(val, err, epsabs, what)
+    return val
 
 
 def assoc_prob_sbs_cluster(scenario: Scenario) -> float:
@@ -257,35 +334,38 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
     """P[the macro BS at mbs_distance beats the small-cell cluster].
 
     The cluster loses when sum_i r_i^(-alpha) < beta * r_m^(-alpha) with
-    beta the macro power advantage; in arrival coordinates this is a
-    condition on sum t_i^(-alpha/2).
+    beta the macro power advantage; in arrival coordinates this is
+    (sum_i t_i^(-alpha/2))^(-2/alpha) > lo, where lo = beta^(-2/alpha) * tau
+    is the arrival coordinate at which one small BS alone matches the macro
+    BS at tau = lambda_s*pi*r_m^2. Scaled by lo, nothing overflows however
+    close the macro BS is.
     """
     if mbs_distance <= 0.0:
         raise ValueError(f"mbs_distance must be positive, got {mbs_distance}")
     alpha = scenario.pathloss
     k = scenario.cluster_size
     beta = hat_ratios(scenario).macro_advantage
-    tau = scenario.small.density * math.pi * mbs_distance ** 2
-    bound = beta * tau ** (-alpha / 2.0)  # threshold on sum t_i^(-alpha/2)
+    lo = beta ** (-2.0 / alpha) * scenario.small.density * math.pi * mbs_distance ** 2
     if k == 1:
-        return math.exp(-bound ** (-2.0 / alpha))
+        return math.exp(-lo)
     if k == 2:
-        lo = bound ** (-2.0 / alpha)          # below this t1 alone overshoots
-        knee = (2.0 / bound) ** (2.0 / alpha)  # beyond this t2 > t1 suffices
+        # t1 = lo * x: below x = 1 the nearest SBS alone beats the MBS, beyond
+        # the knee x = 2^(2/alpha) any t2 > t1 keeps the pair losing
+        knee = 2.0 ** (2.0 / alpha)
 
-        def integrand(t1):
-            slack = bound - t1 ** (-alpha / 2.0)
+        def integrand(x):
+            slack = 1.0 - x ** (-alpha / 2.0)
             if slack <= 0.0:  # the nearest SBS alone already beats the MBS
                 return 0.0
-            return math.exp(-max(t1, slack ** (-2.0 / alpha)))
+            return math.exp(-lo * max(x, slack ** (-2.0 / alpha)))
 
-        val, _ = integrate.quad(
-            integrand, lo, knee, epsabs=scenario.numerics.quad_epsabs, limit=200
-        )
-        return val + math.exp(-knee)
+        epsabs = scenario.numerics.quad_epsabs
+        val, err = integrate.quad(integrand, 1.0, knee, epsabs=epsabs / lo, limit=200)
+        _check_quadrature(lo * val, lo * err, epsabs, "macro win probability")
+        return lo * val + math.exp(-lo * knee)
     t = _arrival_samples(k, scenario.numerics.cluster_samples, scenario.seed)
-    s = np.sort((t ** (-alpha / 2.0)).sum(axis=1))
-    return float(np.searchsorted(s, bound, side="left") / len(s))
+    eta = np.sort((t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha))
+    return float(1.0 - np.searchsorted(eta, lo, side="right") / len(eta))
 
 
 def serving_distance_pdf(event: AssociationEvent, scenario: Scenario):

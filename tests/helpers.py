@@ -4,11 +4,24 @@ evaluations that the engine's closed forms are checked against."""
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
-from hetcov.analysis import LaplaceContext, laplace_context, serving_context
-from hetcov.association import AssociationEvent
-from hetcov.model import Scenario, TierParams
+from hetcov.analysis import (
+    _CLUSTER_CLAMP,
+    IntegrationFailure,
+    LaplaceContext,
+    _bell_series,
+    _beta_tier_sum,
+    _gauss_panel,
+    _laplace_series,
+    _radial_tail_integral,
+    _tail_constants,
+    _tail_weights,
+    laplace_context,
+    serving_context,
+)
+from hetcov.association import AssociationEvent, _arrival_samples, _cone_coeff, _spike_hints
+from hetcov.model import Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.specfun import faa_coefficient, integer_partitions
 
 EVENTS_BY_MODE = {
@@ -116,3 +129,243 @@ def bell_sum_by_partitions(g_derivs, k: int) -> float:
                 term *= g_derivs[j - 1] ** m
         total += term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles of the coverage kernels: one geometry per call, the pole
+# loops written out, the integrals by (nested) QUADPACK. The engine
+# evaluates the same quantities over arrays of geometries.
+
+
+def single_server_kernel_scalar(scenario: Scenario, event, r: float, threshold: float) -> float:
+    """Conditional coverage given a single serving BS at distance r."""
+    if r <= 0.0:
+        return 1.0
+    ctx = laplace_context(serving_context(event, scenario, (r,)), scenario, threshold)
+    order = derive_tier(scenario.macro if event.macro_serving else scenario.small).fading_order
+    return float(_tail_weights(ctx, order))
+
+
+def single_coverage_quad(event, scenario: Scenario, threshold: float) -> float:
+    """P[SINR > threshold | MACRO or SMALL] by QUADPACK over the exponent
+    coordinate tau, one scalar kernel per node."""
+    alpha = scenario.pathloss
+    beta = hat_ratios(scenario).macro_advantage
+    lam_m, lam_s = scenario.macro.density, scenario.small.density
+    if event is AssociationEvent.MACRO:
+        mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+    else:
+        mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+    tau_max = -math.log(scenario.numerics.tail_mass)
+    val, err = integrate.quad(
+        lambda tau: math.exp(-tau) * single_server_kernel_scalar(
+            scenario, event, math.sqrt(tau / mix), threshold
+        ),
+        0.0, tau_max, epsabs=scenario.numerics.coverage_epsabs, limit=200,
+        points=_spike_hints(threshold ** (-2.0 / alpha), tau_max),
+    )
+    assert err <= 1e-4, (val, err)
+    return val
+
+
+def erlang_mixture_scalar(gains, order: int, merge_rtol: float | None = None):
+    """Partial-fraction form of prod_i (1 + a_i s)^(-order) at one geometry:
+    [(pole gain b, weights w_1..w_m)], near-equal gains merged first."""
+    a = np.sort(np.asarray(gains, dtype=float))[::-1]
+    if merge_rtol is None:
+        n_tot = len(a) * order
+        if n_tot <= 1:
+            merge_rtol = 1e-8
+        else:
+            merge_rtol = min(0.1, max(1e-8, 10.0 ** (-8.0 / (n_tot - 1))))
+    groups: list[tuple[float, int]] = []
+    for ai in a:
+        if groups and abs(groups[-1][0] / ai - 1.0) < merge_rtol:
+            mean, cnt = groups[-1]
+            groups[-1] = ((mean * cnt + ai) / (cnt + 1), cnt + 1)
+        else:
+            groups.append((ai, 1))
+    poles = [(b, cnt * order) for b, cnt in groups]
+    out = []
+    for i, (bi, mi) in enumerate(poles):
+        others = [(bj, mj) for j, (bj, mj) in enumerate(poles) if j != i]
+        c = np.zeros(mi)
+        c[0] = math.prod((1.0 - bj / bi) ** (-mj) for bj, mj in others) if others else 1.0
+        rho = [bi * bj / (bi - bj) for bj, _ in others]
+        ms = [mj for _, mj in others]
+        for m in range(1, mi):
+            acc = 0.0
+            for v in range(1, m + 1):
+                log_term = ((-1.0) ** v / v) * sum(mj * r ** v for mj, r in zip(ms, rho))
+                acc += v * log_term * c[m - v]
+            c[m] = acc / m
+        weights = np.array([c[mi - l] / bi ** (mi - l) for l in range(1, mi + 1)])
+        out.append((bi, weights))
+    return out
+
+
+def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> float:
+    """Conditional coverage given the cluster serves from these distances."""
+    if any(r <= 0.0 for r in distances):
+        return 1.0
+    sctx = serving_context(AssociationEvent.CLUSTER, scenario, distances)
+    order = derive_tier(scenario.small).fading_order
+    alpha = scenario.pathloss
+    if scenario.numerics.cluster_fading == "gamma":
+        return _tail_weights(laplace_context(sctx, scenario, threshold), order)
+    gains = [scenario.small.power * r ** (-alpha) for r in sctx.distances]
+    total = 0.0
+    for b, weights in erlang_mixture_scalar(gains, order, scenario.numerics.pole_merge_rtol):
+        ctx = LaplaceContext(
+            s=threshold / b, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
+        )
+        cum = np.cumsum(weights[::-1])[::-1]
+        terms = _laplace_series(ctx, len(weights))
+        total += sum(c * term for c, term in zip(cum.tolist(), terms))
+    if total < _CLUSTER_CLAMP:
+        raise IntegrationFailure(f"cluster mixture coverage went negative: {total}")
+    return min(max(total, 0.0), 1.0)
+
+
+def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -> float:
+    """The cone integral of h(r_1..r_K) (h=None: 1) by nested QUADPACK for
+    K <= 2, row by row over the cached arrival sample for K > 2; h takes one
+    distance tuple."""
+    num = scenario.numerics
+    if epsabs is None:
+        epsabs = num.quad_epsabs
+    k = scenario.cluster_size
+    alpha = scenario.pathloss
+    c = _cone_coeff(scenario)
+    lam_s = scenario.small.density
+
+    def radius(t):
+        return np.sqrt(t / (math.pi * lam_s))
+
+    if k <= 2:
+        if k == 1:
+            def integrand(t1):
+                w = math.exp(-c * t1 - t1)
+                return w if h is None else w * h((radius(t1),))
+        else:
+            def integrand(t2):
+                t2_half = t2 ** (-alpha / 2.0)
+
+                def over_z(z):
+                    t1 = t2 * z
+                    if t1 <= 1e-60:
+                        eta_term = 0.0
+                    else:
+                        eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
+                    w = math.exp(-c * eta_term)
+                    return w if h is None else w * h((radius(t1), radius(t2)))
+
+                z_hints = None
+                if spike is not None and spike < t2:
+                    z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
+                val, _ = integrate.quad(
+                    over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
+                )
+                return t2 * math.exp(-t2) * val
+
+        tmax = -math.log(num.tail_mass) + 5.0
+        val, err = integrate.quad(
+            integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
+        )
+        assert err <= max(epsabs * 100.0, 1e-6), (val, err)
+        return val
+
+    t = _arrival_samples(k, num.cluster_samples, scenario.seed)
+    eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
+    w = np.exp(-c * eta_term)
+    if h is None:
+        return float(w.mean())
+    vals = np.fromiter((h(tuple(row)) for row in radius(t)), dtype=float, count=len(t))
+    return float((w * vals).mean())
+
+
+def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
+    """P[SINR > threshold and the macro side wins] under cooperation, on the
+    engine's fixed scaled-cone panels, one cone point per kernel call."""
+    sc = scenario
+    alpha = sc.pathloss
+    big_k = sc.cluster_size
+    ratios = hat_ratios(sc)
+    beta, lhat = ratios.macro_advantage, ratios.density
+    p_hat = sc.small.power / sc.macro.power
+    psi_m, psi_s = sc.macro.users, sc.small.users
+    kmax = derive_tier(sc.macro).fading_order - 1
+    two_a = 2.0 / alpha
+    t = threshold
+
+    a_macro = two_a * t ** two_a * _beta_tier_sum(psi_m, alpha, 1.0 / (1.0 + t))
+    b_macro = (
+        2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
+        * _radial_tail_integral(t ** (-1.0 / alpha), psi_m, kmax, alpha)
+    ).tolist()
+    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
+
+    x_scale = (t * p_hat) ** two_a
+    lb_outer = (beta / big_k) ** (-two_a)
+    lag_y, lag_w = (v.tolist() for v in special.roots_genlaguerre(kmax // 2 + 1, big_k))
+
+    def panel_points(lo, hi, scale):
+        xb = min(hi, lo + 3.0 * scale)
+        xs, ws = _gauss_panel(lo, xb, 16)
+        pts = list(zip(xs, ws))
+        if hi > xb * (1.0 + 1e-12):
+            zspan = math.log(hi / xb)
+            zs, wz = _gauss_panel(math.log(xb), math.log(hi), max(12, int(2.0 * zspan) + 8))
+            pts += [(math.exp(z), w * math.exp(z)) for z, w in zip(zs, wz)]
+        return pts
+
+    def kernel_at(xs, a_small, b_small) -> float:
+        logp = 0.0
+        c_tot = [0.0] * kmax
+        for x in xs:
+            y = t * p_hat * x ** (-alpha / 2.0)
+            logp -= psi_s * math.log1p(y)
+            u = y / (1.0 + y)
+            for j in range(1, kmax + 1):
+                c_tot[j - 1] += psi_s * (-1.0) ** j * math.factorial(j - 1) * u ** j
+        d = 1.0 + lhat * xs[-1] + a_macro + a_small
+        b_tot = [bm + bs for bm, bs in zip(b_macro, b_small)]
+        acc = 0.0
+        for y, w in zip(lag_y, lag_w):
+            sigmas = [c + b * y / d for c, b in zip(c_tot, b_tot)]
+            acc += w * sum(_bell_series(sigmas, kmax + 1))
+        return math.exp(logp) * acc * d ** (-(big_k + 1))
+
+    def inner_levels(i, budget, upper, xs, a_small, b_small) -> float:
+        lb = (budget / i) ** (-two_a)
+        if upper <= lb:
+            return 0.0
+        total = 0.0
+        for x, w in panel_points(lb, upper, max(x_scale, lb)):
+            if i == 1:
+                val = kernel_at((x, *xs), a_small, b_small)
+            else:
+                val = inner_levels(
+                    i - 1, budget - x ** (-alpha / 2.0), x, (x, *xs), a_small, b_small
+                )
+            total += w * val
+        return total
+
+    outer_scale = max(x_scale, lb_outer, (1.0 + a_macro) / lhat)
+    x_max = max(2e7 / lhat, 1e3 * (lb_outer + 3.0 * outer_scale))
+    total = 0.0
+    for x_k, w in panel_points(lb_outer, x_max, outer_scale):
+        y_k = t * p_hat * x_k ** (-alpha / 2.0)
+        a_small = lhat * two_a * (t * p_hat) ** two_a * _beta_tier_sum(
+            psi_s, alpha, 1.0 / (1.0 + y_k)
+        )
+        v0_s = math.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
+        b_small = (b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)).tolist()
+        if big_k == 1:
+            val = kernel_at((x_k,), a_small, b_small)
+        else:
+            val = inner_levels(
+                big_k - 1, beta - x_k ** (-alpha / 2.0), x_k, (x_k,), a_small, b_small
+            )
+        total += w * val
+    return lhat ** big_k * total

@@ -12,21 +12,28 @@ from scipy import special
 from helpers import (
     EVENTS_BY_MODE,
     bell_sum_by_partitions,
+    cluster_integral_quad,
+    cluster_kernel_scalar,
+    coop_macro_joint_scalar,
+    erlang_mixture_scalar,
     log_laplace_derivative_quad,
     radial_tail_quad,
     random_laplace_context,
     random_scenario,
+    single_coverage_quad,
+    single_server_kernel_scalar,
 )
 from hetcov.analysis import (
-    CoverageQuery,
     IntegrationFailure,
     LaplaceContext,
     _bell_sum,
+    _cluster_kernel,
     _coop_macro_joint,
+    _erlang_mixture,
     _log_derivatives,
     _radial_tail_integral,
+    _single_server_kernel,
     _tail_weights,
-    coverage,
     coverage_conditional,
     coverage_overall,
     laplace_context,
@@ -37,11 +44,28 @@ from hetcov.analysis import (
     mean_rate,
     serving_context,
 )
-from hetcov.association import AssociationEvent, assoc_prob_sbs_cluster
-from hetcov.model import Scenario, TierParams, default_scenario
+from hetcov.association import AssociationEvent, _cluster_integral, assoc_prob_sbs_cluster
+from hetcov.model import Numerics, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER, gamma_ccdf
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+def cluster_scenario(k: int, order: int, psi: int, fading: str = "exact") -> Scenario:
+    """Reference scenario with a K-cell cluster whose small cells serve psi
+    users each at fading order `order`."""
+    base = default_scenario(cluster_size=k, numerics=Numerics(cluster_fading=fading))
+    return replace(base, small=replace(base.small, antennas=psi + order - 1, users=psi))
+
+
+def random_cluster_distances(rng, n: int, k: int) -> np.ndarray:
+    """n ascending K-vectors of distances; a third of them put the second
+    server within 20% of the first, around the pole-merge gap."""
+    r = rng.uniform(1.0, 30.0, size=(n, k))
+    if k > 1:
+        m = n // 3
+        r[:m, 1] = r[:m, 0] * (1.0 + rng.uniform(0.0, 0.2, m))
+    return np.sort(r, axis=1)
 
 
 def near_silent_scenario(noise: float = 0.0) -> Scenario:
@@ -278,6 +302,119 @@ class TestCoopMacroRoute:
             _coop_macro_joint(s, 0.0)
 
 
+class TestArrayKernels:
+    """The array kernels against their one-geometry-per-call oracles."""
+
+    CASES = [(k, order, psi) for k in (1, 2, 3) for order in (1, 2, 3, 4) for psi in (1, 8)]
+
+    @pytest.mark.parametrize("k, order, psi", CASES)
+    def test_erlang_mixture_matches_scalar(self, k, order, psi):
+        rng = np.random.default_rng(100 * k + 10 * order + psi)
+        r = random_cluster_distances(rng, 60, k)
+        gains = 2.5 * r ** -3.0
+        seen = 0
+        for rows, poles in _erlang_mixture(gains, order):
+            for n, row in enumerate(rows.tolist()):
+                expected = erlang_mixture_scalar(gains[row], order)
+                assert len(poles) == len(expected)
+                for (b, w), (b_ref, w_ref) in zip(poles, expected):
+                    assert_allclose(b[n], b_ref, rtol=1e-15)
+                    assert_allclose(w[n], w_ref, rtol=0.0, atol=1e-12 * np.abs(w_ref).max())
+                seen += 1
+        assert seen == len(r)
+
+    @pytest.mark.parametrize("fading", ["exact", "gamma"])
+    @pytest.mark.parametrize("k, order, psi", CASES)
+    def test_cluster_kernel_matches_scalar(self, k, order, psi, fading):
+        # The split pole weights amplify float roundoff like gap^-(n_tot - 1)
+        # for the relative gap between neighbouring poles (the law the
+        # default merge gap is set from), so two evaluations that round
+        # differently may differ by ~1e-13 gap^-(n_tot - 1): 1e-5 at the
+        # default merge gap, under 1e-10 a few gaps above it.
+        s = cluster_scenario(k, order, psi, fading)
+        rng = np.random.default_rng(1000 * k + 10 * order + psi)
+        r = random_cluster_distances(rng, 80, k)
+        got = _cluster_kernel(s, r, 1.0)
+        n_tot = k * order
+        for row, value in zip(r, got):
+            poles = erlang_mixture_scalar(s.small.power * row ** -s.pathloss, order)
+            b = [p for p, _ in poles]
+            gap = min((hi / lo - 1.0 for hi, lo in zip(b, b[1:])), default=np.inf)
+            tol = 1e-10 if fading == "gamma" else 1e-10 + 1e-13 * gap ** -(n_tot - 1)
+            assert abs(value - cluster_kernel_scalar(s, tuple(row), 1.0)) <= tol, (row, gap)
+
+    @pytest.mark.parametrize("fading", ["exact", "gamma"])
+    def test_certain_coverage_at_vanishing_distance(self, fading):
+        # servers so close that their power overflows, or the Laplace
+        # argument underflows: the kernel is 1, not nan or an error
+        s = cluster_scenario(2, 4, 1, fading)
+        r = np.array([
+            [0.0, 1.0], [1e-120, 2e-120], [2e-103, 1.0], [1e-60, 2e-60], [1e-60, 5.0],
+            [1e-90, 1e9],
+        ])
+        for t in (1e-3, 1.0):
+            assert_allclose(_cluster_kernel(s, r, t), 1.0, atol=1e-12)
+        single = np.array([0.0, 1e-160, 1e-60])
+        for event in (AssociationEvent.MACRO, AssociationEvent.SMALL):
+            assert_allclose(_single_server_kernel(s, event, single, 1e-3), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("event", [AssociationEvent.MACRO, AssociationEvent.SMALL])
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    def test_single_server_matches_scalar(self, strategy, event):
+        s = default_scenario(strategy)
+        r = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 40)])
+        for t in (0.1, 1.0, 30.0):
+            expected = [single_server_kernel_scalar(s, event, x, t) for x in r]
+            assert_allclose(_single_server_kernel(s, event, r, t), expected, rtol=1e-12, atol=1e-15)
+            assert_allclose(
+                coverage_conditional(event, s, t), single_coverage_quad(event, s, t), atol=1e-6
+            )
+
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coop_macro_joint_matches_scalar(self, strategy, k):
+        s = default_scenario(strategy, cluster_size=k)
+        for t in (0.1, 1.0, 10.0):
+            assert_allclose(
+                _coop_macro_joint(s, t), coop_macro_joint_scalar(s, t), rtol=1e-12, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    def test_cooperative_coverage_matches_nested_quad(self, strategy):
+        # 0 dB, against the nested-QUADPACK cone integral of the scalar kernel
+        s = default_scenario(strategy)
+        t = 1.0
+        a = cluster_integral_quad(s)
+        raw = cluster_integral_quad(
+            s, h=lambda r: cluster_kernel_scalar(s, r, t),
+            epsabs=0.5 * s.numerics.coverage_epsabs, spike=t ** (-2.0 / s.pathloss),
+        )
+        p_cluster = raw / a
+        p_macro = coop_macro_joint_scalar(s, t) / (1.0 - a)
+        assert_allclose(assoc_prob_sbs_cluster(s), a, atol=1e-9)
+        assert_allclose(coverage_conditional(AssociationEvent.CLUSTER, s, t), p_cluster, atol=1e-6)
+        assert_allclose(
+            coverage_overall("cooperative", s, t), (1.0 - a) * p_macro + a * p_cluster, atol=1e-6
+        )
+
+
+class TestLargerClusters:
+    """K > 2: the cone expectation over the cached arrival sample."""
+
+    @pytest.mark.parametrize("strategy", ["SISO", "SDMA"])
+    def test_sample_integral_matches_row_by_row_oracle(self, strategy):
+        s = default_scenario(strategy, cluster_size=3, numerics=Numerics(cluster_samples=2000))
+        got = _cluster_integral(s, h=lambda r: _cluster_kernel(s, r, 1.0))
+        expected = cluster_integral_quad(s, h=lambda r: cluster_kernel_scalar(s, r, 1.0))
+        assert abs(got - expected) <= 1e-12
+
+    def test_cooperative_coverage_is_a_decreasing_probability(self):
+        s = default_scenario(cluster_size=3, numerics=Numerics(cluster_samples=2000))
+        vals = [coverage_overall("cooperative", s, t) for t in (0.1, 0.5, 1.0, 4.0, 20.0)]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
 class TestCoverageOverall:
     def test_mixture_is_between_conditionals(self):
         s = default_scenario()
@@ -316,29 +453,6 @@ class TestCoverageOverall:
                 coverage_overall(mode, tiny, 1.0),
                 coverage_overall(mode, s0, 1.0),
                 atol=1e-6,
-            )
-
-    def test_query_dispatch(self):
-        s = default_scenario()
-        q_all = CoverageQuery(threshold=1.0, mode="noncooperative")
-        assert coverage(q_all, s) == pytest.approx(
-            coverage_overall("noncooperative", s, 1.0), abs=1e-12
-        )
-        q_one = CoverageQuery(
-            threshold=1.0, mode="noncooperative", event=AssociationEvent.MACRO
-        )
-        assert coverage(q_one, s) == pytest.approx(
-            coverage_conditional(AssociationEvent.MACRO, s, 1.0), abs=1e-12
-        )
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            CoverageQuery(threshold=-1.0, mode="noncooperative")
-        with pytest.raises(ValueError):
-            CoverageQuery(threshold=1.0, mode="sometimes")
-        with pytest.raises(ValueError):
-            CoverageQuery(
-                threshold=1.0, mode="noncooperative", event=AssociationEvent.CLUSTER
             )
 
 

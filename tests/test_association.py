@@ -2,6 +2,7 @@
 serving-distance densities."""
 
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,10 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from helpers import random_scenario
+from hetcov import association
 from hetcov.association import (
     AssociationEvent,
+    IntegrationFailure,
     OrderedDistances,
     _cluster_integral,
     assoc_prob_sbs_cluster,
@@ -231,7 +234,7 @@ class TestClusterAssociation:
         # the K=1 quadrature's error estimate is checked, as K=2's is
         s = default_scenario(cluster_size=1)
         with pytest.raises(RuntimeError):
-            _cluster_integral(s, h=lambda r: math.sin(1e6 * r[0]) ** 2)
+            _cluster_integral(s, h=lambda r: np.sin(1e6 * r[:, 0]) ** 2)
 
 
 class TestMbsWinProb:
@@ -269,6 +272,17 @@ class TestMbsWinProb:
     def test_domain(self):
         with pytest.raises(ValueError):
             mbs_win_prob(default_scenario(), 0.0)
+
+    def test_k2_quadrature_error_is_gated(self, monkeypatch):
+        # an error estimate past the cone-integral gate raises, as there
+        def unconverged(f, a, b, **kwargs):
+            return integrate.quad(f, a, b, **kwargs)[0], 1e-3
+
+        monkeypatch.setattr(
+            association, "integrate", types.SimpleNamespace(quad=unconverged)
+        )
+        with pytest.raises(IntegrationFailure):
+            mbs_win_prob(default_scenario(), 5.0)
 
 
 class TestServingDistancePdfs:
