@@ -9,7 +9,7 @@ direct simulation of Poisson-dropped base stations with Gamma fading. The
 
 from .association import AssociationEvent, association_probabilities, select_tier
 from .analysis import coverage_overall, mean_rate
-from .mcsim import empirical_association, empirical_coverage, empirical_rate, run_trials
+from .mcsim import empirical_association, run_trials
 from .model import (
     COOPERATIVE,
     MODES,
@@ -37,8 +37,6 @@ __all__ = [
     "coverage_overall",
     "default_scenario",
     "empirical_association",
-    "empirical_coverage",
-    "empirical_rate",
     "load_config",
     "mean_rate",
     "run_trials",

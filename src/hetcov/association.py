@@ -298,8 +298,13 @@ def _cluster_integral(
     return val
 
 
+@lru_cache(maxsize=32)
 def assoc_prob_sbs_cluster(scenario: Scenario) -> float:
-    """Probability the cooperative user attaches to the K-nearest-SBS cluster."""
+    """Probability the cooperative user attaches to the K-nearest-SBS cluster.
+
+    Cached per scenario: coverage_overall and both cooperative conditionals
+    need it for the same scenario.
+    """
     return _cluster_integral(scenario)
 
 

@@ -1,9 +1,13 @@
 """Monte Carlo engine: direct simulation of the two-tier network.
 
-Each trial drops both base-station tiers as independent Poisson processes in
-a square window centered on the user, picks the serving side with the same
-biased-power rule the analytic engine integrates over, draws per-link Gamma
-fading, and records the resulting association event and SINR.
+Each trial builds both base-station tiers around the user from the ordered
+arrival times of a Poisson process: the squared distances of a PPP of
+density lambda, in ascending order, are cumsum(Exp(1)) / (pi * lambda). A
+fixed number of arrivals per tier covers a disk; the BSs beyond the last
+arrival contribute their exact conditional mean interference. The trial
+picks the serving side with the same biased-power rule the analytic engine
+integrates over, draws per-link Gamma fading, and records the resulting
+association event and SINR.
 
 Determinism contract: trial i always consumes the stream
 ``Philox(master_seed).jumped(i)``, and results land in trial-indexed arrays,
@@ -12,14 +16,11 @@ so every statistic is bit-identical for any worker count.
 
 from __future__ import annotations
 
-import functools
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .association import AssociationEvent, _biased_gain, select_tier
 from .model import (
@@ -32,8 +33,6 @@ from .model import (
 )
 from .specfun import sample_gamma
 
-logger = logging.getLogger(__name__)
-
 # Stable event <-> int8 coding for result arrays.
 EVENT_ORDER = (
     AssociationEvent.MACRO,
@@ -43,97 +42,43 @@ EVENT_ORDER = (
 )
 EVENT_CODES = {event: code for code, event in enumerate(EVENT_ORDER)}
 
+# Point budget: a trial's arrivals cover the area holding TARGET_SMALL
+# expected small BSs, or MIN_EXPECTED expected macro BSs if that is larger.
+TARGET_SMALL = 5_000.0
+MIN_EXPECTED = 200.0
+# Floor on a unit-rate arrival time. An exponential draw can be exactly 0,
+# which would put a BS on the user; at this floor r^-alpha stays finite.
+_MIN_ARRIVAL = 2.0**-53
 
-@dataclass(frozen=True)
-class Window:
-    """Square observation window [-half_width, half_width]^2, meters.
 
-    ``far_field`` controls whether trials add the mean interference of the
-    BSs the window excludes (see far_field_mean); disable it only when a
-    test needs the SINR of an injected finite realization to come out exact.
+def point_counts(scenario: Scenario) -> tuple[int, int]:
+    """Arrivals drawn per trial, (macro, small): ceil(lambda * A) per tier.
+
+    Written in the density ratio, so that the tier which sets the area A
+    gets its target count exactly. The small count never falls below the
+    cluster size, so every mode finds the serving distances it needs.
     """
-
-    half_width: float  # m
-    far_field: bool = True
-
-    def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-
-    @property
-    def area(self) -> float:
-        """Window area in m^2."""
-        return (2.0 * self.half_width) ** 2
+    ratio = scenario.small.density / scenario.macro.density
+    n_macro = math.ceil(max(TARGET_SMALL / ratio, MIN_EXPECTED))
+    n_small = math.ceil(max(TARGET_SMALL, MIN_EXPECTED * ratio))
+    return n_macro, max(n_small, scenario.cluster_size)
 
 
-def default_window(
-    scenario: Scenario, target_small: float = 5_000.0, min_expected: float = 200.0
-) -> Window:
-    """Size the window from the expected point counts it should contain.
-
-    Targets ``target_small`` expected small BSs and at least ``min_expected``
-    expected points in each tier, whichever needs more area. Interference
-    from beyond the window is restored as the deterministic far-field
-    pedestal, so the window only has to be large enough that (a) association
-    never sees the boundary and (b) the pedestal stays a small correction.
-    """
-    area = max(
-        target_small / scenario.small.density,
-        min_expected / scenario.small.density,
-        min_expected / scenario.macro.density,
-    )
-    return Window(half_width=0.5 * math.sqrt(area))
-
-
-def literal_window() -> Window:
-    """The fixed 5 km x 5 km drop region used for one-off illustrations."""
-    return Window(half_width=2500.0)
-
-
-def generate_ppp(density: float, window: Window, rng: np.random.Generator) -> np.ndarray:
-    """Drop one homogeneous Poisson process; returns an (n, 2) coordinate array."""
-    if not density > 0.0:
-        raise ValueError(f"density must be positive, got {density}")
-    n = rng.poisson(density * window.area)
-    return rng.uniform(-window.half_width, window.half_width, size=(n, 2))
-
-
-@functools.lru_cache(maxsize=None)
-def _corner_factor(alpha: float) -> float:
-    """Geometry constant C(alpha) with int_{outside square} |x|^-alpha dx =
-    C(alpha) * half_width^(2-alpha) for the square [-hw, hw]^2."""
-    theta_int, _ = integrate.quad(
-        lambda t: 1.0 - math.cos(t) ** (alpha - 2.0), 0.0, math.pi / 4
-    )
-    return (2.0 * math.pi - 8.0 * theta_int) / (alpha - 2.0)
-
-
-def far_field_mean(scenario: Scenario, window: Window) -> float:
-    """Mean interference power from all BSs beyond the drop window, watts.
-
-    The window truncates both tiers; the excluded far field is the
-    superposition of hordes of weak contributors, so it self-averages
-    (its variance scales as half_width^(2-2*alpha)) and is restored as a
-    deterministic pedestal E[I] = sum_tiers lambda * p * psi *
-    int_{outside} |x|^-alpha dx. Without it, simulated SINRs are biased
-    high by the missing interference.
-    """
-    alpha = scenario.pathloss
-    c = _corner_factor(alpha)
-    total = 0.0
-    for tier in (scenario.macro, scenario.small):
-        total += tier.density * tier.power * tier.users * c * window.half_width ** (2.0 - alpha)
-    return total
-
-
-def _origin_distances(coords: np.ndarray) -> np.ndarray:
-    """Distances from the window center to each point."""
-    return np.hypot(coords[:, 0], coords[:, 1]) if len(coords) else np.empty(0)
+def _arrival_distances(density: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Distances to the n nearest points of a PPP of the given density, ascending."""
+    t = np.cumsum(rng.standard_exponential(n))
+    np.maximum(t, _MIN_ARRIVAL, out=t)
+    t *= 1.0 / (math.pi * density)
+    return np.sqrt(t, out=t)
 
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """Distances from the user (window center) to every BS, ascending per tier."""
+    """Distances from the user to each tier's nearest BSs, ascending per tier.
+
+    Every BS of a tier beyond its last listed distance is treated as the
+    Poisson process outside that disk (see tail_interference).
+    """
 
     macro: np.ndarray  # m, sorted ascending
     small: np.ndarray  # m, sorted ascending
@@ -143,36 +88,30 @@ class NetworkRealization:
             raise ValueError("both tiers must be nonempty")
 
 
-def sample_network(
-    scenario: Scenario, rng: np.random.Generator, window: Window
-) -> NetworkRealization:
-    """Drop both tiers, resampling until the realization supports association.
+def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkRealization:
+    """Draw both tiers' nearest BSs from their arrival times: macro, then small."""
+    n_macro, n_small = point_counts(scenario)
+    return NetworkRealization(
+        macro=_arrival_distances(scenario.macro.density, n_macro, rng),
+        small=_arrival_distances(scenario.small.density, n_small, rng),
+    )
 
-    A draw is unusable when a tier is empty, fewer small BSs exist than the
-    cluster needs, or a point lands exactly on the user. All are vanishingly
-    rare at sensible window sizes; resamples are counted at debug level.
+
+def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
+    """Mean interference from the BSs beyond each tier's last distance, watts.
+
+    Given a tier's last arrival at R, the rest of the tier is a PPP outside
+    the disk of radius R, so its interference has the exact conditional mean
+    2*pi*lambda*p*psi * int_R^inf r^(1-alpha) dr
+    = 2*pi*lambda*p*psi * R^(2-alpha) / (alpha-2).
+    Those BSs are many weak contributors whose sum self-averages, so the
+    mean stands in for it; without it, simulated SINRs are biased high.
     """
-    need_small = max(scenario.cluster_size, 1)
-    resamples = 0
-    while True:
-        macro = _origin_distances(generate_ppp(scenario.macro.density, window, rng))
-        small = _origin_distances(generate_ppp(scenario.small.density, window, rng))
-        if (
-            len(macro) >= 1
-            and len(small) >= need_small
-            and macro.min() > 0.0
-            and small.min() > 0.0
-        ):
-            if resamples:
-                logger.debug("resampled network %d times", resamples)
-            macro.sort()
-            small.sort()
-            return NetworkRealization(macro=macro, small=small)
-        resamples += 1
-        if resamples >= 1000:
-            raise RuntimeError(
-                f"window {window} cannot support association for this scenario"
-            )
+    alpha = scenario.pathloss
+    total = 0.0
+    for tier, r in ((scenario.macro, net.macro), (scenario.small, net.small)):
+        total += tier.density * tier.power * tier.users * float(r[-1]) ** (2.0 - alpha)
+    return 2.0 * math.pi * total / (alpha - 2.0)
 
 
 @dataclass(frozen=True)
@@ -188,27 +127,22 @@ def simulate_trial(
     scenario: Scenario,
     mode: str,
     rng: np.random.Generator,
-    window: Window | None = None,
     net: NetworkRealization | None = None,
 ) -> TrialOutcome:
-    """Run one association + fading trial for the user at the window center.
+    """Run one association + fading trial for the user at the origin.
 
-    The random draw sequence is mode-independent: geometry, then candidate
-    desired fading for both potential serving sets, then interference fading
-    for every BS. Runs sharing a seed therefore see identical networks and
-    channels across modes (common random numbers), so mode comparisons are
-    paired rather than independent.
+    The random draw sequence is mode-independent: macro arrivals, small
+    arrivals, candidate desired fading for both potential serving sets, then
+    interference fading for every listed BS. Runs sharing a seed therefore
+    see identical networks and channels across modes (common random
+    numbers), so mode comparisons are paired rather than independent.
 
-    ``net`` injects a fixed realization instead of sampling one (pair it
-    with a far_field=False window when the test wants the exact finite-sum
-    SINR of that geometry).
+    ``net`` injects a fixed realization instead of sampling one.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if window is None:
-        window = default_window(scenario)
     if net is None:
-        net = sample_network(scenario, rng, window)
+        net = sample_network(scenario, rng)
     k = scenario.cluster_size if mode == COOPERATIVE else 1
     event = select_tier(scenario, mode, float(net.macro[0]), net.small[:k])
 
@@ -219,28 +153,29 @@ def simulate_trial(
     )
     g_macro = sample_gamma(scenario.macro.users, rng, size=len(net.macro))
     g_small = sample_gamma(scenario.small.users, rng, size=len(net.small))
+    gain_macro = net.macro ** (-alpha)
+    gain_small = net.small ** (-alpha)
 
     # Desired power: non-coherent sum of Gamma(delta)-faded serving links.
     if event.macro_serving:
-        serving = net.macro[:1]
         macro_served, small_served = 1, 0
-        desired = scenario.macro.power * float(h_macro[0]) * float(serving[0]) ** (-alpha)
+        serving = net.macro[:1]
+        desired = scenario.macro.power * float(h_macro[0] * gain_macro[0])
     else:
-        small_served = k if event is AssociationEvent.CLUSTER else 1
         macro_served = 0
+        small_served = k if event is AssociationEvent.CLUSTER else 1
         serving = net.small[:small_served]
         desired = scenario.small.power * float(
-            np.dot(h_small[:small_served], serving ** (-alpha))
+            np.dot(h_small[:small_served], gain_small[:small_served])
         )
 
-    # Interference: Gamma(psi)-faded power from every BS, serving links zeroed.
-    contrib_macro = scenario.macro.power * g_macro * net.macro ** (-alpha)
-    contrib_macro[:macro_served] = 0.0
-    contrib_small = scenario.small.power * g_small * net.small ** (-alpha)
-    contrib_small[:small_served] = 0.0
-    interference = float(contrib_macro.sum() + contrib_small.sum())
-    if window.far_field:
-        interference += far_field_mean(scenario, window)
+    # Interference: Gamma(psi)-faded power from every other listed BS, plus
+    # the mean of the BSs beyond the last ones.
+    interference = (
+        scenario.macro.power * float((g_macro * gain_macro)[macro_served:].sum())
+        + scenario.small.power * float((g_small * gain_small)[small_served:].sum())
+        + tail_interference(scenario, net)
+    )
 
     sinr = desired / (interference + scenario.noise)
     return TrialOutcome(
@@ -269,7 +204,6 @@ def run_trials(
     mode: str,
     trials: int,
     master_seed: int,
-    window: Window | None = None,
     workers: int = 1,
 ) -> TrialBatch:
     """Simulate ``trials`` independent trials; bit-identical for any ``workers``."""
@@ -277,8 +211,6 @@ def run_trials(
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if window is None:
-        window = default_window(scenario)
     base = np.random.Philox(key=master_seed)
     events = np.empty(trials, dtype=np.int8)
     sinr = np.empty(trials, dtype=np.float64)
@@ -286,7 +218,7 @@ def run_trials(
     def run_range(start: int, stop: int) -> None:
         for i in range(start, stop):
             rng = np.random.Generator(base.jumped(i))
-            outcome = simulate_trial(scenario, mode, rng, window)
+            outcome = simulate_trial(scenario, mode, rng)
             events[i] = EVENT_CODES[outcome.event]
             sinr[i] = outcome.sinr
 
@@ -332,42 +264,14 @@ def association_from_batch(batch: TrialBatch) -> dict[AssociationEvent, MetricRe
     return out
 
 
-def empirical_coverage(
-    scenario: Scenario,
-    mode: str,
-    threshold: float,
-    trials: int,
-    master_seed: int,
-    window: Window | None = None,
-    workers: int = 1,
-) -> MetricResult:
-    """Coverage probability by direct simulation."""
-    batch = run_trials(scenario, mode, trials, master_seed, window, workers)
-    return coverage_from_batch(batch, threshold)
-
-
-def empirical_rate(
-    scenario: Scenario,
-    mode: str,
-    trials: int,
-    master_seed: int,
-    window: Window | None = None,
-    workers: int = 1,
-) -> MetricResult:
-    """Mean spectral efficiency by direct simulation."""
-    batch = run_trials(scenario, mode, trials, master_seed, window, workers)
-    return rate_from_batch(batch)
-
-
 def _association_by_distance(
     scenario: Scenario, mode: str, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized association sampling from exact nearest-distance laws.
 
-    The nearest-macro distance and the ordered small-tier distances are drawn
-    directly (no window): pi*lambda*R^2 for the nearest point of a PPP is
-    Exp(1), and the ordered small arrival times are a unit-rate Poisson
-    cumsum. Returns the int8 event code per trial.
+    Only the nearest macro distance and the K nearest small distances enter
+    the selection, so they are drawn directly, from the same arrival-time
+    construction the trials use. Returns the int8 event code per trial.
     """
     k = scenario.cluster_size if mode == COOPERATIVE else 1
     lam_m = scenario.macro.density
@@ -398,41 +302,16 @@ def _association_by_distance(
 
 
 def empirical_association(
-    scenario: Scenario,
-    mode: str,
-    trials: int,
-    master_seed: int,
-    method: str = "distance",
-    window: Window | None = None,
+    scenario: Scenario, mode: str, trials: int, master_seed: int
 ) -> dict[AssociationEvent, MetricResult]:
-    """Association frequencies by simulation.
-
-    method="distance" samples the serving-selection inputs from their exact
-    distributions (fast, no window truncation); method="window" drops full
-    point patterns and runs the same selection the SINR trials use.
-    """
-    if method == "distance":
-        rng = np.random.Generator(np.random.Philox(key=master_seed))
-        codes = _association_by_distance(scenario, mode, trials, rng)
-    elif method == "window":
-        if window is None:
-            window = default_window(scenario)
-        base = np.random.Philox(key=master_seed)
-        k = scenario.cluster_size if mode == COOPERATIVE else 1
-        codes = np.empty(trials, dtype=np.int8)
-        for i in range(trials):
-            rng = np.random.Generator(base.jumped(i))
-            net = sample_network(scenario, rng, window)
-            event = select_tier(scenario, mode, float(net.macro[0]), net.small[:k])
-            codes[i] = EVENT_CODES[event]
-    else:
-        raise ValueError(f"method must be 'distance' or 'window', got {method!r}")
-
+    """Association frequencies by simulation of the selection inputs alone."""
+    rng = np.random.Generator(np.random.Philox(key=master_seed))
+    codes = _association_by_distance(scenario, mode, trials, rng)
     out = {}
     for event in EVENT_ORDER:
         p = float(np.count_nonzero(codes == EVENT_CODES[event])) / trials
         half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
         out[event] = MetricResult(
-            value=p, method=f"mc-{method}", ci_halfwidth=half, trials=trials
+            value=p, method="mc-distance", ci_halfwidth=half, trials=trials
         )
     return out

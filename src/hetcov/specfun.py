@@ -74,7 +74,7 @@ def gamma_ccdf(shape: int, scale: float, z: float) -> float:
 
 
 def sample_gamma(shape: int, rng: np.random.Generator, size=None):
-    """Draw Gamma(shape, 1) variates as sums of unit exponentials.
+    """Draw Gamma(shape, 1) variates.
 
     shape must be a positive integer (the fading orders are). Returns a
     scalar for size=None, else an ndarray of the requested shape.
@@ -82,10 +82,8 @@ def sample_gamma(shape: int, rng: np.random.Generator, size=None):
     if not isinstance(shape, int) or shape < 1:
         raise ValueError(f"shape must be a positive integer, got {shape}")
     if size is None:
-        return float(rng.standard_exponential(shape).sum())
-    if np.isscalar(size):
-        size = (int(size),)
-    return rng.standard_exponential(tuple(size) + (shape,)).sum(axis=-1)
+        return float(rng.standard_gamma(shape))
+    return rng.standard_gamma(shape, size)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from hetcov.analysis import (
     mean_rate,
     serving_context,
 )
+from hetcov import association
 from hetcov.association import AssociationEvent, _cluster_integral, assoc_prob_sbs_cluster
 from hetcov.model import Numerics, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER, gamma_ccdf
@@ -444,6 +445,26 @@ class TestCoverageOverall:
             )
             for mode, expected in ref.items():
                 assert_allclose(coverage_overall(mode, s, 1.0), expected, atol=1e-5)
+
+    def test_cooperative_cone_integral_runs_once(self, monkeypatch):
+        # coverage_overall and both cooperative conditionals need the cluster
+        # association probability; the h=1 cone integral runs once for them
+        real = association._cluster_integral
+        calls = []
+
+        def counting(scenario, h=None, *args, **kwargs):
+            if h is None:
+                calls.append(scenario)
+            return real(scenario, h, *args, **kwargs)
+
+        s = default_scenario()
+        assoc_prob_sbs_cluster.cache_clear()
+        monkeypatch.setattr(association, "_cluster_integral", counting)
+        try:
+            coverage_overall("cooperative", s, 1.0)
+        finally:
+            assoc_prob_sbs_cluster.cache_clear()
+        assert calls == [s]
 
     def test_noise_continuity_single_competitor(self):
         s0 = default_scenario(cluster_size=1)

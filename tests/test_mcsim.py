@@ -1,5 +1,6 @@
-"""Monte Carlo engine: window sizing, point-process sampling, single-trial
-SINR arithmetic, batch statistics, and determinism."""
+"""Monte Carlo engine: arrival-time geometry and its point budget, the tail
+interference beyond the last arrivals, single-trial SINR arithmetic, batch
+statistics, and determinism."""
 
 import math
 
@@ -14,19 +15,15 @@ from hetcov.mcsim import (
     EVENT_CODES,
     NetworkRealization,
     TrialBatch,
-    Window,
     association_from_batch,
     coverage_from_batch,
-    default_window,
     empirical_association,
-    empirical_coverage,
-    far_field_mean,
-    generate_ppp,
-    literal_window,
+    point_counts,
     rate_from_batch,
     run_trials,
     sample_network,
     simulate_trial,
+    tail_interference,
 )
 from hetcov.model import Scenario, TierParams, default_scenario
 from hetcov.specfun import gamma_ccdf
@@ -41,13 +38,28 @@ def siso_scenario(p_macro=1.0, p_small=0.1, cluster_size=1, noise=0.0) -> Scenar
     )
 
 
+def disk_tail(s: Scenario, macro_last: float, small_last: float) -> float:
+    """2*pi*lambda*p*psi*R^(2-alpha)/(alpha-2), summed over both tiers."""
+    alpha = s.pathloss
+    total = 0.0
+    for tier, radius in ((s.macro, macro_last), (s.small, small_last)):
+        total += 2.0 * math.pi * tier.density * tier.power * tier.users * radius ** (2.0 - alpha)
+    return total / (alpha - 2.0)
+
+
+def small_budget(monkeypatch, target_small: float, min_expected: float = 1.0) -> None:
+    """Shrink the per-trial point budget so geometry tests run many trials."""
+    monkeypatch.setattr(mcsim, "TARGET_SMALL", target_small)
+    monkeypatch.setattr(mcsim, "MIN_EXPECTED", min_expected)
+
+
 class GammaQueue:
     """Drop-in for sample_gamma that replays scripted values and records the
     (shape, size) of every draw, pinning the draw-order contract."""
 
-    def __init__(self, values):
+    def __init__(self, values, calls=None):
         self.values = [np.asarray(v, dtype=float) for v in values]
-        self.calls = []
+        self.calls = [] if calls is None else calls
 
     def __call__(self, shape, rng, size=None):
         self.calls.append((shape, size))
@@ -56,159 +68,193 @@ class GammaQueue:
         return out
 
 
+class ExpStub:
+    """Generator stand-in that logs the size of every exponential draw and
+    answers it with ``value`` (a real draw when None); Gamma draws are real."""
+
+    def __init__(self, value=None, log=None):
+        self.rng = np.random.default_rng(0)
+        self.value = value
+        self.log = [] if log is None else log
+
+    def standard_exponential(self, size):
+        self.log.append(("exp", size))
+        if self.value is None:
+            return self.rng.standard_exponential(size)
+        return np.full(size, self.value)
+
+    def standard_gamma(self, shape, size=None):
+        return self.rng.standard_gamma(shape, size)
+
+
 class TestWindows:
+    """The simulated window is the disk holding a trial's arrivals; the point
+    budget sets its mean area A, and so the count of BSs drawn per tier."""
+
     def test_default_window_targets_small_tier_count(self):
-        w = default_window(default_scenario())
-        assert_allclose(w.half_width, 0.5 * math.sqrt(5000.0 / 0.04), rtol=1e-12)
-        assert w.far_field
+        assert point_counts(default_scenario()) == (1250, 5000)
 
     def test_default_window_floors_macro_count(self):
         s = Scenario(
             macro=TierParams(density=1e-5, power=1.0, antennas=1, users=1),
             small=TierParams(density=0.04, power=1.0, antennas=1, users=1),
         )
-        w = default_window(s)
-        assert_allclose(w.half_width, 0.5 * math.sqrt(200.0 / 1e-5), rtol=1e-12)
+        n_macro, n_small = point_counts(s)
+        assert n_macro == 200
+        assert abs(n_small - 800_000) <= 1
 
-    def test_literal_window(self):
-        assert literal_window().half_width == 2500.0
-        assert_allclose(Window(10.0).area, 400.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Window(0.0)
+    def test_small_count_covers_the_cluster(self, monkeypatch):
+        small_budget(monkeypatch, 1.0)
+        s = siso_scenario(cluster_size=8)
+        assert point_counts(s) == (1, 8)
+        net = sample_network(s, np.random.default_rng(0))
+        assert len(net.small) == 8
 
 
 class TestFarField:
-    def test_corner_factor_reference_value(self):
-        # alpha = 3: closed form 8 * sin(pi/4) / (alpha - 2) = 4 * sqrt(2)
-        assert_allclose(mcsim._corner_factor(3.0), 4.0 * math.sqrt(2.0), rtol=1e-10)
-
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7])
     def test_matches_polar_oracle(self, alpha):
-        # direct polar integral of |x|^-alpha over the square's complement
-        def polar(hw):
+        # radial integral of the mean tier power beyond each tier's last BS
+        def beyond(tier, radius):
             val, _ = integrate.quad(
-                lambda th: (hw / math.cos(th)) ** (2.0 - alpha), 0.0, math.pi / 4
+                lambda r: r ** (1.0 - alpha), radius, np.inf, epsabs=0.0, epsrel=1e-12
             )
-            return 8.0 * val / (alpha - 2.0)
+            return 2.0 * math.pi * tier.density * tier.power * tier.users * val
 
-        hw = 137.0
         s = Scenario(
             macro=TierParams(density=0.01, power=2.0, antennas=2, users=2, pathloss=alpha),
             small=TierParams(density=0.04, power=0.5, antennas=4, users=3, pathloss=alpha),
         )
-        expected = (0.01 * 2.0 * 2 + 0.04 * 0.5 * 3) * polar(hw)
-        assert_allclose(far_field_mean(s, Window(hw)), expected, rtol=1e-9)
+        net = NetworkRealization(macro=np.array([20.0, 137.0]), small=np.array([5.0, 61.0]))
+        expected = beyond(s.macro, 137.0) + beyond(s.small, 61.0)
+        assert_allclose(tail_interference(s, net), expected, rtol=1e-9)
 
     def test_decays_with_window_size(self):
         s = default_scenario()
-        assert far_field_mean(s, Window(200.0)) < far_field_mean(s, Window(100.0))
+        near = NetworkRealization(macro=np.array([100.0]), small=np.array([100.0]))
+        far = NetworkRealization(macro=np.array([200.0]), small=np.array([200.0]))
+        assert tail_interference(s, far) < tail_interference(s, near)
 
 
 class TestPointProcess:
-    def test_poisson_count_mean(self):
-        w = Window(5.0)  # area 100
+    def test_poisson_count_mean(self, monkeypatch):
+        # the arrivals inside a fixed disk of mean count 100 are Poisson(100)
+        small_budget(monkeypatch, 400.0)
+        s = siso_scenario()
+        rho = math.sqrt(100.0 / (math.pi * s.small.density))
         rng = np.random.default_rng(21)
-        counts = [len(generate_ppp(1.0, w, rng)) for _ in range(10_000)]
-        assert abs(np.mean(counts) - 100.0) < 1.0
-
-    def test_points_inside_window(self):
-        w = Window(7.0)
-        pts = generate_ppp(2.0, w, np.random.default_rng(3))
-        assert np.all(np.abs(pts) <= 7.0)
+        counts = np.array(
+            [np.count_nonzero(sample_network(s, rng).small <= rho) for _ in range(5000)]
+        )
+        assert abs(counts.mean() - 100.0) < 1.0
+        assert abs(counts.var() - 100.0) < 10.0
 
     def test_deterministic_for_fixed_stream(self):
-        w = Window(30.0)
-        a = generate_ppp(0.05, w, np.random.Generator(np.random.Philox(key=9)))
-        b = generate_ppp(0.05, w, np.random.Generator(np.random.Philox(key=9)))
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_density(self):
-        with pytest.raises(ValueError):
-            generate_ppp(0.0, Window(10.0), np.random.default_rng(0))
+        s = default_scenario()
+        a = sample_network(s, np.random.Generator(np.random.Philox(key=9)))
+        b = sample_network(s, np.random.Generator(np.random.Philox(key=9)))
+        assert np.array_equal(a.macro, b.macro)
+        assert np.array_equal(a.small, b.small)
 
     def test_sample_network_sorted_and_positive(self):
-        net = sample_network(default_scenario(), np.random.default_rng(5), Window(60.0))
+        net = sample_network(default_scenario(), np.random.default_rng(5))
+        assert (len(net.macro), len(net.small)) == point_counts(default_scenario())
         for tier in (net.macro, net.small):
-            assert len(tier) >= 1
             assert tier[0] > 0.0
             assert np.all(np.diff(tier) >= 0.0)
 
-    def test_sample_network_resamples_sparse_window(self):
-        # expected counts well below 1: must retry until both tiers populate
-        net = sample_network(default_scenario(), np.random.default_rng(6), Window(3.0))
-        assert len(net.macro) >= 1 and len(net.small) >= 2
-
-    def test_sample_network_gives_up_on_hopeless_window(self):
-        with pytest.raises(RuntimeError):
-            sample_network(default_scenario(), np.random.default_rng(7), Window(0.001))
-
-    def test_nearest_small_distance_distribution(self):
+    def test_nearest_small_distance_distribution(self, monkeypatch):
         # KS test of the nearest small-BS distance against 1 - exp(-lam*pi*r^2)
+        small_budget(monkeypatch, 20.0)
         s = default_scenario(cluster_size=1)
         rng = np.random.default_rng(22)
-        w = Window(14.0)
-        nearest = np.array(
-            [sample_network(s, rng, w).small[0] for _ in range(20_000)]
-        )
+        nearest = np.array([sample_network(s, rng).small[0] for _ in range(20_000)])
         lam = s.small.density
         ks = stats.kstest(nearest, lambda r: 1.0 - np.exp(-lam * math.pi * r**2))
         assert ks.pvalue > 0.01
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_kth_small_distance_distribution(self, monkeypatch, k):
+        # pi*lambda*r_k^2 of the k-th nearest small BS is Gamma(k, 1)
+        small_budget(monkeypatch, 20.0)
+        s = default_scenario(cluster_size=k)
+        rng = np.random.default_rng(23 + k)
+        kth = np.array([sample_network(s, rng).small[k - 1] for _ in range(20_000)])
+        ks = stats.kstest(math.pi * s.small.density * kth**2, stats.gamma(a=k).cdf)
+        assert ks.pvalue > 0.01
+
+    def test_zero_arrival_never_reaches_select_tier(self, monkeypatch):
+        # every exponential draw exactly 0: all BSs would sit on the user
+        seen = []
+
+        def spy(scenario, mode, mbs_distance, sbs_distances):
+            seen.append((mbs_distance, np.asarray(sbs_distances)))
+            return real(scenario, mode, mbs_distance, sbs_distances)
+
+        real = mcsim.select_tier
+        monkeypatch.setattr(mcsim, "select_tier", spy)
+        s = default_scenario()
+        for mode in ("noncooperative", "cooperative"):
+            out = simulate_trial(s, mode, ExpStub(value=0.0))
+            assert math.isfinite(out.sinr) and out.sinr > 0.0
+        assert len(seen) == 2
+        for mbs, sbs in seen:
+            assert mbs > 0.0 and np.all(sbs > 0.0)
+
 
 class TestSingleTrial:
     def test_macro_served_sinr_arithmetic(self, monkeypatch):
-        # one macro at 100 m (h=2) over one small interferer at 200 m (g=1):
-        # SINR = (1 * 2 * 100^-3) / (0.1 * 1 * 200^-3) = 160
+        # one macro at 100 m (h=2) over one small interferer at 200 m (g=1),
+        # plus the mean of both tiers beyond those last BSs
         queue = GammaQueue([[2.0], [7.0], [9.0], [1.0]])
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
+        s = siso_scenario()
         net = NetworkRealization(macro=np.array([100.0]), small=np.array([200.0]))
-        out = simulate_trial(
-            siso_scenario(),
-            "noncooperative",
-            np.random.default_rng(0),
-            window=Window(300.0, far_field=False),
-            net=net,
-        )
+        out = simulate_trial(s, "noncooperative", np.random.default_rng(0), net=net)
         assert out.event is AssociationEvent.MACRO
         assert out.serving_distances == (100.0,)
-        assert_allclose(out.sinr, 160.0, rtol=1e-12)
+        expected = (1.0 * 2.0 * 100.0**-3) / (0.1 * 1.0 * 200.0**-3 + disk_tail(s, 100.0, 200.0))
+        assert_allclose(out.sinr, expected, rtol=1e-12)
         # draw-order contract: desired macro, desired small, interferers
         assert queue.calls == [(1, 1), (1, 1), (1, 1), (1, 1)]
 
+    @pytest.mark.parametrize("mode", ["noncooperative", "cooperative"])
+    def test_draw_order(self, monkeypatch, mode):
+        # macro arrivals, small arrivals, serving fading (macro, then the
+        # cluster), interferer fading (macro, then small), in either mode
+        small_budget(monkeypatch, 8.0, 2.0)
+        log = []
+        queue = GammaQueue([[1.0], [1.0, 1.0], [1.0] * 2, [1.0] * 8], calls=log)
+        monkeypatch.setattr(mcsim, "sample_gamma", queue)
+        simulate_trial(siso_scenario(cluster_size=2), mode, ExpStub(log=log))
+        assert log == [("exp", 2), ("exp", 8), (1, 1), (1, 2), (1, 2), (1, 8)]
+
     def test_noise_only_sinr(self, monkeypatch):
-        # no effective interferers: SINR = p * h * r^-alpha / noise = 1
-        queue = GammaQueue([[1.0], [1.0], [1.0], [1.0]])
+        # interferers and the tail beyond them sit 1e15 m out: SINR = p * h *
+        # r^-alpha / noise = 1 up to their ~1e-13 relative share
+        queue = GammaQueue([[1.0], [1.0], [1.0, 1.0], [1.0]])
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
         noise = 1.0 * 1.0 * 10.0 ** (-3.0)
-        net = NetworkRealization(macro=np.array([10.0]), small=np.array([1e9]))
-        out = simulate_trial(
-            siso_scenario(noise=noise),
-            "noncooperative",
-            np.random.default_rng(0),
-            window=Window(300.0, far_field=False),
-            net=net,
-        )
+        s = siso_scenario(noise=noise)
+        net = NetworkRealization(macro=np.array([10.0, 1e15]), small=np.array([1e15]))
+        out = simulate_trial(s, "noncooperative", np.random.default_rng(0), net=net)
+        interference = 1.0 * 1e15**-3 + 0.1 * 1e15**-3 + disk_tail(s, 1e15, 1e15)
+        assert_allclose(out.sinr, noise / (interference + noise), rtol=1e-12)
         assert_allclose(out.sinr, 1.0, rtol=1e-12)
 
     def test_cluster_sums_desired_power(self, monkeypatch):
         # two serving small BSs at 50 m, h = 3 each, p_s = 0.1, noise 1e-6:
-        # desired = 0.1 * (3 + 3) * 50^-3 = 4.8e-6  =>  SINR = 4.8
-        queue = GammaQueue([[9.9], [3.0, 3.0], [1.0], [5.0, 5.0]])
+        # desired = 0.1 * (3 + 3) * 50^-3 = 4.8e-6, so SINR is about 4.8
+        queue = GammaQueue([[9.9], [3.0, 3.0], [1.0], [5.0, 5.0, 5.0]])
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
-        net = NetworkRealization(macro=np.array([1e9]), small=np.array([50.0, 50.0]))
-        out = simulate_trial(
-            siso_scenario(cluster_size=2, noise=1e-6),
-            "cooperative",
-            np.random.default_rng(0),
-            window=Window(300.0, far_field=False),
-            net=net,
-        )
+        s = siso_scenario(cluster_size=2, noise=1e-6)
+        net = NetworkRealization(macro=np.array([1e9]), small=np.array([50.0, 50.0, 1e15]))
+        out = simulate_trial(s, "cooperative", np.random.default_rng(0), net=net)
         assert out.event is AssociationEvent.CLUSTER
         assert out.serving_distances == (50.0, 50.0)
-        assert_allclose(out.sinr, 4.8, rtol=1e-10)
-        assert queue.calls == [(1, 1), (1, 2), (1, 1), (1, 2)]
+        interference = 1.0 * 1e9**-3 + 0.1 * 5.0 * 1e15**-3 + disk_tail(s, 1e9, 1e15)
+        assert_allclose(out.sinr, 4.8e-6 / (interference + 1e-6), rtol=1e-12)
+        assert queue.calls == [(1, 1), (1, 2), (1, 1), (1, 3)]
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):
@@ -222,13 +268,12 @@ class TestSingleTrial:
             small=TierParams(density=0.04, power=0.1, antennas=4, users=1),
             noise=1e-9,
         )
-        net = NetworkRealization(macro=np.array([40.0]), small=np.array([1e9]))
-        w = Window(300.0, far_field=False)
+        net = NetworkRealization(macro=np.array([40.0, 1e15]), small=np.array([1e15]))
         rng = np.random.default_rng(77)
         scale = 1.0 * 40.0 ** (-3.0) / 1e-9
         draws = np.array(
             [
-                simulate_trial(s, "noncooperative", rng, window=w, net=net).sinr
+                simulate_trial(s, "noncooperative", rng, net=net).sinr
                 for _ in range(35_000)
             ]
         ) / scale
@@ -289,11 +334,9 @@ class TestRunTrials:
             run_trials(s, "noncooperative", 10, master_seed=1, workers=0)
 
     def test_extreme_thresholds(self):
-        s = default_scenario()
-        low = empirical_coverage(s, "noncooperative", 1e-9, 400, master_seed=3)
-        high = empirical_coverage(s, "noncooperative", 1e9, 400, master_seed=3)
-        assert low.value >= 0.999
-        assert high.value <= 0.001
+        batch = run_trials(default_scenario(), "noncooperative", 400, master_seed=3)
+        assert coverage_from_batch(batch, 1e-9).value >= 0.999
+        assert coverage_from_batch(batch, 1e9).value <= 0.001
 
     def test_association_matches_analytic(self):
         s = default_scenario()
@@ -306,12 +349,14 @@ class TestRunTrials:
         total = sum(r.value for r in freq.values())
         assert_allclose(total, 1.0, rtol=1e-12)
 
-    def test_window_size_does_not_shift_coverage(self):
-        # far-field pedestal must absorb the truncation difference
+    def test_window_size_does_not_shift_coverage(self, monkeypatch):
+        # doubling the point budget doubles the window's mean area; the tail
+        # pedestal must absorb the truncation difference
         s = default_scenario()
-        small, big = Window(62.5), Window(125.0)
-        a = empirical_coverage(s, "noncooperative", 1.0, 3000, master_seed=5, window=small)
-        b = empirical_coverage(s, "noncooperative", 1.0, 3000, master_seed=6, window=big)
+        a = coverage_from_batch(run_trials(s, "noncooperative", 3000, master_seed=5), 1.0)
+        monkeypatch.setattr(mcsim, "TARGET_SMALL", 2.0 * mcsim.TARGET_SMALL)
+        assert point_counts(s) == (2500, 10_000)
+        b = coverage_from_batch(run_trials(s, "noncooperative", 3000, master_seed=6), 1.0)
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth
 
     def test_joint_density_scaling_invariance(self):
@@ -328,8 +373,8 @@ class TestRunTrials:
             ),
             cluster_size=base.cluster_size,
         )
-        a = empirical_coverage(base, "cooperative", 1.0, 2500, master_seed=9)
-        b = empirical_coverage(scaled, "cooperative", 1.0, 2500, master_seed=10)
+        a = coverage_from_batch(run_trials(base, "cooperative", 2500, master_seed=9), 1.0)
+        b = coverage_from_batch(run_trials(scaled, "cooperative", 2500, master_seed=10), 1.0)
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth
 
 
@@ -339,18 +384,15 @@ class TestEmpiricalAssociation:
         expected = assoc_prob_sbs_single(s)
         freq = empirical_association(s, "noncooperative", 100_000, master_seed=12)
         res = freq[AssociationEvent.SMALL]
+        assert res.method == "mc-distance"
         se = res.ci_halfwidth / 1.96
         assert abs(res.value - expected) <= 3.0 * se
 
-    def test_window_method_agrees_with_distance_method(self):
+    def test_trials_agree_with_distance_method(self):
         s = default_scenario()
         a = empirical_association(s, "cooperative", 50_000, master_seed=13)
-        b = empirical_association(s, "cooperative", 1500, master_seed=13, method="window")
+        b = association_from_batch(run_trials(s, "cooperative", 1500, master_seed=13))
         pa = a[AssociationEvent.CLUSTER]
         pb = b[AssociationEvent.CLUSTER]
         se = math.hypot(pa.ci_halfwidth, pb.ci_halfwidth) / 1.96
         assert abs(pa.value - pb.value) <= 3.5 * se
-
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            empirical_association(default_scenario(), "noncooperative", 10, 0, method="exact")
