@@ -532,7 +532,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarr
 # Macro coverage under cooperation: exact scaled-cone route
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)  # orders are bounded by panel_points
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
@@ -659,7 +659,8 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
 
 def _probability_integral(integrand, upper: float, epsabs: float, what: str, spike) -> float:
     """int_0^upper of a probability density over an array of nodes, by
-    vectorized tanh-sinh; raises when the error estimate misses the gate."""
+    adaptive Gauss-Kronrod on panels split at the spike hints; raises when
+    the error estimate misses the gate."""
     val, err = _panel_integral(integrand, upper, epsabs, what, spike)
     if err > max(50.0 * epsabs, 1e-4):
         raise IntegrationFailure(f"{what}: estimate {val}, error bound {err}")

@@ -160,13 +160,42 @@ def _spike_hints(scale: float | None, upper: float) -> list | None:
     return pts or None
 
 
-# Points per integrand call: a cone integral's refinement levels reach 50k
-# nodes, and one batch's intermediates must not set the process's peak memory.
+# Points per integrand call: the first round of the K=2 cone's inner integrals
+# brings 21 nodes for each of up to three pieces per outer node, about 6.6k
+# nodes for the 105 outer nodes, and one batch's intermediates must not set
+# the process's peak memory.
 _CHUNK = 4096
-# Outer nodes per inner quadrature of the K=2 cone integral: each brings up
-# to three inner intervals of 66 first-level nodes, so one inner level's work
-# arrays stay within a few chunks.
-_OUTER_NODES = 64
+
+# QUADPACK's qk21 rule (Piessens et al., 1983): the 21 Kronrod nodes on
+# [-1, 1] and their weights, mirrored from the nonnegative half, and the
+# 10-point Gauss weights, which sit on the odd-indexed nodes.
+_GK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_K21_HALF = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_G10_HALF = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.r_[_GK_HALF, -_GK_HALF[-2::-1]]
+_K21 = np.r_[_K21_HALF, _K21_HALF[-2::-1]]
+_G10 = np.zeros(21)
+_G10[1:10:2], _G10[11::2] = _G10_HALF, _G10_HALF[::-1]
+# Most pieces one interval may be cut into (QUADPACK's `limit`).
+_MAX_PIECES = 200
 
 
 def _chunked(f, *arrays, size: int = _CHUNK) -> np.ndarray:
@@ -183,30 +212,61 @@ def _check_quadrature(val, err, epsabs: float, what: str):
         raise IntegrationFailure(f"{what} did not converge: estimate {val}, error {err}")
 
 
-def _tanhsinh(f, a, b, epsabs: float, what: str, args=()):
-    """Vectorized tanh-sinh quadrature of f over the intervals (a, b).
+def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
+    """Vectorized adaptive Gauss-Kronrod (G10/K21) quadrature of f over the
+    intervals (a, b), arrays of any shape with args broadcast against them.
 
-    Returns per-interval integrals and error estimates; an interval that
-    does not converge (maximum level reached, non-finite values) raises.
+    Each round evaluates every live piece of every interval in one call,
+    f(x, *args) with x an (n, 21) array of nodes and each arg an (n, 1)
+    column. A piece's error estimate is |K21 - G10|. A piece whose error
+    exceeds its share of epsabs is bisected, each half taking half the
+    share, until every piece meets its share or the interval's summed error
+    meets epsabs. Returns per-interval integrals and error estimates; a
+    non-finite integrand value, or an interval that would need more than
+    _MAX_PIECES pieces, raises.
     """
-    res = integrate.tanhsinh(f, a, b, args=args, atol=epsabs)
-    failed = res.status != 0
-    if np.any(failed):
-        raise IntegrationFailure(
-            f"{what} did not converge on {int(failed.sum())} of {failed.size} intervals: "
-            f"status {np.unique(res.status[failed]).tolist()}, "
-            f"estimate {res.integral[failed].ravel()[:3].tolist()}"
-        )
-    return res.integral, res.error
+    a, b, *args = np.broadcast_arrays(a, b, *args)
+    shape = a.shape
+    lo, hi = a.astype(float).ravel(), b.astype(float).ravel()
+    args = [x.ravel() for x in args]
+    n = lo.size
+    owner, share = np.arange(n), np.full(n, float(epsabs))
+    val, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=np.int64)
+    while owner.size:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        fx = f(mid[:, None] + half[:, None] * _GK_NODES, *(x[owner, None] for x in args))
+        if not np.all(np.isfinite(fx)):
+            raise IntegrationFailure(f"{what}: non-finite integrand value")
+        kronrod = half * (fx @ _K21)
+        piece_err = half * np.abs(fx @ (_K21 - _G10))
+        # the summed test ends an interval whose error is set by an integrable
+        # endpoint singularity: there a piece's error falls slower than its share
+        total_err = err + np.bincount(owner, piece_err, minlength=n)
+        done = (piece_err <= share) | (total_err[owner] <= epsabs)
+        val += np.bincount(owner[done], kronrod[done], minlength=n)
+        err += np.bincount(owner[done], piece_err[done], minlength=n)
+        split = ~done
+        owner, lo, mid, hi, share = (x[split] for x in (owner, lo, mid, hi, share))
+        pieces += np.bincount(owner, minlength=n)
+        over = pieces > _MAX_PIECES
+        if over.any():
+            raise IntegrationFailure(
+                f"{what} did not converge within {_MAX_PIECES} pieces on "
+                f"{int(over.sum())} of {n} intervals: error estimate "
+                f"{total_err[over][:3].tolist()}"
+            )
+        owner, share = np.r_[owner, owner], np.r_[share, share] / 2.0
+        lo, hi = np.r_[lo, mid], np.r_[mid, hi]
+    return val.reshape(shape), err.reshape(shape)
 
 
-def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None, size=_CHUNK):
-    """(integral, error estimate) of f over (0, upper) by tanh-sinh on panels
-    split at the spike hints; f maps a 1-D array of nodes, at most size of
-    them per call, to their values."""
+def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
+    """(integral, error estimate) of f over (0, upper) by adaptive
+    Gauss-Kronrod on panels split at the spike hints; f maps a 1-D array of
+    nodes, at most _CHUNK of them per call, to their values."""
     edges = np.array([0.0, *(_spike_hints(spike, upper) or ()), upper])
-    val, err = _tanhsinh(
-        lambda x: _chunked(f, x.ravel(), size=size).reshape(x.shape),
+    val, err = _gauss_kronrod(
+        lambda x: _chunked(f, x.ravel()).reshape(x.shape),
         edges[:-1], edges[1:], epsabs, what,
     )
     return float(val.sum()), float(err.sum())
@@ -220,16 +280,16 @@ def _cluster_integral(
     distances. h maps an (n, K) array of ascending distance rows to n values;
     h=None means h=1, giving the cluster association probability.
 
-    For K <= 2, tanh-sinh quadrature in arrival coordinates, each level's
-    nodes evaluated by one h call per chunk: K=1 on panels split at the spike
-    hints; K=2 as t2 on those panels outside and z = t1/t2 in (0, 1) inside,
-    split at z = spike/t2 and integrated for a whole group of outer nodes
-    per call. The gate takes the outer error plus the largest inner error
-    (the outer weight t2*exp(-t2) integrates to at most 1). For K > 2 the
-    expectation is taken over a cached deterministic sample of arrival
-    vectors. spike hints the arrival coordinate where h concentrates (a
-    coverage kernel at a deep-tail threshold is a narrow peak the initial
-    grid would miss).
+    For K <= 2, adaptive Gauss-Kronrod quadrature in arrival coordinates,
+    each round's nodes evaluated by one h call per chunk: K=1 on panels split
+    at the spike hints; K=2 as t2 on those panels outside and z = t1/t2 in
+    (0, 1) inside, split at z = spike/t2 and integrated for all of an outer
+    round's nodes in one inner call. The gate takes the outer error plus
+    the largest inner error (the outer weight t2*exp(-t2) integrates to at
+    most 1). For K > 2 the expectation is taken over a cached deterministic
+    sample of arrival vectors. spike hints the arrival coordinate where h
+    concentrates (a coverage kernel at a deep-tail threshold is a narrow
+    peak the first round would miss).
     """
     num = scenario.numerics
     if epsabs is None:
@@ -285,14 +345,13 @@ def _cluster_integral(
                     ], axis=0).T
             z_edges = np.column_stack([np.zeros_like(t2), z_hints, np.ones_like(t2)])
             lo, hi = z_edges[:, :-1], z_edges[:, 1:]
-            val, err = _tanhsinh(
-                over_z, lo, hi, epsabs, f"{what} (inner)",
-                args=(np.broadcast_to(t2[:, None], lo.shape),),
+            val, err = _gauss_kronrod(
+                over_z, lo, hi, epsabs, f"{what} (inner)", args=(t2[:, None],)
             )
             inner_err[0] = max(inner_err[0], float(err.sum(axis=-1).max()))
             return t2 * np.exp(-t2) * val.sum(axis=-1)
 
-        val, err = _panel_integral(outer_values, tmax, epsabs, what, spike, _OUTER_NODES)
+        val, err = _panel_integral(outer_values, tmax, epsabs, what, spike)
         err += inner_err[0]
     _check_quadrature(val, err, epsabs, what)
     return val

@@ -358,7 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--engines", default="analytic,mc", help="comma list from {analytic,mc} (default both)"
     )
-    common.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
+    common.add_argument(
+        "--workers", type=int, default=1,
+        help="worker threads; output is byte-identical for any count, and CPython's GIL "
+        "gives no speed-up (default 1)",
+    )
 
     sweep = argparse.ArgumentParser(add_help=False, parents=[common])
     sweep.add_argument(

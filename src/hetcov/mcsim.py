@@ -206,7 +206,11 @@ def run_trials(
     master_seed: int,
     workers: int = 1,
 ) -> TrialBatch:
-    """Simulate ``trials`` independent trials; bit-identical for any ``workers``."""
+    """Simulate ``trials`` independent trials; bit-identical for any ``workers``.
+
+    The workers are threads that share CPython's GIL, so more of them give
+    no speed-up.
+    """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:

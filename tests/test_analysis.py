@@ -30,6 +30,7 @@ from hetcov.analysis import (
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
+    _leggauss,
     _log_derivatives,
     _radial_tail_integral,
     _single_server_kernel,
@@ -44,7 +45,7 @@ from hetcov.analysis import (
     mean_rate,
     serving_context,
 )
-from hetcov import association
+from hetcov import analysis, association
 from hetcov.association import AssociationEvent, _cluster_integral, assoc_prob_sbs_cluster
 from hetcov.model import Numerics, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER, gamma_ccdf
@@ -397,6 +398,38 @@ class TestArrayKernels:
         assert_allclose(
             coverage_overall("cooperative", s, t), (1.0 - a) * p_macro + a * p_cluster, atol=1e-6
         )
+
+
+class TestQuadratureWork:
+    """Work per integral, counted rather than timed."""
+
+    def test_cluster_coverage_kernel_rows(self, monkeypatch):
+        # tanh-sinh's floor of 67 nodes per interval, nested, spent 34,068
+        # kernel rows on this integral; the adaptive rule spends ~8k
+        s = default_scenario()
+        a = assoc_prob_sbs_cluster(s)
+        rows = []
+
+        def counting(scenario, distances, threshold, kernel=_cluster_kernel):
+            rows.append(len(distances))
+            return kernel(scenario, distances, threshold)
+
+        monkeypatch.setattr(analysis, "_cluster_kernel", counting)
+        got = coverage_conditional(AssociationEvent.CLUSTER, s, 1.0)
+        assert 0 < sum(rows) < 15_000
+        expected = cluster_integral_quad(
+            s, h=lambda r: cluster_kernel_scalar(s, r, 1.0),
+            epsabs=0.5 * s.numerics.coverage_epsabs, spike=1.0,  # T^(-2/alpha) at T = 1
+        )
+        assert_allclose(got, expected / a, atol=1e-6)
+
+    def test_panel_orders_stay_cached(self):
+        # the macro route asks for over two dozen Gauss-Legendre orders per call
+        s = default_scenario()
+        _coop_macro_joint(s, 1.0)
+        misses = _leggauss.cache_info().misses
+        _coop_macro_joint(s, 1.0)
+        assert _leggauss.cache_info().misses == misses
 
 
 class TestLargerClusters:

@@ -2,6 +2,7 @@
 serving-distance densities."""
 
 import math
+import time
 import types
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from hetcov.association import (
     IntegrationFailure,
     OrderedDistances,
     _cluster_integral,
+    _gauss_kronrod,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     association_probabilities,
@@ -229,12 +231,71 @@ class TestClusterAssociation:
         with pytest.raises(ValueError):
             association_probabilities(default_scenario(), "both")
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_k1_unresolved_integrand_raises(self):
         # the K=1 quadrature's error estimate is checked, as K=2's is
         s = default_scenario(cluster_size=1)
         with pytest.raises(RuntimeError):
             _cluster_integral(s, h=lambda r: np.sin(1e6 * r[:, 0]) ** 2)
+
+
+class TestGaussKronrod:
+    """The adaptive G10/K21 integrator behind every coverage and cone integral."""
+
+    def test_exact_on_polynomials_on_one_piece(self):
+        # K21 integrates degree 3*10 + 1 = 31 exactly; one round, no bisection
+        degrees = np.arange(32.0)
+        calls = []
+
+        def monomials(x, d):
+            calls.append(x.shape)
+            return x ** d
+
+        val, err = _gauss_kronrod(monomials, -1.0, 2.0, np.inf, "poly", args=(degrees,))
+        exact = (2.0 ** (degrees + 1) - (-1.0) ** (degrees + 1)) / (degrees + 1)
+        assert calls == [(32, 21)]
+        assert_allclose(val, exact, rtol=1e-13)
+
+    @pytest.mark.parametrize("epsabs", [1e-6, 1e-8])
+    @pytest.mark.parametrize(
+        "f, exact", [(np.sqrt, 2.0 / 3.0), (lambda x: x ** -0.5, 2.0)], ids=["sqrt", "rsqrt"]
+    )
+    def test_endpoint_singularities_converge(self, f, exact, epsabs):
+        val, err = _gauss_kronrod(f, 0.0, 1.0, epsabs, "singular")
+        true_err = abs(float(val) - exact)
+        assert true_err <= epsabs
+        assert err >= true_err
+
+    def test_interval_array_with_broadcast_args(self):
+        # (n, 3) intervals, one decay rate per row: each matches its own call
+        rng = np.random.default_rng(9)
+        edges = np.sort(rng.uniform(0.0, 5.0, size=(6, 4)), axis=1)
+        lo, hi = edges[:, :-1], edges[:, 1:]
+        rate = rng.uniform(0.5, 20.0, size=(6, 1))
+
+        def f(x, c):
+            return np.exp(-c * x) * np.cos(3.0 * x)
+
+        val, err = _gauss_kronrod(f, lo, hi, 1e-9, "batch", args=(rate,))
+        assert val.shape == err.shape == (6, 3)
+        for i, j in np.ndindex(lo.shape):
+            one, one_err = _gauss_kronrod(f, lo[i, j], hi[i, j], 1e-9, "one", args=(rate[i, 0],))
+            assert_allclose(val[i, j], one, rtol=1e-14, atol=1e-16)
+            assert_allclose(err[i, j], one_err, rtol=1e-12, atol=1e-18)
+
+        def antiderivative(x, c=rate):
+            return np.exp(-c * x) * (3.0 * np.sin(3.0 * x) - c * np.cos(3.0 * x)) / (c * c + 9.0)
+
+        assert_allclose(val, antiderivative(hi) - antiderivative(lo), rtol=0, atol=1e-9)
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(IntegrationFailure, match="non-finite"):
+            _gauss_kronrod(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0, 1e-6, "nan")
+
+    def test_piece_budget_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(IntegrationFailure, match="pieces"):
+            _gauss_kronrod(lambda x: np.sin(1e6 * x) ** 2, 0.0, 1.0, 1e-6, "budget")
+        assert time.perf_counter() - start < 1.0
 
 
 class TestMbsWinProb:
