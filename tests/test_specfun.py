@@ -1,8 +1,9 @@
-"""Special functions: Gamma tail/sampling, partitions and chain-rule
-coefficients. Oracles: scipy and exact enumeration."""
+"""Special functions: complementary incomplete Beta, Gamma tail/sampling,
+partitions and chain-rule coefficients. Oracles: mpmath and scipy."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,11 +12,86 @@ from scipy import special
 from hetcov.specfun import (
     MAX_PARTITION_ORDER,
     Partition,
+    comp_inc_beta,
     faa_coefficient,
     gamma_ccdf,
     integer_partitions,
     sample_gamma,
 )
+
+
+def beta_tail_mp(p: float, q: float, x: float) -> float:
+    """High-precision complementary incomplete Beta via mpmath."""
+    with mpmath.workdps(40):
+        return float(mpmath.betainc(p, q, x1=x, x2=1, regularized=False))
+
+
+class TestCompIncBeta:
+    def test_complete_beta_at_zero(self):
+        assert_allclose(comp_inc_beta(2.0, 3.0, 0.0), 1.0 / 12.0, rtol=1e-12)
+
+    def test_empty_interval(self):
+        assert comp_inc_beta(2.0, 3.0, 1.0) == 0.0
+        assert comp_inc_beta(-0.5, 0.3, 1.0) == 0.0
+
+    def test_uniform_integrand(self):
+        assert_allclose(comp_inc_beta(1.0, 1.0, 0.5), 0.5, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(p=1.0, q=1.0, x=-0.1),
+            dict(p=1.0, q=1.0, x=1.1),
+            dict(p=1.0, q=0.0, x=0.5),
+            dict(p=1.0, q=-2.0, x=0.5),
+            dict(p=0.0, q=1.0, x=0.0),   # divergent at the origin
+            dict(p=-1.0, q=1.0, x=0.0),
+        ],
+    )
+    def test_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            comp_inc_beta(**bad)
+
+    def test_against_mpmath_positive_p(self):
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            p = float(rng.uniform(0.05, 6.0))
+            q = float(rng.uniform(0.05, 6.0))
+            x = float(rng.uniform(0.0, 0.999))
+            assert_allclose(
+                comp_inc_beta(p, q, x), beta_tail_mp(p, q, x), rtol=1e-8,
+                err_msg=f"p={p}, q={q}, x={x}",
+            )
+
+    def test_against_mpmath_nonpositive_p(self):
+        # The analytic engine feeds p = psi - i + 2/alpha, which dips below 0
+        # for large i and small alpha; x > 0 keeps the integral finite.
+        rng = np.random.default_rng(1)
+        for _ in range(25):
+            p = float(rng.uniform(-2.5, 0.0))
+            q = float(rng.uniform(0.1, 4.0))
+            x = float(rng.uniform(0.05, 0.95))
+            assert_allclose(
+                comp_inc_beta(p, q, x), beta_tail_mp(p, q, x), rtol=1e-8,
+                err_msg=f"p={p}, q={q}, x={x}",
+            )
+
+    def test_additivity_with_head_integral(self):
+        # tail(x) + head(x) = complete Beta, head by independent quadrature
+        from scipy import integrate
+
+        rng = np.random.default_rng(2)
+        for _ in range(15):
+            p = float(rng.uniform(0.3, 5.0))
+            q = float(rng.uniform(0.3, 5.0))
+            x = float(rng.uniform(0.05, 0.95))
+            head, _ = integrate.quad(
+                lambda t: t ** (p - 1.0) * (1.0 - t) ** (q - 1.0), 0.0, x,
+                epsabs=0.0, epsrel=1e-11,
+            )
+            assert_allclose(
+                comp_inc_beta(p, q, x) + head, special.beta(p, q), rtol=1e-8
+            )
 
 
 class TestGammaCcdf:
