@@ -4,8 +4,8 @@ mean achievable rate.
 
 Coverage of a Gamma(delta, 1)-faded link is the finite sum
 sum_{k<delta} (-s)^k/k! * d^k/ds^k [e^(-sN) L_I(s)] averaged over the
-serving distance; the derivative is assembled by the chain rule over
-integer partitions on top of the log-Laplace derivatives.
+serving distance; the derivative is the complete Bell polynomial of the
+log-Laplace derivatives, built by its positive-term recurrence.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .model import (
     derive_tier,
     hat_ratios,
 )
-from .specfun import faa_coefficient, integer_partitions
 
 _NEGATIVE_CLAMP = -1e-8   # tolerated cancellation in the derivative sums
 _CLUSTER_CLAMP = -1e-3    # partial-fraction weights cancel a bit harder
@@ -306,35 +305,24 @@ def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
     return float(_log_derivatives(ctx, n)[-1]) / ctx.s ** n
 
 
-@lru_cache(maxsize=None)
-def _bell_table(k: int) -> tuple:
-    """One (chain-rule coefficient, ((j, m), ...)) per partition of k, listing
-    only the part sizes j that occur, each with its multiplicity m."""
-    return tuple(
-        (
-            float(faa_coefficient(part)),
-            tuple((j, m) for j, m in enumerate(part.multiplicities, start=1) if m),
-        )
-        for part in integer_partitions(k)
-    )
+def _bell_polynomials(x, n: int) -> list:
+    """Complete Bell polynomials B_0..B_(n-1) over x_1, x_2, ..., by
+    B_k = sum_{j=1..k} C(k-1, j-1) x_j B_(k-j).
 
-
-def _bell_sum(g_derivs, k: int) -> float:
-    """Complete Bell polynomial of order k over the derivative list."""
-    if k == 0:
-        return 1.0
-    total = 0.0
-    for coef, factors in _bell_table(k):
-        term = coef
-        for j, m in factors:
-            term *= g_derivs[j - 1] ** m
-        total += term
-    return total
+    Each x_j may be an array, giving one polynomial per entry. When
+    (-1)^j x_j >= 0, as for the scaled log-Laplace derivatives s^j g^(j),
+    every term of B_k has the sign (-1)^k, so the sum cannot cancel.
+    """
+    b = [1.0]
+    for k in range(1, n):
+        b.append(sum(math.comb(k - 1, j - 1) * x[j - 1] * b[k - j] for j in range(1, k + 1)))
+    return b
 
 
 def _bell_series(sigmas, order: int) -> list:
     """(-1)^k/k! * B_k(sigmas) for k = 0..order-1."""
-    return [(-1.0) ** k / math.factorial(k) * _bell_sum(sigmas, k) for k in range(order)]
+    bell = _bell_polynomials(sigmas, order)
+    return [(-1.0) ** k / math.factorial(k) * b for k, b in enumerate(bell)]
 
 
 def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
@@ -355,15 +343,15 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
     """k-th derivative of e^(-sN) * L_I(s) with respect to s.
 
-    k=0 returns the function itself; higher orders go through the chain
-    rule over integer partitions of k applied to the log-domain derivatives.
+    k=0 returns the function itself; higher orders are the complete Bell
+    polynomial B_k of the log-domain derivatives.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     base = math.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
     if k == 0:
         return base
-    return base * _bell_sum(_log_derivatives(ctx, k).tolist(), k) / ctx.s ** k
+    return base * _bell_polynomials(_log_derivatives(ctx, k).tolist(), k + 1)[k] / ctx.s ** k
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +397,25 @@ def _pole_weights(poles) -> list:
 
     The weights of pole i depend on the gain ratios q_j = b_j/b_i alone:
     w_l = c_(m_i - l) for the Taylor coefficients c of the other poles'
-    factor prod_j (1 - q_j + q_j x)^(-m_j), from the log-derivative
-    recursion c_0 = prod_j (1 - q_j)^(-m_j),
-    c_n = (1/n) sum_(v=1..n) (-1)^v (sum_j m_j rho_j^v) c_(n-v),
-    rho_j = q_j/(1 - q_j). In ratios the recursion stays in float range
-    however far apart the gains are.
+    factor prod_j (1 - q_j + q_j x)^(-m_j): c_0 = prod_j (1 - q_j)^(-m_j)
+    and c_n = c_0 B_n(y)/n! over its log-derivatives
+    y_v = (v-1)! (-1)^v sum_j m_j rho_j^v, rho_j = q_j/(1 - q_j). In ratios
+    the coefficients stay in float range however far apart the gains are.
     """
     out = []
     for i, (bi, mi) in enumerate(poles):
         ratios = [(bj / bi, mj) for j, (bj, mj) in enumerate(poles) if j != i]
-        c = [np.ones_like(bi)]
+        c0 = np.ones_like(bi)
         for q, mj in ratios:
-            c[0] = c[0] * (1.0 - q) ** (-mj)
+            c0 = c0 * (1.0 - q) ** (-mj)
         with np.errstate(divide="ignore"):
             rho = [1.0 / (1.0 / q - 1.0) for q, _ in ratios]
-        power_sums = [
-            (-1.0) ** v * sum((mj * r ** v for (_, mj), r in zip(ratios, rho)), np.zeros_like(bi))
+        y = [
+            math.factorial(v - 1) * (-1.0) ** v
+            * sum((mj * r ** v for (_, mj), r in zip(ratios, rho)), np.zeros_like(bi))
             for v in range(1, mi)
         ]
-        for n in range(1, mi):
-            c.append(sum(power_sums[v - 1] * c[n - v] for v in range(1, n + 1)) / n)
+        c = [c0 * b / math.factorial(n) for n, b in enumerate(_bell_polynomials(y, mi))]
         out.append((bi, np.stack(c[::-1], axis=-1)))
     return out
 

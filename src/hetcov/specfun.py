@@ -1,7 +1,10 @@
-"""Special functions and combinatorics backing the analytic engine.
+"""Special functions and combinatorics.
 
-Complementary incomplete Beta, integer-shape Gamma CCDF and sampling,
-integer partitions and the chain-rule coefficients built from them.
+Integer-shape Gamma CCDF and sampling (the Monte Carlo engine draws its
+fading from `sample_gamma`), integer partitions and the chain-rule
+coefficients built from them. The analytic engine does not use the
+partitions; they are a test and benchmark oracle for its Bell polynomial
+recurrence.
 """
 
 from __future__ import annotations
@@ -11,45 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 MAX_PARTITION_ORDER = 16
-
-
-def comp_inc_beta(p: float, q: float, x: float, rtol: float = 1e-10) -> float:
-    """Complementary incomplete Beta integral over [x, 1].
-
-    Evaluates int_x^1 t^(p-1) (1-t)^(q-1) dt. Requires q > 0 and
-    x in [0, 1]; x = 0 additionally requires p > 0 or the integral
-    diverges at the origin. For p > 0 the value comes from the
-    regularized incomplete Beta (integrating from the t=1 end avoids
-    cancellation); p <= 0 falls back to adaptive quadrature.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if q <= 0.0:
-        raise ValueError(f"q must be positive, got {q}")
-    if x == 0.0 and p <= 0.0:
-        raise ValueError(f"integral diverges at 0 for p={p} <= 0")
-    if x == 1.0:
-        return 0.0
-    if p > 0.0:
-        # substitute u = 1-t: int_0^(1-x) u^(q-1) (1-u)^(p-1) du
-        return special.beta(p, q) * special.betainc(q, p, 1.0 - x)
-    # p <= 0: integrand blows up polynomially toward t=0 but x > 0 keeps us
-    # away from it; only the t=1 end needs care when q < 1.
-    mid = 0.5 * (1.0 + x)
-    left, lerr = integrate.quad(
-        lambda t: t ** (p - 1.0) * (1.0 - t) ** (q - 1.0),
-        x, mid, epsabs=0.0, epsrel=rtol, limit=200,
-    )
-    # weight w(u) = u^(q-1) absorbs the endpoint singularity at u = 1-t = 0
-    right, rerr = integrate.quad(
-        lambda u: (1.0 - u) ** (p - 1.0),
-        0.0, 1.0 - mid, weight="alg", wvar=(q - 1.0, 0.0),
-        epsabs=0.0, epsrel=rtol, limit=200,
-    )
-    return left + right
 
 
 def gamma_ccdf(shape: int, scale: float, z: float) -> float:

@@ -78,6 +78,42 @@ def random_laplace_context(rng: np.random.Generator, scenario=None) -> LaplaceCo
     return laplace_context(sctx, scenario, threshold=float(rng.uniform(0.1, 5.0)))
 
 
+def comp_inc_beta(p: float, q: float, x: float, rtol: float = 1e-10) -> float:
+    """Complementary incomplete Beta integral int_x^1 t^(p-1) (1-t)^(q-1) dt.
+
+    Requires q > 0 and x in [0, 1]; x = 0 additionally requires p > 0 or
+    the integral diverges at the origin. For p > 0 the value comes from the
+    regularized incomplete Beta (integrating from the t=1 end avoids
+    cancellation); p <= 0 falls back to adaptive quadrature. It equals the
+    B'(p, q, w) of the engine's Beta-form tier factor.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"x must be in [0, 1], got {x}")
+    if q <= 0.0:
+        raise ValueError(f"q must be positive, got {q}")
+    if x == 0.0 and p <= 0.0:
+        raise ValueError(f"integral diverges at 0 for p={p} <= 0")
+    if x == 1.0:
+        return 0.0
+    if p > 0.0:
+        # substitute u = 1-t: int_0^(1-x) u^(q-1) (1-u)^(p-1) du
+        return special.beta(p, q) * special.betainc(q, p, 1.0 - x)
+    # p <= 0: integrand blows up polynomially toward t=0 but x > 0 keeps us
+    # away from it; only the t=1 end needs care when q < 1.
+    mid = 0.5 * (1.0 + x)
+    left, _ = integrate.quad(
+        lambda t: t ** (p - 1.0) * (1.0 - t) ** (q - 1.0),
+        x, mid, epsabs=0.0, epsrel=rtol, limit=200,
+    )
+    # weight w(u) = u^(q-1) absorbs the endpoint singularity at u = 1-t = 0
+    right, _ = integrate.quad(
+        lambda u: (1.0 - u) ** (p - 1.0),
+        0.0, 1.0 - mid, weight="alg", wvar=(q - 1.0, 0.0),
+        epsabs=0.0, epsrel=rtol, limit=200,
+    )
+    return left + right
+
+
 def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10) -> float:
     """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv by QUADPACK.
 

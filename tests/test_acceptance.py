@@ -16,7 +16,7 @@ from scipy import integrate
 
 from helpers import random_laplace_context, random_scenario
 from hetcov import analysis, association, cli, mcsim
-from hetcov.analysis import _bell_sum
+from hetcov.analysis import _bell_polynomials
 from hetcov.association import (
     AssociationEvent,
     assoc_prob_sbs_cluster,
@@ -155,9 +155,9 @@ def test_criterion_03_laplace_closed_form_vs_quadrature(capsys):
 
 
 def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
-    # partition-assembled derivatives of e^(-sN) L_I(s) against central
+    # Bell-recurrence derivatives of e^(-sN) L_I(s) against central
     # finite differences (orders 1-3, rel 1e-4, 20 contexts), plus exactness
-    # of the combinatorial assembly itself up to order 6
+    # of the recurrence itself on integer inputs up to order 6
     start = time.perf_counter()
     rng = np.random.default_rng(404)
     failures = []
@@ -196,8 +196,8 @@ def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
                     f"context {checked}, order {k}: rel diff {rel:.2e} at s={s:.3g}"
                 )
     for k, expected in enumerate(BELL_NUMBERS[:7]):
-        if _bell_sum([1.0] * max(1, k), k) != expected:
-            failures.append(f"partition assembly wrong at order {k}")
+        if _bell_polynomials([1.0] * max(1, k), k + 1)[k] != expected:
+            failures.append(f"Bell recurrence wrong at order {k}")
     elapsed = time.perf_counter() - start
     if elapsed > 60.0:
         failures.append(f"took {elapsed:.1f}s, budget 60s")

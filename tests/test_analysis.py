@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
@@ -26,7 +28,8 @@ from helpers import (
 from hetcov.analysis import (
     IntegrationFailure,
     LaplaceContext,
-    _bell_sum,
+    _bell_polynomials,
+    _bell_series,
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
@@ -47,7 +50,8 @@ from hetcov.analysis import (
 )
 from hetcov import analysis, association
 from hetcov.association import AssociationEvent, _cluster_integral, assoc_prob_sbs_cluster
-from hetcov.model import Numerics, Scenario, TierParams, default_scenario
+from hetcov.mcsim import coverage_from_batch, run_trials
+from hetcov.model import MODES, Numerics, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER, gamma_ccdf
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -234,19 +238,60 @@ class TestRadialTailClosedForm:
 class TestBellAssembly:
     def test_identity_argument(self):
         # B_k(1, 0, 0, ...) = 1 for every k
-        for k in range(7):
-            assert _bell_sum([1.0] + [0.0] * max(0, k - 1), k) == pytest.approx(1.0)
+        assert _bell_polynomials([1.0] + [0.0] * 6, 8) == pytest.approx([1.0] * 8)
 
     def test_all_ones_gives_bell_numbers(self):
-        for k, expected in enumerate(BELL_NUMBERS):
-            assert _bell_sum([1.0] * max(1, k), k) == pytest.approx(expected)
+        assert _bell_polynomials([1.0] * 7, 8) == pytest.approx(BELL_NUMBERS)
 
-    def test_table_matches_partition_loop(self):
+    def test_recurrence_matches_partition_loop(self):
+        # Both sides sum the same monomials in a different order, so they
+        # agree to the roundoff scale of the positive-term sum B_k(|g|).
         rng = np.random.default_rng(16)
+        engine_signs = (-1.0) ** np.arange(1, MAX_PARTITION_ORDER + 1)
         for k in range(MAX_PARTITION_ORDER + 1):
             for _ in range(3):
-                g = rng.normal(scale=2.0, size=max(1, k)).tolist()
-                assert _bell_sum(g, k) == bell_sum_by_partitions(g, k)
+                g = rng.normal(scale=2.0, size=max(1, k))
+                for x in (g, engine_signs[: len(g)] * np.abs(g)):
+                    want = bell_sum_by_partitions(x.tolist(), k)
+                    bound = 1e-14 * bell_sum_by_partitions(np.abs(x).tolist(), k)
+                    assert abs(_bell_polynomials(x.tolist(), k + 1)[k] - want) <= bound
+
+    @pytest.mark.parametrize("psi", [1, 3, 8])
+    def test_gamma_link_against_beta_cdf_to_order_60(self, psi):
+        # A Gamma(m) link against one Gamma(psi) interferer at fixed gain c
+        # covers with probability P[h > x g] = I_{1/(1+x)}(psi, m), x = T c.
+        # Its Laplace transform (1 + x)^-psi has the scaled log-derivatives
+        # sigma_j = (-1)^j psi (j-1)! u^j, u = x/(1+x).
+        m = np.arange(1, 61)
+        for x in np.logspace(-3.0, 3.0, 13):
+            u = x / (1.0 + x)
+            sigma = [(-1.0) ** j * psi * math.factorial(j - 1) * u**j for j in range(1, 60)]
+            got = np.cumsum(_bell_series(sigma, 60)) * (1.0 + x) ** -psi
+            assert_allclose(got, special.betainc(psi, m, 1.0 / (1.0 + x)), rtol=1e-12,
+                            err_msg=f"x={x}")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30))
+    def test_engine_signs_give_nonnegative_terms(self, magnitudes):
+        # (-1)^j x_j >= 0 makes every term of B_k carry the sign (-1)^k
+        x = [(-1.0) ** j * v for j, v in enumerate(magnitudes, start=1)]
+        assert all(t >= 0.0 for t in _bell_series(x, len(x) + 1))
+
+
+class TestHighFadingOrders:
+    """SUBF with 20 and 32 macro antennas: fading orders above 16."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_more_macro_antennas_raise_coverage(self, mode):
+        base = default_scenario("SUBF")
+        covs = []
+        for antennas in (16, 20, 32):
+            sc = replace(base, macro=replace(base.macro, antennas=antennas))
+            covs.append(coverage_overall(mode, sc, 1.0))
+            if antennas > 16:
+                mc = coverage_from_batch(run_trials(sc, mode, 4000, master_seed=0), 1.0)
+                assert abs(covs[-1] - mc.value) < 0.03, (antennas, covs[-1], mc.value)
+        assert covs[0] < covs[1] < covs[2], covs
 
 
 class TestGammaTailSeam:

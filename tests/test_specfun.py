@@ -1,5 +1,6 @@
-"""Special functions: complementary incomplete Beta, Gamma tail/sampling,
-partitions and chain-rule coefficients. Oracles: mpmath and scipy."""
+"""Special functions: Gamma tail/sampling, partitions and chain-rule
+coefficients, and the complementary incomplete Beta test oracle. Oracles:
+mpmath and scipy."""
 
 import math
 
@@ -9,10 +10,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from helpers import comp_inc_beta
 from hetcov.specfun import (
     MAX_PARTITION_ORDER,
     Partition,
-    comp_inc_beta,
     faa_coefficient,
     gamma_ccdf,
     integer_partitions,
