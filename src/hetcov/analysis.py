@@ -38,8 +38,7 @@ from .model import (
     hat_ratios,
 )
 
-_NEGATIVE_CLAMP = -1e-8   # tolerated cancellation in the derivative sums
-_CLUSTER_CLAMP = -1e-3    # partial-fraction weights cancel a bit harder
+_CLUSTER_CLAMP = -1e-3    # tolerated cancellation of the partial-fraction weights
 
 
 @dataclass(frozen=True)
@@ -360,15 +359,9 @@ def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
 
 def _tail_weights(ctx: LaplaceContext, order: int):
     """sum_{k<order} (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)], the coverage of a
-    Gamma(order,1)-faded link at this geometry (one value per geometry)."""
-    value = _laplace_series(ctx, order).sum(axis=-1)
-    if (value < _NEGATIVE_CLAMP).any():
-        worst = int(np.argmin(value))
-        raise IntegrationFailure(
-            f"derivative sum went negative beyond tolerance: {np.ravel(value)[worst]} "
-            f"at s={np.ravel(ctx.s)[worst]}"
-        )
-    return np.minimum(np.maximum(value, 0.0), 1.0)
+    Gamma(order,1)-faded link at this geometry (one value per geometry).
+    Every series term is non-negative; rounding can only push the sum past 1."""
+    return np.minimum(_laplace_series(ctx, order).sum(axis=-1), 1.0)
 
 
 def _single_server_kernel(

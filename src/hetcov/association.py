@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .model import (
     COOPERATIVE,
@@ -139,13 +139,6 @@ def _cone_coeff(scenario: Scenario) -> float:
     return h.macro_advantage ** (2.0 / scenario.pathloss) / h.density
 
 
-@lru_cache(maxsize=32)
-def _arrival_samples(k: int, n: int, seed: int) -> np.ndarray:
-    """Cached (n, k) matrix of the first k unit-rate Poisson arrival times."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.standard_exponential((n, k)).cumsum(axis=1)
-
-
 def _spike_hints(scale: float | None, upper: float) -> list | None:
     """Break-point hints bracketing an integrand feature of width ~scale.
 
@@ -160,10 +153,11 @@ def _spike_hints(scale: float | None, upper: float) -> list | None:
     return pts or None
 
 
-# Points per integrand call: the first round of the K=2 cone's inner integrals
-# brings 21 nodes for each of up to three pieces per outer node, about 6.6k
-# nodes for the 105 outer nodes, and one batch's intermediates must not set
-# the process's peak memory.
+# Points per integrand call, and outer nodes per inner-level batch of a cone
+# integral: the first round of an inner level brings 21 nodes for each of up
+# to three pieces per outer node, about 6.6k nodes for the 105 outer nodes
+# of the first outer round, and one batch's intermediates must not set the
+# process's peak memory.
 _CHUNK = 4096
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21 Kronrod nodes on
@@ -272,6 +266,58 @@ def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
     return float(val.sum()), float(err.sum())
 
 
+def _cone_integral(k: int, f, upper: float, epsabs: float, what: str, spike=None):
+    """(integral, error estimate) of E[f(t_1..t_k)] over the first k arrival
+    times of a unit-rate Poisson process: f(t) * exp(-t_k) over the ordered
+    cone 0 < t_1 < ... < t_k < upper. f maps an (n, k) array of ascending
+    rows to n values, at most _CHUNK rows per call.
+
+    t_k runs outermost on the panels of _panel_integral. Each inner level
+    i = k-1..1 runs z_i = t_i/t_(i+1) over (0, 1), split at z = spike/t_(i+1)
+    and 10*spike/t_(i+1), as one batched _gauss_kronrod call over a chunk of
+    the next level's nodes, and carries the Jacobian t_(i+1). The error is
+    the outer estimate plus the largest error of each inner level: the
+    weights an inner level's result is integrated against over the rest of
+    the cone integrate to at most 1. spike hints the arrival coordinate
+    where f concentrates (a coverage kernel at a deep-tail threshold is a
+    narrow peak the first round would miss).
+    """
+    inner_err = [0.0] * k
+
+    def level(i, outer):
+        """Integral of f over t_1..t_i given the rows of t_(i+1)..t_k."""
+        if i == 0:
+            return f(outer)
+        t_next = outer[:, 0]
+        z_hints = np.empty((len(t_next), 0))
+        if spike is not None:
+            with np.errstate(divide="ignore"):
+                z_hints = np.sort([
+                    np.minimum(spike / t_next, 1.0),
+                    np.where(spike < t_next, np.minimum(10.0 * spike / t_next, 0.5), 1.0),
+                ], axis=0).T
+        z_edges = np.column_stack([np.zeros_like(t_next), z_hints, np.ones_like(t_next)])
+
+        def over_z(z, row):
+            tail = np.broadcast_to(outer[row], z.shape + outer.shape[1:])
+            rows = np.concatenate([(z * t_next[row])[..., None], tail], axis=-1)
+            return _chunked(lambda r: level(i - 1, r), rows.reshape(-1, k - i + 1)).reshape(
+                z.shape
+            )
+
+        val, err = _gauss_kronrod(
+            over_z, z_edges[:, :-1], z_edges[:, 1:], epsabs, f"{what} (inner)",
+            args=(np.arange(len(t_next))[:, None],),
+        )
+        inner_err[i] = max(inner_err[i], float(err.sum(axis=-1).max()))
+        return t_next * val.sum(axis=-1)
+
+    val, err = _panel_integral(
+        lambda t_k: np.exp(-t_k) * level(k - 1, t_k[:, None]), upper, epsabs, what, spike
+    )
+    return val, err + sum(inner_err)
+
+
 def _cluster_integral(
     scenario: Scenario, h=None, epsabs: float | None = None, spike: float | None = None
 ) -> float:
@@ -280,16 +326,11 @@ def _cluster_integral(
     distances. h maps an (n, K) array of ascending distance rows to n values;
     h=None means h=1, giving the cluster association probability.
 
-    For K <= 2, adaptive Gauss-Kronrod quadrature in arrival coordinates,
-    each round's nodes evaluated by one h call per chunk: K=1 on panels split
-    at the spike hints; K=2 as t2 on those panels outside and z = t1/t2 in
-    (0, 1) inside, split at z = spike/t2 and integrated for all of an outer
-    round's nodes in one inner call. The gate takes the outer error plus
-    the largest inner error (the outer weight t2*exp(-t2) integrates to at
-    most 1). For K > 2 the expectation is taken over a cached deterministic
-    sample of arrival vectors. spike hints the arrival coordinate where h
-    concentrates (a coverage kernel at a deep-tail threshold is a narrow
-    peak the first round would miss).
+    One _cone_integral in arrival coordinates serves every K, its error
+    estimate checked against the gate. t_K is cut at the larger of
+    -log(tail_mass) + 5 and the Gamma(K) quantile at tail_mass, so less
+    than tail_mass of the cone is dropped for every K. spike hints the
+    arrival coordinate where h concentrates.
     """
     num = scenario.numerics
     if epsabs is None:
@@ -299,60 +340,15 @@ def _cluster_integral(
     c = _cone_coeff(scenario)
     lam_s = scenario.small.density
 
-    def radius(t):
-        return np.sqrt(t / (math.pi * lam_s))
-
-    def weighted(w, rows):
-        return w if h is None else w * h(rows)
-
-    if k > 2:
-        def sample_values(t):
+    def values(t):
+        with np.errstate(divide="ignore", over="ignore"):
             eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-            return weighted(np.exp(-c * eta_term), radius(t))
+        w = np.exp(-c * eta_term)
+        return w if h is None else w * h(np.sqrt(t / (math.pi * lam_s)))
 
-        t = _arrival_samples(k, num.cluster_samples, scenario.seed)
-        return float(_chunked(sample_values, t).mean())
-
-    tmax = -math.log(num.tail_mass) + 5.0
+    upper = max(-math.log(num.tail_mass) + 5.0, float(special.gammainccinv(k, num.tail_mass)))
     what = "cluster cone integral"
-    if k == 1:
-        def point_values(t1):
-            return weighted(np.exp(-c * t1 - t1), radius(t1)[:, None])
-
-        val, err = _panel_integral(point_values, tmax, epsabs, what, spike)
-    else:
-        inner_err = [0.0]
-
-        def point_values(z, t2):
-            t1 = t2 * z
-            with np.errstate(divide="ignore"):
-                eta_term = (t1 ** (-alpha / 2.0) + t2 ** (-alpha / 2.0)) ** (-2.0 / alpha)
-            eta_term[t1 <= 1e-60] = 0.0  # nearest point on top of the user
-            rows = np.column_stack([radius(t1), radius(t2)])
-            return weighted(np.exp(-c * eta_term), rows)
-
-        def over_z(z, t2):
-            z, t2 = np.broadcast_arrays(z, t2)
-            return _chunked(point_values, z.ravel(), t2.ravel()).reshape(z.shape)
-
-        def outer_values(t2):
-            z_hints = np.empty((len(t2), 0))
-            if spike is not None:
-                with np.errstate(divide="ignore"):
-                    z_hints = np.sort([
-                        np.minimum(spike / t2, 1.0),
-                        np.where(spike < t2, np.minimum(10.0 * spike / t2, 0.5), 1.0),
-                    ], axis=0).T
-            z_edges = np.column_stack([np.zeros_like(t2), z_hints, np.ones_like(t2)])
-            lo, hi = z_edges[:, :-1], z_edges[:, 1:]
-            val, err = _gauss_kronrod(
-                over_z, lo, hi, epsabs, f"{what} (inner)", args=(t2[:, None],)
-            )
-            inner_err[0] = max(inner_err[0], float(err.sum(axis=-1).max()))
-            return t2 * np.exp(-t2) * val.sum(axis=-1)
-
-        val, err = _panel_integral(outer_values, tmax, epsabs, what, spike)
-        err += inner_err[0]
+    val, err = _cone_integral(k, values, upper, epsabs, what, spike)
     _check_quadrature(val, err, epsabs, what)
     return val
 
@@ -399,10 +395,14 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
 
     The cluster loses when sum_i r_i^(-alpha) < beta * r_m^(-alpha) with
     beta the macro power advantage; in arrival coordinates this is
-    (sum_i t_i^(-alpha/2))^(-2/alpha) > lo, where lo = beta^(-2/alpha) * tau
+    sum_i t_i^(-alpha/2) < lo^(-alpha/2), where lo = beta^(-2/alpha) * tau
     is the arrival coordinate at which one small BS alone matches the macro
-    BS at tau = lambda_s*pi*r_m^2. Scaled by lo, nothing overflows however
-    close the macro BS is.
+    BS at tau = lambda_s*pi*r_m^2. K=1 gives exp(-lo). For K >= 2, given
+    t_2..t_K the nearest arrival t_1 is uniform on (0, t_2), and the
+    cluster loses when t_1 > b = base^(-2/alpha), with
+    base = lo^(-alpha/2) - sum_{i>=2} t_i^(-alpha/2); it never loses where
+    base <= 0. The probability is then the (K-1)-arrival cone integral of
+    max(0, t_2 - b) over t_2 < ... < t_K.
     """
     if mbs_distance <= 0.0:
         raise ValueError(f"mbs_distance must be positive, got {mbs_distance}")
@@ -412,24 +412,23 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
     lo = beta ** (-2.0 / alpha) * scenario.small.density * math.pi * mbs_distance ** 2
     if k == 1:
         return math.exp(-lo)
-    if k == 2:
-        # t1 = lo * x: below x = 1 the nearest SBS alone beats the MBS, beyond
-        # the knee x = 2^(2/alpha) any t2 > t1 keeps the pair losing
-        knee = 2.0 ** (2.0 / alpha)
+    base_lo = lo ** (-alpha / 2.0)
 
-        def integrand(x):
-            slack = 1.0 - x ** (-alpha / 2.0)
-            if slack <= 0.0:  # the nearest SBS alone already beats the MBS
-                return 0.0
-            return math.exp(-lo * max(x, slack ** (-2.0 / alpha)))
+    def losing_gap(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            base = base_lo - (t ** (-alpha / 2.0)).sum(axis=1)
+            b = np.where(base > 0.0, base, 0.0) ** (-2.0 / alpha)
+        return np.maximum(t[:, 0] - b, 0.0)
 
-        epsabs = scenario.numerics.quad_epsabs
-        val, err = integrate.quad(integrand, 1.0, knee, epsabs=epsabs / lo, limit=200)
-        _check_quadrature(lo * val, lo * err, epsabs, "macro win probability")
-        return lo * val + math.exp(-lo * knee)
-    t = _arrival_samples(k, scenario.numerics.cluster_samples, scenario.seed)
-    eta = np.sort((t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha))
-    return float(1.0 - np.searchsorted(eta, lo, side="right") / len(eta))
+    # the two nearest small BSs alone beat the macro BS where t_2 is below the
+    # knee 2^(2/alpha) * lo, so the gap is 0 there; every level splits at it,
+    # and 40 past it the weight exp(-t_K) leaves a negligible tail
+    knee = 2.0 ** (2.0 / alpha) * lo
+    epsabs = scenario.numerics.quad_epsabs
+    what = "macro win probability"
+    val, err = _cone_integral(k - 1, losing_gap, knee + 40.0, epsabs, what, knee)
+    _check_quadrature(val, err, epsabs, what)
+    return val
 
 
 def serving_distance_pdf(event: AssociationEvent, scenario: Scenario):

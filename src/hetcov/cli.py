@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario config file (INI); defaults built in")
     common.add_argument("--out", help="output CSV path (sidecar config written next to it)")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
+    common.add_argument(
+        "--seed", type=int,
+        help="master RNG seed (default: the config's [scenario] seed, else 0)",
+    )
     common.add_argument(
         "--trials", type=int, default=10_000, help="MC trials per cell (default 10000)"
     )
@@ -411,6 +414,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         scenario = _load_scenario(args)
+        if args.seed is None:
+            args.seed = scenario.seed
+        scenario = replace(scenario, seed=args.seed)
         engines = _parse_csv_list(args.engines, "engines")
 
         if args.command == "validate":

@@ -104,7 +104,7 @@ def derive_tier(t: TierParams) -> DerivedTier:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Quadrature and sampling controls for the analytic engine.
+    """Quadrature controls for the analytic engine.
 
     quad_epsabs      absolute tolerance for association/pdf integrals
     coverage_epsabs  absolute tolerance for probability integrals
@@ -116,7 +116,6 @@ class Numerics:
                      merged into one higher-order pole; None picks the gap
                      that balances merge bias against the float cancellation
                      the split weights would suffer
-    cluster_samples  sample count for cluster integrals when cluster_size > 2
     """
 
     quad_epsabs: float = 1e-10
@@ -124,7 +123,6 @@ class Numerics:
     tail_mass: float = 1e-8
     cluster_fading: str = "exact"
     pole_merge_rtol: float | None = None
-    cluster_samples: int = 100_000
 
     def __post_init__(self):
         if self.cluster_fading not in ("exact", "gamma"):

@@ -1,10 +1,9 @@
 """Special functions and combinatorics.
 
-Integer-shape Gamma CCDF and sampling (the Monte Carlo engine draws its
-fading from `sample_gamma`), integer partitions and the chain-rule
-coefficients built from them. The analytic engine does not use the
-partitions; they are a test and benchmark oracle for its Bell polynomial
-recurrence.
+Integer-shape Gamma sampling (the Monte Carlo engine draws its fading from
+`sample_gamma`), integer partitions and the chain-rule coefficients built
+from them. The analytic engine does not use the partitions; they are a
+test and benchmark oracle for its Bell polynomial recurrence.
 """
 
 from __future__ import annotations
@@ -16,27 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_PARTITION_ORDER = 16
-
-
-def gamma_ccdf(shape: int, scale: float, z: float) -> float:
-    """Tail probability P[X > z] for X ~ Gamma(shape, scale), integer shape.
-
-    Uses the finite series e^(-u) * sum_{i<shape} u^i / i! with u = z/scale;
-    all terms are positive so the sum is cancellation-free.
-    """
-    if not isinstance(shape, int) or shape < 1:
-        raise ValueError(f"shape must be a positive integer, got {shape}")
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z}")
-    u = z / scale
-    term = 1.0
-    acc = 1.0
-    for i in range(1, shape):
-        term *= u / i
-        acc += term
-    return float(np.exp(-u) * acc) if u > 0.0 else 1.0
 
 
 def sample_gamma(shape: int, rng: np.random.Generator, size=None):

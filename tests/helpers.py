@@ -20,7 +20,7 @@ from hetcov.analysis import (
     laplace_context,
     serving_context,
 )
-from hetcov.association import AssociationEvent, _arrival_samples, _cone_coeff, _spike_hints
+from hetcov.association import AssociationEvent, _cone_coeff, _spike_hints
 from hetcov.model import Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.specfun import faa_coefficient, integer_partitions
 
@@ -112,6 +112,27 @@ def comp_inc_beta(p: float, q: float, x: float, rtol: float = 1e-10) -> float:
         epsabs=0.0, epsrel=rtol, limit=200,
     )
     return left + right
+
+
+def gamma_ccdf(shape: int, scale: float, z: float) -> float:
+    """Tail probability P[X > z] for X ~ Gamma(shape, scale), integer shape.
+
+    Uses the finite series e^(-u) * sum_{i<shape} u^i / i! with u = z/scale;
+    all terms are positive so the sum is cancellation-free.
+    """
+    if not isinstance(shape, int) or shape < 1:
+        raise ValueError(f"shape must be a positive integer, got {shape}")
+    if scale <= 0.0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    if z < 0.0:
+        raise ValueError(f"z must be >= 0, got {z}")
+    u = z / scale
+    term = 1.0
+    acc = 1.0
+    for i in range(1, shape):
+        term *= u / i
+        acc += term
+    return float(np.exp(-u) * acc) if u > 0.0 else 1.0
 
 
 def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10) -> float:
@@ -264,13 +285,14 @@ def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> fl
 
 
 def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -> float:
-    """The cone integral of h(r_1..r_K) (h=None: 1) by nested QUADPACK for
-    K <= 2, row by row over the cached arrival sample for K > 2; h takes one
-    distance tuple."""
+    """The cone integral of h(r_1..r_K) (h=None: 1) by nested QUADPACK, for
+    K <= 2; h takes one distance tuple."""
     num = scenario.numerics
     if epsabs is None:
         epsabs = num.quad_epsabs
     k = scenario.cluster_size
+    if k not in (1, 2):
+        raise ValueError(f"nested quadrature covers K <= 2, got {k}")
     alpha = scenario.pathloss
     c = _cone_coeff(scenario)
     lam_s = scenario.small.density
@@ -278,46 +300,53 @@ def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -
     def radius(t):
         return np.sqrt(t / (math.pi * lam_s))
 
-    if k <= 2:
-        if k == 1:
-            def integrand(t1):
-                w = math.exp(-c * t1 - t1)
-                return w if h is None else w * h((radius(t1),))
-        else:
-            def integrand(t2):
-                t2_half = t2 ** (-alpha / 2.0)
+    if k == 1:
+        def integrand(t1):
+            w = math.exp(-c * t1 - t1)
+            return w if h is None else w * h((radius(t1),))
+    else:
+        def integrand(t2):
+            t2_half = t2 ** (-alpha / 2.0)
 
-                def over_z(z):
-                    t1 = t2 * z
-                    if t1 <= 1e-60:
-                        eta_term = 0.0
-                    else:
-                        eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
-                    w = math.exp(-c * eta_term)
-                    return w if h is None else w * h((radius(t1), radius(t2)))
+            def over_z(z):
+                t1 = t2 * z
+                if t1 <= 1e-60:
+                    eta_term = 0.0
+                else:
+                    eta_term = (t1 ** (-alpha / 2.0) + t2_half) ** (-2.0 / alpha)
+                w = math.exp(-c * eta_term)
+                return w if h is None else w * h((radius(t1), radius(t2)))
 
-                z_hints = None
-                if spike is not None and spike < t2:
-                    z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
-                val, _ = integrate.quad(
-                    over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
-                )
-                return t2 * math.exp(-t2) * val
+            z_hints = None
+            if spike is not None and spike < t2:
+                z_hints = [z for z in (spike / t2, min(10.0 * spike / t2, 0.5)) if z < 1.0]
+            val, _ = integrate.quad(
+                over_z, 0.0, 1.0, epsabs=epsabs, limit=100, points=z_hints
+            )
+            return t2 * math.exp(-t2) * val
 
-        tmax = -math.log(num.tail_mass) + 5.0
-        val, err = integrate.quad(
-            integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
-        )
-        assert err <= max(epsabs * 100.0, 1e-6), (val, err)
-        return val
+    tmax = -math.log(num.tail_mass) + 5.0
+    val, err = integrate.quad(
+        integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
+    )
+    assert err <= max(epsabs * 100.0, 1e-6), (val, err)
+    return val
 
-    t = _arrival_samples(k, num.cluster_samples, scenario.seed)
+
+def cluster_integral_sampled(scenario: Scenario, h=None, n=200_000, seed=0, chunk=4096):
+    """The cone integral of h (h=None: 1) as a sample mean over n draws of
+    the first K arrival times of a unit-rate Poisson process; h maps an
+    (m, K) array of ascending distance rows to m values. Returns the mean
+    and its standard error."""
+    k = scenario.cluster_size
+    alpha = scenario.pathloss
+    t = np.random.default_rng(seed).standard_exponential((n, k)).cumsum(axis=1)
     eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-    w = np.exp(-c * eta_term)
-    if h is None:
-        return float(w.mean())
-    vals = np.fromiter((h(tuple(row)) for row in radius(t)), dtype=float, count=len(t))
-    return float((w * vals).mean())
+    w = np.exp(-_cone_coeff(scenario) * eta_term)
+    if h is not None:
+        radii = np.sqrt(t / (math.pi * scenario.small.density))
+        w = w * np.concatenate([h(radii[i:i + chunk]) for i in range(0, n, chunk)])
+    return float(w.mean()), float(w.std(ddof=1) / math.sqrt(n))
 
 
 def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:

@@ -3,13 +3,12 @@ serving-distance densities."""
 
 import math
 import time
-import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, special
 
 from helpers import random_scenario
 from hetcov import association
@@ -18,6 +17,7 @@ from hetcov.association import (
     IntegrationFailure,
     OrderedDistances,
     _cluster_integral,
+    _cone_integral,
     _gauss_kronrod,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
@@ -298,6 +298,23 @@ class TestGaussKronrod:
         assert time.perf_counter() - start < 1.0
 
 
+class TestConeIntegral:
+    """E[f] over the first k arrival times of a unit-rate Poisson process."""
+
+    @pytest.mark.parametrize("spike", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_poisson_arrival_moments(self, k, spike):
+        upper, epsabs = 40.0, 1e-10
+        # every f below is at most t_k, whose mass beyond upper is k*Q(k+1, upper)
+        tail = k * special.gammaincc(k + 1, upper)
+        cases = [(lambda t: np.ones(len(t)), 1.0), (lambda t: np.exp(-2.5 * t[:, 0]), 1.0 / 3.5)]
+        cases += [(lambda t, i=i: t[:, i - 1], float(i)) for i in range(1, k + 1)]
+        for f, exact in cases:
+            val, err = _cone_integral(k, f, upper, epsabs, "moment", spike)
+            assert abs(val - exact) <= tail + epsabs
+            assert err <= 100.0 * epsabs
+
+
 class TestMbsWinProb:
     def test_k1_closed_form(self):
         rng = np.random.default_rng(8)
@@ -311,17 +328,18 @@ class TestMbsWinProb:
             )
             assert_allclose(mbs_win_prob(s, r), expected, rtol=1e-10)
 
-    def test_k2_consistent_with_cluster_probability(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_consistent_with_cluster_probability(self, k):
         # averaging the win probability over the nearest-macro distance must
-        # reproduce the complement of the cluster association probability
-        s = default_scenario()
+        # reproduce the complement of the cluster association probability,
+        # two independent deterministic paths; u = sqrt(tau) = sqrt(pi*lam_m)*r
+        s = default_scenario(cluster_size=k)
         lam_m = s.macro.density
 
-        def integrand(tau):
-            r = math.sqrt(tau / (math.pi * lam_m))
-            return math.exp(-tau) * mbs_win_prob(s, r)
+        def integrand(u):
+            return 2.0 * u * math.exp(-u * u) * mbs_win_prob(s, u / math.sqrt(math.pi * lam_m))
 
-        val, _ = integrate.quad(integrand, 0.0, 40.0, epsabs=1e-9, limit=300)
+        val, _ = integrate.quad(integrand, 0.0, math.sqrt(40.0), epsabs=1e-8, limit=200)
         assert abs(val - (1.0 - assoc_prob_sbs_cluster(s))) <= 2e-6
 
     def test_monotone_in_distance(self):
@@ -336,13 +354,14 @@ class TestMbsWinProb:
 
     def test_k2_quadrature_error_is_gated(self, monkeypatch):
         # an error estimate past the cone-integral gate raises, as there
-        def unconverged(f, a, b, **kwargs):
-            return integrate.quad(f, a, b, **kwargs)[0], 1e-3
+        real = association._gauss_kronrod
 
-        monkeypatch.setattr(
-            association, "integrate", types.SimpleNamespace(quad=unconverged)
-        )
-        with pytest.raises(IntegrationFailure):
+        def unconverged(*args, **kwargs):
+            val, err = real(*args, **kwargs)
+            return val, err + 1e-3
+
+        monkeypatch.setattr(association, "_gauss_kronrod", unconverged)
+        with pytest.raises(IntegrationFailure, match="macro win probability"):
             mbs_win_prob(default_scenario(), 5.0)
 
 

@@ -1,6 +1,7 @@
 """Sweep specification, sweep execution, CSV/sidecar output, the validate
 subcommand, and exit codes."""
 
+import configparser
 import csv
 import math
 
@@ -26,6 +27,7 @@ from hetcov.model import (
     default_scenario,
     derive_tier,
     load_config,
+    scenario_to_config,
 )
 
 
@@ -295,3 +297,28 @@ class TestMain:
         assert code == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert {r["sweep_variable"] for r in rows} == {"density_ratio"}
+
+    @pytest.mark.parametrize("argv_seed, expected", [([], "7"), (["--seed", "3"], "3")])
+    def test_config_seed_is_the_default_seed(self, tmp_path, argv_seed, expected):
+        config = tmp_path / "scenario.ini"
+        with open(config, "w") as f:
+            scenario_to_config(default_scenario(seed=7)).write(f)
+        out = tmp_path / "cov.csv"
+        code = cli.main(
+            [
+                "coverage-sweep",
+                "--config", str(config),
+                "--out", str(out),
+                "--engines", "analytic",
+                "--strategies", "SISO",
+                "--modes", "noncooperative",
+                "--grid", "0",
+                *argv_seed,
+            ]
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["seed"] for r in rows] == [expected]
+        sidecar = configparser.ConfigParser()
+        sidecar.read(str(out) + ".config.ini")
+        assert sidecar["scenario"]["seed"] == sidecar["run"]["seed"] == expected

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+from helpers import gamma_ccdf
 from hetcov import mcsim
 from hetcov.association import AssociationEvent, assoc_prob_sbs_single
 from hetcov.mcsim import (
@@ -26,7 +27,6 @@ from hetcov.mcsim import (
     tail_interference,
 )
 from hetcov.model import Scenario, TierParams, default_scenario
-from hetcov.specfun import gamma_ccdf
 
 
 def siso_scenario(p_macro=1.0, p_small=0.1, cluster_size=1, noise=0.0) -> Scenario:

@@ -10,12 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from helpers import comp_inc_beta
+from helpers import comp_inc_beta, gamma_ccdf
 from hetcov.specfun import (
     MAX_PARTITION_ORDER,
     Partition,
     faa_coefficient,
-    gamma_ccdf,
     integer_partitions,
     sample_gamma,
 )
