@@ -148,25 +148,45 @@ def _frozen(*arrays) -> tuple:
 
 @lru_cache(maxsize=256)
 def _beta_tier_weights(psi: int, alpha: float):
-    """Regularized-Beta parameters (q_i, p_i) = (i-2/alpha, psi-i+2/alpha)
-    and weights C(psi,i) * B(p_i, q_i), i = 1..psi."""
+    """Constants of `_beta_tier_sum` over i = 1..psi: the Beta parameters
+    (q_i, p_i) = (i-2/alpha, psi-i+2/alpha), for i < psi the log-coefficients
+    log(W_1 + ... + W_i) - log(q_i * B(q_i, p_i)) of the unrolled recurrence,
+    and the total weight sum_i W_i, with W_i = C(psi,i) * B(p_i, q_i).
+
+    1/(q_i B(q_i, p_i)) = Gamma(psi)/(Gamma(q_i+1) Gamma(p_i)) is the
+    coefficient of the downward step of DLMF 8.17(iv),
+    I_x(q_i, p_i) = I_x(q_i+1, p_i-1) + x^(q_i) (1-x)^(p_i-1) / (q_i B(q_i, p_i)).
+    """
     i = np.arange(1, psi + 1)
     q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
-    return _frozen(q, p, special.comb(psi, i, exact=False) * special.beta(p, q))
+    cum_weights = np.cumsum(special.comb(psi, i, exact=False) * special.beta(p, q))
+    log_coeff = np.log(cum_weights[:-1] / q[:-1]) - special.betaln(q[:-1], p[:-1])
+    return (*_frozen(q, p, log_coeff), float(cum_weights[-1]))
 
 
 def _beta_tier_sum(psi: int, alpha: float, w):
     """sum_{i=1..psi} C(psi,i) * B'(psi-i+2/alpha, i-2/alpha, w): one tier's
-    Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d.
+    Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d,
+    for a float w or elementwise over an array of them.
 
-    B'(p, q, w) = B(p, q) * I_{1-w}(q, p) is the complementary incomplete
-    Beta over [w, 1], so the whole sum is one betainc call, for a float w
-    or elementwise over an array of them.
+    B'(p, q, w) = B(p, q) * I_x(q, p), x = 1 - w, is the complementary
+    incomplete Beta over [w, 1]. As (q_i+1, p_i-1) = (q_(i+1), p_(i+1)), the
+    downward recurrence of DLMF 8.17(iv),
+    I_x(q_i, p_i) = I_x(q_(i+1), p_(i+1)) + x^(q_i) (1-x)^(p_(i+1)) / (q_i B(q_i, p_i)),
+    reaches every order from one betainc call at the top order i = psi.
+    Each step adds a non-negative term, so nothing cancels; in the weighted
+    sum, step i carries the weight W_1 + ... + W_i of every order it feeds.
     """
-    q, p, weights = _beta_tier_weights(psi, alpha)
-    if psi == 1:  # one term: no axis to contract
-        return weights[0] * special.betainc(q[0], p[0], 1.0 - w)
-    return special.betainc(q, p, np.asarray(1.0 - w)[..., None]) @ weights
+    q, p, log_coeff, total_weight = _beta_tier_weights(psi, alpha)
+    x = 1.0 - np.asarray(w, dtype=float)
+    top = total_weight * special.betainc(q[-1], p[-1], x)
+    if psi == 1:  # no order below the top
+        return top
+    x = x[..., None]
+    steps = special.xlogy(q[:-1], x)
+    steps += special.xlog1py(p[1:], -x)
+    steps += log_coeff
+    return top + np.exp(steps, out=steps).sum(axis=-1)
 
 
 def _log_laplace_beta(ctx: LaplaceContext):
@@ -246,11 +266,15 @@ def laplace_interference_radial(ctx: LaplaceContext, epsrel: float = 1e-12) -> f
 @lru_cache(maxsize=256)
 def _tail_constants(psi: int, nmax: int, alpha: float):
     """Orders n = 1..nmax: Beta parameters a_n = n - 2/alpha, the scales
-    B(a_n, psi + 2/alpha)/alpha, and the signed rising factorials
-    (-1)^n (psi)_n of the n-th log-Laplace derivative."""
+    B(a_n, b)/alpha with b = psi + 2/alpha, the signed rising factorials
+    (-1)^n (psi)_n of the n-th log-Laplace derivative, and for n < nmax the
+    log-coefficients -log(a_n B(a_n, b)) = log(Gamma(a_n+b)/(Gamma(a_n+1) Gamma(b)))
+    of the downward step of DLMF 8.17(iv),
+    I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b))."""
     n = np.arange(1, nmax + 1)
-    a = n - 2.0 / alpha
-    return _frozen(a, special.beta(a, psi + 2.0 / alpha) / alpha, np.cumprod(-(psi + n - 1.0)))
+    a, b = n - 2.0 / alpha, psi + 2.0 / alpha
+    log_coeff = -np.log(a[:-1]) - special.betaln(a[:-1], b)
+    return _frozen(a, special.beta(a, b) / alpha, np.cumprod(-(psi + n - 1.0)), log_coeff)
 
 
 def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
@@ -258,17 +282,29 @@ def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
 
     Dimensionless core of every n-th log-Laplace derivative. With
     x = v^-alpha and u = x/(1+x) it is the incomplete Beta
-    (1/alpha) * B(a, b) * I_{u0}(a, b), a = n - 2/alpha > 0, b = psi + 2/alpha,
-    u0 = 1/(1 + v0^alpha); all orders go through one betainc call. An array
-    of v0 gives one row of orders per entry.
+    (1/alpha) * B(a_n, b) * I_{u0}(a_n, b), a_n = n - 2/alpha > 0,
+    b = psi + 2/alpha, u0 = 1/(1 + v0^alpha). One betainc call gives the
+    top order nmax; the downward recurrence of DLMF 8.17(iv),
+    I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b)),
+    gives every lower order by adding one non-negative term per step. An
+    array of v0 gives one row of orders per entry.
     """
-    a, scale, _ = _tail_constants(psi, nmax, alpha)
     v0 = np.asarray(v0, dtype=float)
+    if nmax == 0:
+        return np.zeros(v0.shape + (0,))
+    a, scale, _, log_coeff = _tail_constants(psi, nmax, alpha)
+    b = psi + 2.0 / alpha
     # u0 = x0/(1+x0) with x0 = v0^-alpha above v0 = 1, 1/(1+v0^alpha) below:
     # neither power overflows
     x0 = np.maximum(v0, 1.0) ** (-alpha)
-    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
-    return scale * special.betainc(a, psi + 2.0 / alpha, u0[..., None])
+    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))[..., None]
+    steps = special.xlogy(a[:-1], u0)
+    steps += special.xlog1py(b, -u0)
+    steps += log_coeff
+    orders = np.concatenate([np.exp(steps, out=steps), special.betainc(a[-1], b, u0)], axis=-1)
+    # I_n = I_nmax + steps n..nmax-1, accumulated from the top order down
+    np.cumsum(orders[..., ::-1], axis=-1, out=orders[..., ::-1])
+    return scale * orders
 
 
 def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:

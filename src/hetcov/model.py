@@ -280,9 +280,10 @@ def load_config(path: str) -> Scenario:
 
     Tier keys: density_per_m2, power_dbm, antennas, users, pathloss,
     bias (optional). Scenario keys: cluster_size, noise_dbm ("off" or a
-    level in dBm; default off = interference-limited), seed.
+    level in dBm; default off = interference-limited), seed. A ";" or "#"
+    after whitespace starts a comment, also at the end of a value line.
     """
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cfg.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")

@@ -11,10 +11,8 @@ from hetcov.analysis import (
     IntegrationFailure,
     LaplaceContext,
     _bell_series,
-    _beta_tier_sum,
     _gauss_panel,
     _laplace_series,
-    _radial_tail_integral,
     _tail_constants,
     _tail_weights,
     laplace_context,
@@ -133,6 +131,26 @@ def gamma_ccdf(shape: int, scale: float, z: float) -> float:
         term *= u / i
         acc += term
     return float(np.exp(-u) * acc) if u > 0.0 else 1.0
+
+
+def beta_tier_sum_direct(psi: int, alpha: float, w):
+    """sum_{i=1..psi} C(psi,i) * B'(psi-i+2/alpha, i-2/alpha, w) with one
+    regularized incomplete Beta per term, for a float w or an array of them."""
+    i = np.arange(1, psi + 1)
+    q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
+    weights = special.comb(psi, i) * special.beta(p, q)
+    return special.betainc(q, p, 1.0 - np.asarray(w, dtype=float)[..., None]) @ weights
+
+
+def radial_tail_direct(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
+    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax
+    as (1/alpha) * B(a, b) * I_u0(a, b), a = n - 2/alpha, b = psi + 2/alpha,
+    u0 = 1/(1 + v0^alpha), with one betainc call over every order."""
+    a, b = np.arange(1, nmax + 1) - 2.0 / alpha, psi + 2.0 / alpha
+    v0 = np.asarray(v0, dtype=float)
+    x0 = np.maximum(v0, 1.0) ** (-alpha)
+    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
+    return special.beta(a, b) / alpha * special.betainc(a, b, u0[..., None])
 
 
 def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10) -> float:
@@ -363,10 +381,10 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
     two_a = 2.0 / alpha
     t = threshold
 
-    a_macro = two_a * t ** two_a * _beta_tier_sum(psi_m, alpha, 1.0 / (1.0 + t))
+    a_macro = two_a * t ** two_a * beta_tier_sum_direct(psi_m, alpha, 1.0 / (1.0 + t))
     b_macro = (
         2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
-        * _radial_tail_integral(t ** (-1.0 / alpha), psi_m, kmax, alpha)
+        * radial_tail_direct(t ** (-1.0 / alpha), psi_m, kmax, alpha)
     ).tolist()
     b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
 
@@ -421,11 +439,11 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
     total = 0.0
     for x_k, w in panel_points(lb_outer, x_max, outer_scale):
         y_k = t * p_hat * x_k ** (-alpha / 2.0)
-        a_small = lhat * two_a * (t * p_hat) ** two_a * _beta_tier_sum(
+        a_small = lhat * two_a * (t * p_hat) ** two_a * beta_tier_sum_direct(
             psi_s, alpha, 1.0 / (1.0 + y_k)
         )
         v0_s = math.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
-        b_small = (b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)).tolist()
+        b_small = (b_small_coeff * radial_tail_direct(v0_s, psi_s, kmax, alpha)).tolist()
         if big_k == 1:
             val = kernel_at((x_k,), a_small, b_small)
         else:

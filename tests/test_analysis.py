@@ -17,10 +17,12 @@ from helpers import (
     cluster_integral_quad,
     cluster_integral_sampled,
     cluster_kernel_scalar,
+    comp_inc_beta,
     coop_macro_joint_scalar,
     erlang_mixture_scalar,
     gamma_ccdf,
     log_laplace_derivative_quad,
+    radial_tail_direct,
     radial_tail_quad,
     random_laplace_context,
     random_scenario,
@@ -32,6 +34,7 @@ from hetcov.analysis import (
     LaplaceContext,
     _bell_polynomials,
     _bell_series,
+    _beta_tier_sum,
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
@@ -214,6 +217,63 @@ class TestLaplaceDerivatives:
                     assert_allclose(single, log_laplace_derivative_quad(ctx, j), rtol=1e-8)
 
 
+class TestDownwardBetaRecurrence:
+    """Both incomplete-Beta series reach their lower orders from one betainc
+    call at the top order by adding non-negative terms."""
+
+    @pytest.mark.parametrize("alpha", [2.05, 6.0])
+    def test_tier_sum_matches_term_sum(self, alpha):
+        rng = np.random.default_rng(17)
+        ws = [*rng.uniform(size=12), 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]
+        for psi in range(1, 17):
+            i = np.arange(1, psi + 1)
+            q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
+            got = _beta_tier_sum(psi, alpha, np.array(ws))
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+            for w, value in zip(ws, got):
+                want = sum(
+                    math.comb(psi, k) * comp_inc_beta(pk, qk, w)
+                    for k, pk, qk in zip(i.tolist(), p.tolist(), q.tolist())
+                )
+                assert_allclose(value, want, rtol=1e-13, err_msg=f"psi={psi}, w={w}")
+                assert_allclose(_beta_tier_sum(psi, alpha, w), value, rtol=1e-15)
+
+    def test_radial_tail_matches_all_orders_betainc(self):
+        rng = np.random.default_rng(18)
+        v0 = np.r_[0.0, 1e-300, 1e300, 10.0 ** rng.uniform(-8.0, 8.0, 40)]
+        for alpha in (2.05, 4.0, 6.0):
+            for psi in range(1, 9):
+                for nmax in (1, 2, 7, 16, 33, 60):
+                    got = _radial_tail_integral(v0, psi, nmax, alpha)
+                    assert got.shape == (len(v0), nmax)
+                    assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+                    # atol only admits values that underflow toward subnormals
+                    assert_allclose(
+                        got, radial_tail_direct(v0, psi, nmax, alpha), rtol=1e-12, atol=1e-290,
+                        err_msg=f"alpha={alpha}, psi={psi}, nmax={nmax}",
+                    )
+
+    def test_no_order_gives_an_empty_axis(self):
+        assert _radial_tail_integral(2.0, 3, 0, 4.0).shape == (0,)
+        assert _radial_tail_integral(np.ones((4, 2)), 3, 0, 4.0).shape == (4, 2, 0)
+
+    def test_one_betainc_call_per_invocation(self, monkeypatch):
+        # one call at the top order, for a whole array of rows
+        calls = []
+        betainc = special.betainc
+
+        def counting(a, b, x):
+            calls.append(np.shape(a))
+            return betainc(a, b, x)
+
+        monkeypatch.setattr(analysis.special, "betainc", counting)
+        w = np.linspace(0.0, 1.0, 50)
+        _beta_tier_sum(8, 3.7, w)
+        assert calls == [()]
+        _radial_tail_integral(1.0 / w[1:], 8, 12, 3.7)
+        assert calls == [(), ()]
+
+
 class TestRadialTailClosedForm:
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(15)
@@ -233,7 +293,7 @@ class TestRadialTailClosedForm:
     def test_domain_edges_stay_finite(self, v0):
         for alpha in (2.01, 4.0, 6.0):
             for psi in (1, 8):
-                vals = _radial_tail_integral(v0, psi, MAX_PARTITION_ORDER, alpha)
+                vals = _radial_tail_integral(v0, psi, 60, alpha)
                 assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
 
