@@ -38,7 +38,7 @@ from .model import (
     hat_ratios,
 )
 
-_CLUSTER_CLAMP = -1e-3    # tolerated cancellation of the partial-fraction weights
+_FOLD_DIGITS = 4.0    # split weights of the cluster fold stay under ~10^_FOLD_DIGITS
 
 
 @dataclass(frozen=True)
@@ -419,82 +419,87 @@ def _single_server_kernel(
     return out
 
 
-def _pole_weights(poles) -> list:
-    """Partial-fraction weights of prod_i (1 + b_i s)^(-m_i) over arrays of
-    pole gains: for each pole (b, w) with w[:, l-1] the weight of
-    (1 + b s)^(-l), l = 1..m.
-
-    The weights of pole i depend on the gain ratios q_j = b_j/b_i alone:
-    w_l = c_(m_i - l) for the Taylor coefficients c of the other poles'
-    factor prod_j (1 - q_j + q_j x)^(-m_j): c_0 = prod_j (1 - q_j)^(-m_j)
-    and c_n = c_0 B_n(y)/n! over its log-derivatives
-    y_v = (v-1)! (-1)^v sum_j m_j rho_j^v, rho_j = q_j/(1 - q_j). In ratios
-    the coefficients stay in float range however far apart the gains are.
+def _split_far(b, w, a, order: int):
+    """Two-pole partial fractions of sum_l w[:, l-1] (1 + b s)^(-l) times
+    (1 + a s)^(-order): the weights left on b, and those on a (orders
+    1..order). With q = a/b and rho = q/(1-q), b's order i takes
+    sum_(l>=i) w_l c_(l-i), c_n = (1-q)^(-order) (-rho)^n C(order+n-1, n),
+    and a's order i takes sum_l w_l (-rho)^l (1-q)^(i-order) C(l+order-i-1, order-i).
     """
-    out = []
-    for i, (bi, mi) in enumerate(poles):
-        ratios = [(bj / bi, mj) for j, (bj, mj) in enumerate(poles) if j != i]
-        c0 = np.ones_like(bi)
-        for q, mj in ratios:
-            c0 = c0 * (1.0 - q) ** (-mj)
-        with np.errstate(divide="ignore"):
-            rho = [1.0 / (1.0 / q - 1.0) for q, _ in ratios]
-        y = [
-            math.factorial(v - 1) * (-1.0) ** v
-            * sum((mj * r ** v for (_, mj), r in zip(ratios, rho)), np.zeros_like(bi))
-            for v in range(1, mi)
-        ]
-        c = [c0 * b / math.factorial(n) for n, b in enumerate(_bell_polynomials(y, mi))]
-        out.append((bi, np.stack(c[::-1], axis=-1)))
-    return out
+    rest = 1.0 - a / b
+    n, i = np.arange(w.shape[1] + 1), np.arange(1, order + 1)
+    powers = (a / b / -rest)[:, None] ** n  # (-rho)^0..(-rho)^width
+    c = rest[:, None] ** -order * powers[:, :-1] * special.comb(order - 1 + n[:-1], n[:-1])
+    old = np.einsum("nl,nli->ni", w, np.tril(c[:, np.subtract.outer(n[:-1], n[:-1])]))
+    binomials = special.comb(n[1:, None] + order - i - 1, order - i)
+    return old, (w * powers[:, 1:]) @ binomials * rest[:, None] ** (i - order)
 
 
-def _erlang_mixture(gains, order: int, merge_rtol: float | None = None) -> list:
-    """Partial-fraction form of prod_i (1 + a_i s)^(-order), row by row over
-    an (n, K) array of gains.
+def _reexpand_close(b, w, a, order: int):
+    """Weights on a of sum_l w[:, l-1] (1 + b s)^(-l) times (1 + a s)^(-order),
+    each (1 + b s)^(-l) re-expanded as the negative binomial mixture
+    sum_k q^l C(l+k-1, k) (1-q)^k (1 + a s)^(-(l+k)), q = a/b <= 1.
 
-    Near-equal gains are merged into one higher-multiplicity pole first (the
-    merged distribution matches to second order in the gap, and the split
-    form would lose precision to cancellation): walking the descending
-    gains, each joins the group before it when within merge_rtol of that
-    group's mean. Rows are grouped by this merge pattern, at most 2^(K-1)
-    of them. Returns [(rows, [(b, w), ...])], one entry per pattern: the
-    indices of its rows and, per pole, gains b of shape (len(rows),) and
-    weights w of shape (len(rows), m), so that the product equals
-    sum over poles of sum_l w[:, l-1] (1 + b s)^(-l).
+    Term k+1 is term k times (1-q)(l+k)/(k+1), a ratio falling in k, so
+    stopping before term k drops at most its mass over
+    1 - (1-q)(width+k)/(k+1): the series stops once that is under 1e-12 in
+    every row.
+    """
+    rest = 1.0 - a / b
+    width = w.shape[1]
+    l = np.arange(1.0, width + 1)[:, None]
+    terms = [w.T * (a / b) ** l]  # terms[k][l-1], with the rows along the last axis
+    while True:
+        k = len(terms)
+        terms.append(terms[-1] * rest * ((l + k - 1.0) / k))
+        ratio = rest * ((width + k) / (k + 1.0))
+        if np.all((ratio < 1.0) & (np.abs(terms[-1]).sum(axis=0) < 1e-12 * (1.0 - ratio))):
+            break
+    out = np.zeros((order + width + k - 1, len(w)))
+    for j, term in enumerate(terms[:-1]):
+        out[order + j : order + j + width] += term
+    return out.T
 
-    merge_rtol=None balances the two error sources: split weights grow like
-    gap^-(n_tot - 1) for n_tot = K * order total pole order, so the gap is
-    set where that amplification of float roundoff reaches ~1e-8, while the
-    merge bias stays O(gap^2) inside a gap-wide region.
+
+def _erlang_mixture(gains, order: int) -> list:
+    """Exact mixture form of prod_i (1 + a_i s)^(-order), row by row over an
+    (n, K) array of gains.
+
+    Sorted descending, the gains fall into runs, each gain within the
+    switch gap 10^(-_FOLD_DIGITS/(n_tot-1)), n_tot = K * order, of the one
+    before; split weights grow like gap^-(n_tot - 1). The fold starts from
+    weight 1 at order `order` on a_1 and multiplies in (1 + a_j s)^(-order)
+    for the first gain of each run, then for the others, so that no
+    partial-fraction split (_split_far) meets a pole that a close gain has
+    widened (_reexpand_close, non-negative weights).
+
+    Rows are grouped by this pattern, at most 2^(K-1) of them. Returns
+    [(rows, [(b, w), ...])], one entry per pattern: its row indices and, per
+    pole, gains b of shape (len(rows),) and weights w of shape
+    (len(rows), width), the product being sum_poles sum_l w[:, l-1] (1 + b s)^(-l).
     """
     a = np.sort(np.asarray(gains, dtype=float), axis=1)[:, ::-1]
-    n, k = a.shape
-    if merge_rtol is None:
-        n_tot = k * order
-        if n_tot <= 1:
-            merge_rtol = 1e-8
-        else:
-            merge_rtol = min(0.1, max(1e-8, 10.0 ** (-8.0 / (n_tot - 1))))
-    # bit j-1 of a row's pattern: gain j joined the group before it
-    pattern = np.zeros(n, dtype=np.int64)
-    mean, cnt = a[:, 0], np.ones(n)
-    for j in range(1, k):
-        joins = np.abs(mean / a[:, j] - 1.0) < merge_rtol
-        pattern |= joins.astype(np.int64) << (j - 1)
-        mean = np.where(joins, (mean * cnt + a[:, j]) / (cnt + 1), a[:, j])
-        cnt = np.where(joins, cnt + 1, 1.0)
+    k = a.shape[1]
+    switch = 10.0 ** (-_FOLD_DIGITS / (k * order - 1)) if k * order > 1 else 0.0
+    close = 1.0 - a[:, 1:] / a[:, :-1] < switch
+    pattern = (close.astype(np.int64) << np.arange(k - 1)).sum(axis=1)
     out = []
     for code in np.unique(pattern).tolist():
         rows = np.flatnonzero(pattern == code)
-        starts = [0] + [j for j in range(1, k) if not code >> (j - 1) & 1]
-        poles = []
-        for lo, hi in zip(starts, starts[1:] + [k]):
-            mean = a[rows, lo]
-            for i in range(1, hi - lo):  # the running mean the merge test saw
-                mean = (mean * i + a[rows, lo + i]) / (i + 1)
-            poles.append((mean, (hi - lo) * order))
-        out.append((rows, _pole_weights(poles)))
+        run = np.cumsum([0] + [not code >> j & 1 for j in range(k - 1)])
+        first = [j for j in range(k) if j == 0 or run[j] > run[j - 1]]
+        poles = [(a[rows, j], np.zeros((len(rows), order))) for j in first]
+        poles[0][1][:, -1] = 1.0
+        for j in first[1:] + [j for j in range(k) if j not in first]:
+            aj = a[rows, j]
+            new = poles[run[j]][1] if j in first else _reexpand_close(*poles[run[j]], aj, order)
+            for i, (b, w) in enumerate(poles):
+                if i != run[j]:
+                    old, share = _split_far(b, w, aj, order)
+                    poles[i] = (b, old)
+                    new[:, :order] += share
+            poles[run[j]] = (aj, new)
+        out.append((rows, poles))
     return out
 
 
@@ -502,8 +507,8 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarr
     """Conditional coverage given the cluster serves from these distances,
     one value per row of an (n, K) array of ascending distances.
 
-    "exact" decomposes the non-coherent power sum of Gamma-faded links by
-    partial fractions; "gamma" collapses it to one mean-matched Gamma.
+    "exact" folds the non-coherent power sum of Gamma-faded links into an
+    exact Erlang mixture; "gamma" collapses it to one mean-matched Gamma.
     """
     r = np.asarray(distances, dtype=float)
     alpha = scenario.pathloss
@@ -527,7 +532,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarr
         return out
     gains = scenario.small.power * path_gain
     total = np.zeros(len(r))
-    for rows, poles in _erlang_mixture(gains, order, scenario.numerics.pole_merge_rtol):
+    for rows, poles in _erlang_mixture(gains, order):
         for b, weights in poles:
             ctx = LaplaceContext(
                 s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
@@ -536,11 +541,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarr
             # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
             cum = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]  # cum[:, k] = sum_{l>k} w_l
             total[rows] += (cum * _laplace_series(ctx, weights.shape[1])).sum(axis=1)
-    if np.any(total < _CLUSTER_CLAMP):
-        raise IntegrationFailure(
-            f"cluster mixture coverage went negative beyond tolerance: {total.min()}"
-        )
-    out[live] = np.clip(total, 0.0, 1.0)
+    out[live] = np.clip(total, 0.0, 1.0)  # rounding only
     return out
 
 

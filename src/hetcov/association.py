@@ -224,7 +224,8 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
     lo, hi = a.astype(float).ravel(), b.astype(float).ravel()
     args = [x.ravel() for x in args]
     n = lo.size
-    owner, share = np.arange(n), np.full(n, float(epsabs))
+    owner = np.flatnonzero(hi > lo)  # an empty interval adds nothing
+    lo, hi, share = lo[owner], hi[owner], np.full(owner.size, float(epsabs))
     val, err, pieces = np.zeros(n), np.zeros(n), np.ones(n, dtype=np.int64)
     while owner.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -109,20 +109,15 @@ class Numerics:
     quad_epsabs      absolute tolerance for association/pdf integrals
     coverage_epsabs  absolute tolerance for probability integrals
     tail_mass        neglected tail mass when truncating radial integrals
-    cluster_fading   cluster signal model: "exact" decomposes the sum of
-                     per-link Gamma powers by partial fractions; "gamma"
+    cluster_fading   cluster signal model: "exact" folds the sum of per-link
+                     Gamma powers into an exact Erlang mixture; "gamma"
                      uses a mean-matched single-Gamma surrogate
-    pole_merge_rtol  relative gap under which near-equal link gains are
-                     merged into one higher-order pole; None picks the gap
-                     that balances merge bias against the float cancellation
-                     the split weights would suffer
     """
 
     quad_epsabs: float = 1e-10
     coverage_epsabs: float = 1e-6
     tail_mass: float = 1e-8
     cluster_fading: str = "exact"
-    pole_merge_rtol: float | None = None
 
     def __post_init__(self):
         if self.cluster_fading not in ("exact", "gamma"):

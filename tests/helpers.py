@@ -3,16 +3,14 @@ evaluations that the engine's closed forms are checked against."""
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
 from hetcov.analysis import (
-    _CLUSTER_CLAMP,
-    IntegrationFailure,
     LaplaceContext,
     _bell_series,
     _gauss_panel,
-    _laplace_series,
     _tail_constants,
     _tail_weights,
     laplace_context,
@@ -243,63 +241,131 @@ def single_coverage_quad(event, scenario: Scenario, threshold: float) -> float:
     return val
 
 
-def erlang_mixture_scalar(gains, order: int, merge_rtol: float | None = None):
-    """Partial-fraction form of prod_i (1 + a_i s)^(-order) at one geometry:
-    [(pole gain b, weights w_1..w_m)], near-equal gains merged first."""
-    a = np.sort(np.asarray(gains, dtype=float))[::-1]
-    if merge_rtol is None:
-        n_tot = len(a) * order
-        if n_tot <= 1:
-            merge_rtol = 1e-8
-        else:
-            merge_rtol = min(0.1, max(1e-8, 10.0 ** (-8.0 / (n_tot - 1))))
-    groups: list[tuple[float, int]] = []
-    for ai in a:
-        if groups and abs(groups[-1][0] / ai - 1.0) < merge_rtol:
-            mean, cnt = groups[-1]
-            groups[-1] = ((mean * cnt + ai) / (cnt + 1), cnt + 1)
-        else:
-            groups.append((ai, 1))
-    poles = [(b, cnt * order) for b, cnt in groups]
+def erlang_mixture_mp(gains, order: int) -> list:
+    """Partial-fraction form of prod_i (1 + a_i s)^(-order) over distinct
+    gains, in mpmath at its working precision: [(b, [w_1..w_m])], w_l the
+    weight of (1 + b s)^(-l).
+
+    With y = 1 + b s, every other factor is ((1-q) + q y)^(-m), q = a_j/b,
+    with Taylor coefficients (1-q)^(-m) C(m+n-1, n) (-q/(1-q))^n at y = 0;
+    their product's coefficients c_n give w_l = c_(m-l).
+    """
+    a = [mpmath.mpf(float(g)) for g in gains]
     out = []
-    for i, (bi, mi) in enumerate(poles):
-        others = [(bj, mj) for j, (bj, mj) in enumerate(poles) if j != i]
-        c = np.zeros(mi)
-        c[0] = math.prod((1.0 - bj / bi) ** (-mj) for bj, mj in others) if others else 1.0
-        rho = [bi * bj / (bi - bj) for bj, _ in others]
-        ms = [mj for _, mj in others]
-        for m in range(1, mi):
-            acc = 0.0
-            for v in range(1, m + 1):
-                log_term = ((-1.0) ** v / v) * sum(mj * r ** v for mj, r in zip(ms, rho))
-                acc += v * log_term * c[m - v]
-            c[m] = acc / m
-        weights = np.array([c[mi - l] / bi ** (mi - l) for l in range(1, mi + 1)])
-        out.append((bi, weights))
+    for i, b in enumerate(a):
+        c = [mpmath.mpf(1)] + [mpmath.mpf(0)] * (order - 1)
+        for j, aj in enumerate(a):
+            if j != i:
+                q = aj / b
+                t = [
+                    (1 - q) ** -order * mpmath.binomial(order + n - 1, n) * (q / (q - 1)) ** n
+                    for n in range(order)
+                ]
+                c = [mpmath.fsum(c[v] * t[n - v] for v in range(n + 1)) for n in range(order)]
+        out.append((b, c[::-1]))
     return out
 
 
+def laplace_series_mp(scenario: Scenario, s, d_macro, d_small, order: int) -> list:
+    """(-s)^k/k! d^k/ds^k [e^(-sN) L_I(s)] for k < order, in mpmath.
+
+    Each tier (density lambda, power p, shape psi, exclusion d > 0, x0 =
+    s p d^-alpha, delta = 2/alpha) adds -pi lambda d^2 (2F1(psi, -delta;
+    1-delta; -x0) - 1) to log L_I, and (-1)^n (psi)_n 2 pi lambda (s p)^delta
+    / alpha * x0^(n-delta)/(n-delta) 2F1(psi+n, n-delta; n-delta+1; -x0) to
+    s^n g^(n); the terms are the complete Bell polynomials of the latter.
+    """
+    sc = scenario
+    alpha = mpmath.mpf(sc.pathloss)
+    delta = 2 / alpha
+    s = mpmath.mpf(s)
+    log_l = -s * sc.noise
+    sigmas = [mpmath.mpf(0)] * (order - 1)
+    if order > 1:
+        sigmas[0] = -s * sc.noise
+    tiers = (
+        (sc.macro.density, sc.macro.power, sc.macro.users, d_macro),
+        (sc.small.density, sc.small.power, sc.small.users, d_small),
+    )
+    for lam, p, psi, d in tiers:
+        lam, sp, d = mpmath.mpf(lam), s * mpmath.mpf(p), mpmath.mpf(d)
+        x0 = sp * d ** -alpha
+        log_l -= mpmath.pi * lam * d ** 2 * (mpmath.hyp2f1(psi, -delta, 1 - delta, -x0) - 1)
+        for n in range(1, order):
+            sigmas[n - 1] += (
+                (-1) ** n * mpmath.rf(psi, n) * 2 * mpmath.pi * lam * sp ** delta / alpha
+                * x0 ** (n - delta) / (n - delta) * mpmath.hyp2f1(psi + n, n - delta, n - delta + 1, -x0)
+            )
+    bell = [mpmath.mpf(1)]
+    for k in range(1, order):
+        bell.append(mpmath.fsum(
+            mpmath.binomial(k - 1, j - 1) * sigmas[j - 1] * bell[k - j] for j in range(1, k + 1)
+        ))
+    base = mpmath.exp(log_l)
+    return [base * (-1) ** k / mpmath.factorial(k) * b for k, b in enumerate(bell)]
+
+
+def cluster_kernel_mp(scenario: Scenario, distances, threshold: float) -> float:
+    """Conditional coverage given the cluster serves from these (distinct)
+    distances, "exact" fading, by partial fractions over the unmerged
+    gains in mpmath.
+
+    The weights grow like gap^-(n_tot - 1) at a relative gain gap, so the
+    working precision is 30 digits plus that many."""
+    sctx = serving_context(AssociationEvent.CLUSTER, scenario, distances)
+    order = derive_tier(scenario.small).fading_order
+    gains = sorted(scenario.small.power * r ** (-scenario.pathloss) for r in sctx.distances)
+    gap = min((hi / lo - 1.0 for lo, hi in zip(gains, gains[1:])), default=1.0)
+    extra = (len(gains) * order - 1) * max(0.0, -math.log10(gap))
+    with mpmath.workdps(30 + int(extra)):
+        total = mpmath.mpf(0)
+        for b, weights in erlang_mixture_mp(gains, order):
+            terms = laplace_series_mp(scenario, threshold / b, sctx.d_macro, sctx.d_small, order)
+            for l, w in enumerate(weights, start=1):
+                total += w * mpmath.fsum(terms[:l])
+        return float(total)
+
+
 def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> float:
-    """Conditional coverage given the cluster serves from these distances."""
+    """Conditional coverage given the cluster serves from these distances,
+    K <= 2, without partial fractions.
+
+    For K = 2, a_1 G_1 + a_2 G_2 = G (a_2 + (a_1 - a_2) B) with G ~
+    Gamma(2m) and B ~ Beta(m, m) independent, so the kernel is the Beta
+    average of the Gamma(2m)-link coverage at gain a_2 + (a_1 - a_2) B. It
+    runs in y = log of that gain over a_2, on Gauss-Legendre panels of
+    width 2 over [max(0, log(a_1/a_2) - 40), log(a_1/a_2)]: the integrand is
+    analytic for |Im y| < pi/2, and B < e^-40 carries no mass.
+    """
     if any(r <= 0.0 for r in distances):
         return 1.0
     sctx = serving_context(AssociationEvent.CLUSTER, scenario, distances)
     order = derive_tier(scenario.small).fading_order
-    alpha = scenario.pathloss
     if scenario.numerics.cluster_fading == "gamma":
         return _tail_weights(laplace_context(sctx, scenario, threshold), order)
-    gains = [scenario.small.power * r ** (-alpha) for r in sctx.distances]
-    total = 0.0
-    for b, weights in erlang_mixture_scalar(gains, order, scenario.numerics.pole_merge_rtol):
+
+    def coverage(gain, n):
         ctx = LaplaceContext(
-            s=threshold / b, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
+            s=threshold / gain, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
         )
-        cum = np.cumsum(weights[::-1])[::-1]
-        terms = _laplace_series(ctx, len(weights))
-        total += sum(c * term for c, term in zip(cum.tolist(), terms))
-    if total < _CLUSTER_CLAMP:
-        raise IntegrationFailure(f"cluster mixture coverage went negative: {total}")
-    return min(max(total, 0.0), 1.0)
+        return _tail_weights(ctx, n)
+
+    gains = sorted(scenario.small.power * r ** (-scenario.pathloss) for r in sctx.distances)
+    if len(gains) == 1:
+        return float(coverage(np.array(gains), order)[0])
+    if len(gains) > 2:
+        raise ValueError("the Beta-mixture kernel takes K <= 2")
+    lo_gain, hi_gain = gains
+    span = math.log(hi_gain / lo_gain)
+    if span == 0.0:
+        return float(coverage(np.array([lo_gain]), 2 * order)[0])
+    start = max(0.0, span - 40.0)
+    edges = np.linspace(start, span, int(math.ceil((span - start) / 2.0)) + 1)
+    y, wy = map(np.concatenate, zip(*(_gauss_panel(a, b, 16) for a, b in zip(edges, edges[1:]))))
+    x = np.expm1(y) / math.expm1(span)
+    density = (x * (1.0 - x)) ** (order - 1) / special.beta(order, order)
+    jacobian = np.exp(y) / math.expm1(span)
+    return float(np.sum(wy * density * jacobian * coverage(lo_gain * np.exp(y), 2 * order)))
 
 
 def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -> float:

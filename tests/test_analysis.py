@@ -4,6 +4,7 @@ coverage, and the mean-rate integral."""
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +17,10 @@ from helpers import (
     bell_sum_by_partitions,
     cluster_integral_quad,
     cluster_integral_sampled,
+    cluster_kernel_mp,
     cluster_kernel_scalar,
     comp_inc_beta,
     coop_macro_joint_scalar,
-    erlang_mixture_scalar,
     gamma_ccdf,
     log_laplace_derivative_quad,
     radial_tail_direct,
@@ -70,12 +71,15 @@ def cluster_scenario(k: int, order: int, psi: int, fading: str = "exact") -> Sce
 
 
 def random_cluster_distances(rng, n: int, k: int) -> np.ndarray:
-    """n ascending K-vectors of distances; a third of them put the second
-    server within 20% of the first, around the pole-merge gap."""
+    """n ascending K-vectors of distances. A third of them put the second
+    server within 20% of the first, around the gap where the fold switches
+    from partial fractions to re-expansion; another third within a
+    log-uniform 1e-9 to 1e-1 of it, where partial fractions cancel most."""
     r = rng.uniform(1.0, 30.0, size=(n, k))
     if k > 1:
         m = n // 3
         r[:m, 1] = r[:m, 0] * (1.0 + rng.uniform(0.0, 0.2, m))
+        r[m : 2 * m, 1] = r[m : 2 * m, 0] * (1.0 + 10.0 ** rng.uniform(-9.0, -1.0, m))
     return np.sort(r, axis=1)
 
 
@@ -356,6 +360,20 @@ class TestHighFadingOrders:
         assert covs[0] < covs[1] < covs[2], covs
 
 
+class TestHighOrderClusters:
+    """Random K=2 cells with small-tier fading orders 6 and 7."""
+
+    @pytest.mark.parametrize("index", [23, 27])
+    def test_random_scenario_evaluates_and_matches_monte_carlo(self, index):
+        rng = np.random.default_rng(123)
+        s = [random_scenario(rng) for _ in range(index + 1)][-1]
+        covs = [coverage_overall("cooperative", s, 10.0 ** (db / 10.0)) for db in (-20, 0, 20, 40)]
+        assert all(0.0 <= v <= 1.0 for v in covs), covs
+        assert all(b < a for a, b in zip(covs, covs[1:])), covs
+        mc = coverage_from_batch(run_trials(s, "cooperative", 4000, master_seed=0), 1.0)
+        assert abs(covs[1] - mc.value) <= 0.03 + 2.0 * mc.ci_halfwidth, (covs[1], mc)
+
+
 class TestGammaTailSeam:
     def test_matches_gamma_ccdf_without_interference(self):
         # with only noise the coverage kernel must be the Gamma(order,1) CCDF
@@ -418,39 +436,52 @@ class TestArrayKernels:
 
     @pytest.mark.parametrize("k, order, psi", CASES)
     def test_erlang_mixture_matches_scalar(self, k, order, psi):
+        # each row's weights reproduce prod_i (1 + a_i s)^(-order), summed
+        # in mpmath so that only the weights' own rounding shows
         rng = np.random.default_rng(100 * k + 10 * order + psi)
         r = random_cluster_distances(rng, 60, k)
         gains = 2.5 * r ** -3.0
         seen = 0
         for rows, poles in _erlang_mixture(gains, order):
             for n, row in enumerate(rows.tolist()):
-                expected = erlang_mixture_scalar(gains[row], order)
-                assert len(poles) == len(expected)
-                for (b, w), (b_ref, w_ref) in zip(poles, expected):
-                    assert_allclose(b[n], b_ref, rtol=1e-15)
-                    assert_allclose(w[n], w_ref, rtol=0.0, atol=1e-12 * np.abs(w_ref).max())
+                for x in (0.01, 0.3, 1.0, 3.0, 30.0, 1e3):
+                    s = mpmath.mpf(x) / gains[row].max()
+                    exact = mpmath.fprod((1 + mpmath.mpf(a) * s) ** -order for a in gains[row])
+                    mixture = mpmath.fsum(
+                        mpmath.mpf(float(wl)) * (1 + mpmath.mpf(float(b[n])) * s) ** -l
+                        for b, w in poles for l, wl in enumerate(w[n], start=1)
+                    )
+                    assert abs(mixture - exact) <= 1e-10, (gains[row], x)
                 seen += 1
         assert seen == len(r)
 
     @pytest.mark.parametrize("fading", ["exact", "gamma"])
     @pytest.mark.parametrize("k, order, psi", CASES)
     def test_cluster_kernel_matches_scalar(self, k, order, psi, fading):
-        # The split pole weights amplify float roundoff like gap^-(n_tot - 1)
-        # for the relative gap between neighbouring poles (the law the
-        # default merge gap is set from), so two evaluations that round
-        # differently may differ by ~1e-13 gap^-(n_tot - 1): 1e-5 at the
-        # default merge gap, under 1e-10 a few gaps above it.
+        # "exact" against the mpmath partial fractions, "gamma" against the
+        # one-geometry-per-call form of the same surrogate
         s = cluster_scenario(k, order, psi, fading)
         rng = np.random.default_rng(1000 * k + 10 * order + psi)
         r = random_cluster_distances(rng, 80, k)
         got = _cluster_kernel(s, r, 1.0)
-        n_tot = k * order
+        oracle = cluster_kernel_mp if fading == "exact" else cluster_kernel_scalar
         for row, value in zip(r, got):
-            poles = erlang_mixture_scalar(s.small.power * row ** -s.pathloss, order)
-            b = [p for p, _ in poles]
-            gap = min((hi / lo - 1.0 for hi, lo in zip(b, b[1:])), default=np.inf)
-            tol = 1e-10 if fading == "gamma" else 1e-10 + 1e-13 * gap ** -(n_tot - 1)
-            assert abs(value - cluster_kernel_scalar(s, tuple(row), 1.0)) <= tol, (row, gap)
+            assert abs(value - oracle(s, tuple(row), 1.0)) <= 1e-10, row
+
+    @pytest.mark.parametrize("gap", [9e-9, 1.1e-8, 3e-8, 1e-7, 1e-6])
+    def test_siso_kernel_at_near_equal_distances(self, gap):
+        # partial fractions alone lose about 1e-16 / gap here
+        s = default_scenario()
+        r = np.array([[1.0, 1.0 + gap]])
+        assert abs(_cluster_kernel(s, r, 1.0)[0] - cluster_kernel_mp(s, (1.0, 1.0 + gap), 1.0)) <= 1e-10
+
+    @pytest.mark.parametrize("order", [5, 6, 7])
+    def test_high_order_kernel_matches_oracle(self, order):
+        s = cluster_scenario(2, order, 1)
+        rng = np.random.default_rng(order)
+        r = random_cluster_distances(rng, 30, 2)
+        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+            assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-9, row
 
     @pytest.mark.parametrize("fading", ["exact", "gamma"])
     def test_certain_coverage_at_vanishing_distance(self, fading):
@@ -559,6 +590,13 @@ class TestLargerClusters:
         got = _cluster_integral(s, h=kernel, epsabs=0.5 * s.numerics.coverage_epsabs, spike=1.0)
         mean, stderr = cluster_integral_sampled(s, h=kernel, n=200_000)
         assert abs(got - mean) <= 4.0 * stderr
+
+    def test_subf_k3_matches_monte_carlo(self):
+        # K * fading order = 12, where merging near-equal gains broke down
+        s = default_scenario("SUBF", cluster_size=3)
+        got = coverage_overall("cooperative", s, 1.0)
+        mc = coverage_from_batch(run_trials(s, "cooperative", 4000, master_seed=0), 1.0)
+        assert abs(got - mc.value) <= 0.03 + 2.0 * mc.ci_halfwidth, (got, mc)
 
     def test_cooperative_coverage_is_a_decreasing_probability(self):
         s = default_scenario(cluster_size=3)
