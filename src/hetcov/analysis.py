@@ -38,7 +38,7 @@ from .model import (
     hat_ratios,
 )
 
-_FOLD_DIGITS = 4.0    # split weights of the cluster fold stay under ~10^_FOLD_DIGITS
+_FOLD_DIGITS = 4.0    # split weights of the cluster fold stay near 10^_FOLD_DIGITS
 
 
 @dataclass(frozen=True)
