@@ -4,8 +4,10 @@ mean achievable rate.
 
 Coverage of a Gamma(delta, 1)-faded link is the finite sum
 sum_{k<delta} (-s)^k/k! * d^k/ds^k [e^(-sN) L_I(s)] averaged over the
-serving distance; the derivative is the complete Bell polynomial of the
-log-Laplace derivatives, built by its positive-term recurrence.
+serving distance. Each term is e^(-sN) L_I(s) times the k-th Taylor
+coefficient of exp(sum_j y_j x^j / j), where y_j = (-s)^j g^(j)(s)/(j-1)!
+are the scaled log-Laplace derivatives, g = -sN + log L_I. Every y_j is
+non-negative, so one positive-term recurrence builds every series.
 """
 
 from __future__ import annotations
@@ -266,15 +268,17 @@ def laplace_interference_radial(ctx: LaplaceContext, epsrel: float = 1e-12) -> f
 @lru_cache(maxsize=256)
 def _tail_constants(psi: int, nmax: int, alpha: float):
     """Orders n = 1..nmax: Beta parameters a_n = n - 2/alpha, the scales
-    B(a_n, b)/alpha with b = psi + 2/alpha, the signed rising factorials
-    (-1)^n (psi)_n of the n-th log-Laplace derivative, and for n < nmax the
+    B(a_n, b)/alpha with b = psi + 2/alpha, the weights (psi)_n/(n-1)! of
+    the n-th scaled log-Laplace derivative y_n (they grow like n^psi, so fit
+    a float at any order), and for n < nmax the
     log-coefficients -log(a_n B(a_n, b)) = log(Gamma(a_n+b)/(Gamma(a_n+1) Gamma(b)))
     of the downward step of DLMF 8.17(iv),
     I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b))."""
     n = np.arange(1, nmax + 1)
     a, b = n - 2.0 / alpha, psi + 2.0 / alpha
     log_coeff = -np.log(a[:-1]) - special.betaln(a[:-1], b)
-    return _frozen(a, special.beta(a, b) / alpha, np.cumprod(-(psi + n - 1.0)), log_coeff)
+    weights = np.cumprod((psi + n - 1.0) / np.maximum(n - 1.0, 1.0))
+    return _frozen(a, special.beta(a, b) / alpha, weights, log_coeff)
 
 
 def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
@@ -308,11 +312,11 @@ def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
 
 
 def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
-    """s^n * g^(n)(s) for n = 1..nmax, g(s) = -sN + log L_I(s), along the
-    last axis (one row per entry of an array context).
+    """y_n = (-s)^n g^(n)(s)/(n-1)! for n = 1..nmax, g(s) = -sN + log L_I(s),
+    along the last axis (one row per entry of an array context).
 
-    Scaling by s^n keeps every order in float range. Each tier adds
-    (-1)^n (psi)_n * 2*pi*lambda * (s*p)^(2/alpha) times its radial tail
+    Every y_n is non-negative: the noise adds sN to y_1, and each tier adds
+    (psi)_n/(n-1)! * 2*pi*lambda * (s*p)^(2/alpha) times its radial tail
     integral at v0 = d / (s*p)^(1/alpha).
     """
     s = ctx.s
@@ -320,15 +324,15 @@ def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
         raise ValueError("log-Laplace derivatives need s > 0")
     alpha = ctx.scenario.pathloss
     out = np.zeros(np.shape(s) + (nmax,))
-    out[..., 0] = -s * ctx.scenario.noise
+    out[..., 0] = s * ctx.scenario.noise
     for lam, p, psi, d in ctx.tiers():
         if lam == 0.0:
             continue
         v0 = d / (s * p) ** (1.0 / alpha)
-        signed_rising = _tail_constants(psi, nmax, alpha)[2]
+        weights = _tail_constants(psi, nmax, alpha)[2]
         out += (
             np.asarray(2.0 * math.pi * lam * (s * p) ** (2.0 / alpha))[..., None]
-            * signed_rising * _radial_tail_integral(v0, psi, nmax, alpha)
+            * weights * _radial_tail_integral(v0, psi, nmax, alpha)
         )
     return out
 
@@ -337,27 +341,24 @@ def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
     """n-th derivative of g(s) = -sN + log L_I(s), n >= 1, in closed form."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return float(_log_derivatives(ctx, n)[-1]) / ctx.s ** n
+    return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
 
 
-def _bell_polynomials(x, n: int) -> list:
-    """Complete Bell polynomials B_0..B_(n-1) over x_1, x_2, ..., by
-    B_k = sum_{j=1..k} C(k-1, j-1) x_j B_(k-j).
+def _taylor_terms(y, n: int) -> np.ndarray:
+    """Taylor coefficients t_0..t_(n-1) of exp(sum_j y_j x^j / j), along
+    the last axis, from y_1, y_2, ... along the last axis of y.
 
-    Each x_j may be an array, giving one polynomial per entry. When
-    (-1)^j x_j >= 0, as for the scaled log-Laplace derivatives s^j g^(j),
-    every term of B_k has the sign (-1)^k, so the sum cannot cancel.
+    With F = exp(G), F' = G' F gives t_0 = 1 and
+    k t_k = sum_{j=1..k} y_j t_(k-j) (Knuth, TAOCP Vol. 2, 4.7). For
+    non-negative y every term is non-negative, so the sum cannot cancel,
+    and it needs no binomial, factorial or sign.
     """
-    b = [1.0]
+    y = np.asarray(y, dtype=float)
+    t = np.empty(y.shape[:-1] + (n,))
+    t[..., 0] = 1.0
     for k in range(1, n):
-        b.append(sum(math.comb(k - 1, j - 1) * x[j - 1] * b[k - j] for j in range(1, k + 1)))
-    return b
-
-
-def _bell_series(sigmas, order: int) -> list:
-    """(-1)^k/k! * B_k(sigmas) for k = 0..order-1."""
-    bell = _bell_polynomials(sigmas, order)
-    return [(-1.0) ** k / math.factorial(k) * b for k, b in enumerate(bell)]
+        t[..., k] = np.einsum("...j,...j->...", y[..., :k], t[..., k - 1 :: -1]) / k
+    return t
 
 
 def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
@@ -365,28 +366,26 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
     the last axis.
 
     Their sum is the coverage of a Gamma(order,1)-faded link at this
-    geometry. B_k is homogeneous of degree k, so s^k B_k(g', g'', ...) is
-    B_k over the scaled log-derivatives s^j g^(j).
+    geometry. Around s, e^(-sN) L_I(s - s x) = e^(-sN) L_I(s) exp(G(x)),
+    G(x) = sum_j y_j x^j / j over the scaled log-derivatives y_j, so term k
+    is e^(-sN) L_I(s) times the k-th Taylor coefficient of exp(G).
     """
     base = np.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
     if not base.any():
         return np.zeros(np.shape(base) + (order,))
-    sigmas = _log_derivatives(ctx, order - 1) if order > 1 else np.zeros((0,))
-    return np.stack([base * t for t in _bell_series(sigmas.T, order)], axis=-1)
+    y = _log_derivatives(ctx, order - 1) if order > 1 else ()
+    return base[..., None] * _taylor_terms(y, order)
 
 
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
     """k-th derivative of e^(-sN) * L_I(s) with respect to s.
 
-    k=0 returns the function itself; higher orders are the complete Bell
-    polynomial B_k of the log-domain derivatives.
+    k=0 returns the function itself; order k is k!/(-s)^k times the k-th
+    term of the Laplace series.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    base = math.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
-    if k == 0:
-        return base
-    return base * _bell_polynomials(_log_derivatives(ctx, k).tolist(), k + 1)[k] / ctx.s ** k
+    return float(_laplace_series(ctx, k + 1)[-1]) * math.factorial(k) / (-ctx.s) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +568,8 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     coordinates to x_i = t_i/(lhat*tau) makes the macro-win region
     {sum_i x_i^(-alpha/2) <= beta} independent of tau, and every term of the
     coverage kernel linear in tau: the two tier fields contribute
-    log-Laplace slopes -A*tau and derivative terms s^j g^(j) = b_j*tau,
-    while the K conditioned small BSs contribute tau-free point terms. The
+    log-Laplace slopes -A*tau and scaled log-derivatives y_j = b_j*tau,
+    while the K conditioned small BSs contribute tau-free terms psi_s*u^j. The
     tau average is then a Gamma(K+1) average of a degree-kmax polynomial in
     tau, exact on kmax//2 + 1 generalized Gauss-Laguerre nodes, leaving a
     single K-dimensional cone integral, done on Gauss-Legendre panels under
@@ -605,8 +604,6 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
     lb_outer = (beta / big_k) ** (-two_a)
     lag_y, lag_w = special.roots_genlaguerre(kmax // 2 + 1, big_k)
-    # (-1)^j (j-1)! psi_s, the j-th log-derivative weight of one small BS's u^j
-    point_coeff = psi_s * np.cumprod(np.r_[-1.0, -np.arange(1.0, kmax)])[:kmax]
 
     def panel_points(lo, hi, scale):
         """Quadrature nodes and weights on (lo, hi): a linear Gauss panel
@@ -627,13 +624,14 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
         y = t * p_hat * xs ** (-alpha / 2.0)
         logp = -psi_s * np.log1p(y).sum(axis=1)
         u = y / (1.0 + y)
-        c_tot = point_coeff * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
+        # each small BS at u adds psi_s * u^j to y_j
+        c_tot = psi_s * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
         d = 1.0 + lhat * xs[:, -1] + a_macro + a_small
         b_tot = b_macro + b_small
         acc = 0.0
         for y, w in zip(lag_y.tolist(), lag_w.tolist()):  # tau = y / d
-            sigmas = c_tot + b_tot * (y / d)[:, None]
-            acc = acc + w * sum(_bell_series(sigmas.T, kmax + 1))
+            terms = _taylor_terms(c_tot + b_tot * (y / d)[:, None], kmax + 1)
+            acc = acc + w * terms.sum(axis=-1)
         return np.exp(logp) * acc * d ** (-(big_k + 1))
 
     # Beyond x_max the integrand is below weight * 1, whose tail mass is

@@ -257,15 +257,20 @@ def rate_from_batch(batch: TrialBatch) -> MetricResult:
     return MetricResult(value=float(rate.mean()), method="mc", ci_halfwidth=half, trials=n)
 
 
-def association_from_batch(batch: TrialBatch) -> dict[AssociationEvent, MetricResult]:
-    """Empirical association frequency per event, 95% binomial CIs."""
-    n = batch.trials
+def _event_frequencies(codes: np.ndarray, method: str) -> dict[AssociationEvent, MetricResult]:
+    """Frequency of each event among the int8 event codes, 95% binomial CIs."""
+    n = len(codes)
     out = {}
     for event in EVENT_ORDER:
-        p = float(np.count_nonzero(batch.events == EVENT_CODES[event])) / n
+        p = float(np.count_nonzero(codes == EVENT_CODES[event])) / n
         half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
-        out[event] = MetricResult(value=p, method="mc", ci_halfwidth=half, trials=n)
+        out[event] = MetricResult(value=p, method=method, ci_halfwidth=half, trials=n)
     return out
+
+
+def association_from_batch(batch: TrialBatch) -> dict[AssociationEvent, MetricResult]:
+    """Empirical association frequency per event, 95% binomial CIs."""
+    return _event_frequencies(batch.events, "mc")
 
 
 def _association_by_distance(
@@ -311,11 +316,4 @@ def empirical_association(
     """Association frequencies by simulation of the selection inputs alone."""
     rng = np.random.Generator(np.random.Philox(key=master_seed))
     codes = _association_by_distance(scenario, mode, trials, rng)
-    out = {}
-    for event in EVENT_ORDER:
-        p = float(np.count_nonzero(codes == EVENT_CODES[event])) / trials
-        half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-        out[event] = MetricResult(
-            value=p, method="mc-distance", ci_halfwidth=half, trials=trials
-        )
-    return out
+    return _event_frequencies(codes, "mc-distance")

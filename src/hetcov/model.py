@@ -130,19 +130,16 @@ class Numerics:
 class Scenario:
     """A complete two-tier network description.
 
-    macro/small      the two tiers
-    cluster_size     number of nearest small cells cooperating (K >= 1)
-    noise            receiver noise power in watts; 0 = interference-limited
-    common_pathloss  both tiers must share one path-loss exponent (required
-                     by the analytic engine)
-    seed             default master seed for Monte Carlo runs
+    macro/small   the two tiers, which must share one path-loss exponent
+    cluster_size  number of nearest small cells cooperating (K >= 1)
+    noise         receiver noise power in watts; 0 = interference-limited
+    seed          default master seed for Monte Carlo runs
     """
 
     macro: TierParams
     small: TierParams
     cluster_size: int = 1
     noise: float = 0.0
-    common_pathloss: bool = True
     seed: int = 0
     numerics: Numerics = field(default_factory=Numerics)
 
@@ -151,17 +148,15 @@ class Scenario:
             raise ValueError(f"cluster_size must be an integer >= 1, got {self.cluster_size}")
         if self.noise < 0.0:
             raise ValueError(f"noise power must be >= 0, got {self.noise}")
-        if self.common_pathloss and self.macro.pathloss != self.small.pathloss:
+        if self.macro.pathloss != self.small.pathloss:
             raise ValueError(
-                "common_pathloss is set but tiers disagree: "
-                f"{self.macro.pathloss} vs {self.small.pathloss}"
+                "both tiers must share one path-loss exponent, got "
+                f"{self.macro.pathloss} and {self.small.pathloss}"
             )
 
     @property
     def pathloss(self) -> float:
         """The shared path-loss exponent."""
-        if self.macro.pathloss != self.small.pathloss:
-            raise ValueError("tiers have distinct path-loss exponents")
         return self.macro.pathloss
 
 
@@ -302,7 +297,6 @@ def load_config(path: str) -> Scenario:
             small=small,
             cluster_size=cluster_size,
             noise=noise,
-            common_pathloss=(macro.pathloss == small.pathloss),
             seed=seed,
         )
     except ValueError as e:

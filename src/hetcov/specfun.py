@@ -2,8 +2,9 @@
 
 Integer-shape Gamma sampling (the Monte Carlo engine draws its fading from
 `sample_gamma`), integer partitions and the chain-rule coefficients built
-from them. The analytic engine does not use the partitions; they are a
-test and benchmark oracle for its Bell polynomial recurrence.
+from them. The analytic engine does not use the partitions. The tests sum
+complete Bell polynomials over them, the oracle for the engine's Taylor
+recurrence, and the benchmark fills their cache.
 """
 
 from __future__ import annotations

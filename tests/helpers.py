@@ -9,9 +9,7 @@ from scipy import integrate, special
 
 from hetcov.analysis import (
     LaplaceContext,
-    _bell_series,
     _gauss_panel,
-    _tail_constants,
     _tail_weights,
     laplace_context,
     serving_context,
@@ -188,6 +186,28 @@ def log_laplace_derivative_quad(ctx: LaplaceContext, n: int) -> float:
             (-1.0) ** n * 2.0 * math.pi * lam * rising * p**n * (s * p) ** (2.0 / alpha - n) * val
         )
     return total
+
+
+def bell_series(sigmas, order: int) -> list:
+    """(-1)^k/k! * B_k(sigmas) for k = 0..order-1, B_k the complete Bell
+    polynomials by B_k = sum_{j=1..k} C(k-1, j-1) x_j B_(k-j).
+
+    Each x_j may be an array, giving one series per entry. With
+    sigmas_j = s^j g^(j)(s), term k is (-s)^k/k! * d^k/ds^k e^(g(s)) over
+    e^(g(s)): the signed form of the engine's Taylor recurrence, kept as
+    its reference.
+    """
+    bell = [1.0]
+    for k in range(1, order):
+        bell.append(sum(math.comb(k - 1, j - 1) * sigmas[j - 1] * bell[k - j] for j in range(1, k + 1)))
+    return [(-1.0) ** k / math.factorial(k) * b for k, b in enumerate(bell)]
+
+
+def signed_rising(psi: int, nmax: int) -> np.ndarray:
+    """(-1)^n (psi)_n for n = 1..nmax: a tier's scaled n-th log-Laplace
+    derivative s^n g^(n) over 2*pi*lambda*(s*p)^(2/alpha) times its radial
+    tail integral."""
+    return np.array([(-1.0) ** n * math.prod(range(psi, psi + n)) for n in range(1, nmax + 1)])
 
 
 def bell_sum_by_partitions(g_derivs, k: int) -> float:
@@ -449,10 +469,10 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
 
     a_macro = two_a * t ** two_a * beta_tier_sum_direct(psi_m, alpha, 1.0 / (1.0 + t))
     b_macro = (
-        2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
+        2.0 * t ** two_a * signed_rising(psi_m, kmax)
         * radial_tail_direct(t ** (-1.0 / alpha), psi_m, kmax, alpha)
     ).tolist()
-    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
+    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * signed_rising(psi_s, kmax)
 
     x_scale = (t * p_hat) ** two_a
     lb_outer = (beta / big_k) ** (-two_a)
@@ -482,7 +502,7 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
         acc = 0.0
         for y, w in zip(lag_y, lag_w):
             sigmas = [c + b * y / d for c, b in zip(c_tot, b_tot)]
-            acc += w * sum(_bell_series(sigmas, kmax + 1))
+            acc += w * sum(bell_series(sigmas, kmax + 1))
         return math.exp(logp) * acc * d ** (-(big_k + 1))
 
     def inner_levels(i, budget, upper, xs, a_small, b_small) -> float:

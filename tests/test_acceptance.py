@@ -16,7 +16,7 @@ from scipy import integrate
 
 from helpers import random_laplace_context, random_scenario
 from hetcov import analysis, association, cli, mcsim
-from hetcov.analysis import _bell_polynomials
+from hetcov.analysis import _taylor_terms
 from hetcov.association import (
     AssociationEvent,
     assoc_prob_sbs_cluster,
@@ -31,7 +31,6 @@ MASTER_SEED = 0
 WORKERS = 4
 STRATEGY_NAMES = ("SISO", "SUBF", "SDMA")
 THRESHOLDS_DB = (-5.0, 0.0, 5.0)
-BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877)
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -155,9 +154,10 @@ def test_criterion_03_laplace_closed_form_vs_quadrature(capsys):
 
 
 def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
-    # Bell-recurrence derivatives of e^(-sN) L_I(s) against central
+    # Taylor-recurrence derivatives of e^(-sN) L_I(s) against central
     # finite differences (orders 1-3, rel 1e-4, 20 contexts), plus exactness
-    # of the recurrence itself on integer inputs up to order 6
+    # of the recurrence itself on integer inputs up to order 60: y_j = c
+    # gives exp(c * sum_j x^j / j) = (1 - x)^(-c), so t_k = C(k+c-1, k)
     start = time.perf_counter()
     rng = np.random.default_rng(404)
     failures = []
@@ -195,9 +195,10 @@ def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
                 failures.append(
                     f"context {checked}, order {k}: rel diff {rel:.2e} at s={s:.3g}"
                 )
-    for k, expected in enumerate(BELL_NUMBERS[:7]):
-        if _bell_polynomials([1.0] * max(1, k), k + 1)[k] != expected:
-            failures.append(f"Bell recurrence wrong at order {k}")
+    for c in (1, 2, 3, 8):
+        got = _taylor_terms([float(c)] * 60, 61)
+        if got.tolist() != [math.comb(k + c - 1, k) for k in range(61)]:
+            failures.append(f"Taylor recurrence inexact for y_j = {c}")
     elapsed = time.perf_counter() - start
     if elapsed > 60.0:
         failures.append(f"took {elapsed:.1f}s, budget 60s")
@@ -205,7 +206,7 @@ def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
     _report(
         capsys, 4, ok,
         f"derivatives vs finite differences, orders 1-3 on 20 contexts: worst rel "
-        f"{worst:.2e} (tol 1e-4); assembly exact to order 6; {elapsed:.1f}s",
+        f"{worst:.2e} (tol 1e-4); assembly exact to order 60; {elapsed:.1f}s",
     )
     assert ok, failures
 

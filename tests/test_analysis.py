@@ -33,8 +33,6 @@ from helpers import (
 from hetcov.analysis import (
     IntegrationFailure,
     LaplaceContext,
-    _bell_polynomials,
-    _bell_series,
     _beta_tier_sum,
     _cluster_kernel,
     _coop_macro_joint,
@@ -44,6 +42,7 @@ from hetcov.analysis import (
     _radial_tail_integral,
     _single_server_kernel,
     _tail_weights,
+    _taylor_terms,
     coverage_conditional,
     coverage_overall,
     laplace_context,
@@ -205,8 +204,9 @@ class TestLaplaceDerivatives:
             laplace_derivative(ctx, -1)
 
     def test_vectorized_orders_match_scalar_and_quadrature(self):
-        # _log_derivatives holds s^j g^(j) for every order at once; each entry
-        # must equal the single-order function, and that the quadrature form
+        # _log_derivatives holds (-s)^j g^(j)/(j-1)! >= 0 for every order at
+        # once; each entry must give the single-order function, and that the
+        # quadrature form
         rng = np.random.default_rng(14)
         for noise in (0.0, 1e-3):
             for _ in range(10):
@@ -215,9 +215,11 @@ class TestLaplaceDerivatives:
                 )
                 nmax = int(rng.integers(1, 9))
                 scaled = _log_derivatives(ctx, nmax)
+                assert np.all(scaled >= 0.0)
                 for j in range(1, nmax + 1):
                     single = log_laplace_derivative(ctx, j)
-                    assert_allclose(scaled[j - 1] / ctx.s**j, single, rtol=1e-14)
+                    g_j = scaled[j - 1] * math.factorial(j - 1) / (-ctx.s) ** j
+                    assert_allclose(g_j, single, rtol=1e-14)
                     assert_allclose(single, log_laplace_derivative_quad(ctx, j), rtol=1e-8)
 
 
@@ -302,46 +304,52 @@ class TestRadialTailClosedForm:
 
 
 class TestBellAssembly:
+    """The Taylor recurrence k t_k = sum_j y_j t_(k-j) behind every series:
+    with y_j = x_j/(j-1)!, k! t_k is the complete Bell polynomial B_k(x)."""
+
     def test_identity_argument(self):
-        # B_k(1, 0, 0, ...) = 1 for every k
-        assert _bell_polynomials([1.0] + [0.0] * 6, 8) == pytest.approx([1.0] * 8)
+        # exp(x): t_k = 1/k!, so B_k(1, 0, 0, ...) = 1 for every k
+        got = _taylor_terms([1.0] + [0.0] * 6, 8)
+        assert list(got) == pytest.approx([1.0 / math.factorial(k) for k in range(8)])
 
     def test_all_ones_gives_bell_numbers(self):
-        assert _bell_polynomials([1.0] * 7, 8) == pytest.approx(BELL_NUMBERS)
+        y = [1.0 / math.factorial(j - 1) for j in range(1, 8)]
+        got = _taylor_terms(y, 8) * [math.factorial(k) for k in range(8)]
+        assert list(got) == pytest.approx(BELL_NUMBERS)
 
     def test_recurrence_matches_partition_loop(self):
         # Both sides sum the same monomials in a different order, so they
-        # agree to the roundoff scale of the positive-term sum B_k(|g|).
+        # agree to the roundoff scale of the positive-term sum B_k(|x|).
         rng = np.random.default_rng(16)
-        engine_signs = (-1.0) ** np.arange(1, MAX_PARTITION_ORDER + 1)
         for k in range(MAX_PARTITION_ORDER + 1):
+            scale = [1.0 / math.factorial(j) for j in range(max(1, k))]  # 1/(j-1)!
             for _ in range(3):
                 g = rng.normal(scale=2.0, size=max(1, k))
-                for x in (g, engine_signs[: len(g)] * np.abs(g)):
+                for x in (g, np.abs(g)):
                     want = bell_sum_by_partitions(x.tolist(), k)
                     bound = 1e-14 * bell_sum_by_partitions(np.abs(x).tolist(), k)
-                    assert abs(_bell_polynomials(x.tolist(), k + 1)[k] - want) <= bound
+                    got = math.factorial(k) * _taylor_terms(x * scale, k + 1)[k]
+                    assert abs(got - want) <= bound
 
     @pytest.mark.parametrize("psi", [1, 3, 8])
     def test_gamma_link_against_beta_cdf_to_order_60(self, psi):
         # A Gamma(m) link against one Gamma(psi) interferer at fixed gain c
         # covers with probability P[h > x g] = I_{1/(1+x)}(psi, m), x = T c.
         # Its Laplace transform (1 + x)^-psi has the scaled log-derivatives
-        # sigma_j = (-1)^j psi (j-1)! u^j, u = x/(1+x).
+        # y_j = psi u^j, u = x/(1+x).
         m = np.arange(1, 61)
         for x in np.logspace(-3.0, 3.0, 13):
             u = x / (1.0 + x)
-            sigma = [(-1.0) ** j * psi * math.factorial(j - 1) * u**j for j in range(1, 60)]
-            got = np.cumsum(_bell_series(sigma, 60)) * (1.0 + x) ** -psi
+            y = psi * u ** np.arange(1, 60)
+            got = np.cumsum(_taylor_terms(y, 60)) * (1.0 + x) ** -psi
             assert_allclose(got, special.betainc(psi, m, 1.0 / (1.0 + x)), rtol=1e-12,
                             err_msg=f"x={x}")
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30))
     def test_engine_signs_give_nonnegative_terms(self, magnitudes):
-        # (-1)^j x_j >= 0 makes every term of B_k carry the sign (-1)^k
-        x = [(-1.0) ** j * v for j, v in enumerate(magnitudes, start=1)]
-        assert all(t >= 0.0 for t in _bell_series(x, len(x) + 1))
+        # the engine's y_j are non-negative, and so is every term they give
+        assert np.all(_taylor_terms(magnitudes, len(magnitudes) + 1) >= 0.0)
 
 
 class TestHighFadingOrders:
@@ -358,6 +366,17 @@ class TestHighFadingOrders:
                 mc = coverage_from_batch(run_trials(sc, mode, 4000, master_seed=0), 1.0)
                 assert abs(covs[-1] - mc.value) < 0.03, (antennas, covs[-1], mc.value)
         assert covs[0] < covs[1] < covs[2], covs
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_200_macro_antennas(self, mode):
+        # fading order 193: a series longer than the 170 terms whose 1/k!
+        # fits a float
+        base = default_scenario("SUBF")
+        s64, s200 = (replace(base, macro=replace(base.macro, antennas=a)) for a in (64, 200))
+        cov64, cov200 = coverage_overall(mode, s64, 1.0), coverage_overall(mode, s200, 1.0)
+        assert cov64 < cov200 <= 1.0, (cov64, cov200)
+        mc = coverage_from_batch(run_trials(s200, mode, 4000, master_seed=0), 1.0)
+        assert abs(cov200 - mc.value) <= 0.03 + 2.0 * mc.ci_halfwidth, (cov200, mc)
 
 
 class TestHighOrderClusters:
@@ -482,6 +501,25 @@ class TestArrayKernels:
         r = random_cluster_distances(rng, 30, 2)
         for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
             assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-9, row
+
+    @pytest.mark.parametrize("k, order", [(2, 14), (2, 20), (3, 5), (3, 8)])
+    def test_long_series_kernel_matches_oracle(self, k, order):
+        # Close gains re-expand onto one pole as series of over 170 terms,
+        # past the order where a 1/k! scaling overflows a float. The series
+        # is longest where consecutive distance ratios near the edge of the
+        # fold's switch gap; random rows in (1, 3) m ride along.
+        s = cluster_scenario(k, order, 1)
+        switch = 10.0 ** (-analysis._FOLD_DIGITS / (k * order - 1))
+        edge = (1.0 - switch) ** (-1.0 / s.pathloss)
+        ratio = 1.0 + (edge - 1.0) * np.array([0.1, 0.5, 0.9, 0.99, 0.999])
+        r = np.concatenate([
+            np.cumprod(np.column_stack([np.full(len(ratio), 1.5)] + [ratio] * (k - 1)), axis=1),
+            np.sort(np.random.default_rng(order).uniform(1.0, 3.0, size=(8, k)), axis=1),
+        ])
+        mixture = _erlang_mixture(s.small.power * r ** -s.pathloss, order)
+        assert max(w.shape[1] for _, poles in mixture for _, w in poles) > 170
+        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+            assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-10, row
 
     @pytest.mark.parametrize("fading", ["exact", "gamma"])
     def test_certain_coverage_at_vanishing_distance(self, fading):

@@ -246,6 +246,20 @@ class TestMain:
         assert code == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
+    def test_mixed_pathloss_config_exits_2(self, tmp_path, capsys, command):
+        # no engine can evaluate tiers with distinct path-loss exponents
+        cfg = scenario_to_config(default_scenario())
+        cfg["small"]["pathloss"] = "3.5"
+        config = tmp_path / "mixed.ini"
+        with open(config, "w") as f:
+            cfg.write(f)
+        out = tmp_path / "cov.csv"
+        code = cli.main([command, "--config", str(config), "--out", str(out), "--trials", "10"])
+        assert code == 2
+        assert "path-loss exponent" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_engine_list_exits_2(self, capsys):
         code = cli.main(
             ["coverage-sweep", "--out", "/tmp/x.csv", "--engines", "quantum"]

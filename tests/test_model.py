@@ -182,9 +182,6 @@ class TestScenario:
         b = TierParams(density=0.04, power=1.0, antennas=1, users=1, pathloss=3.5)
         with pytest.raises(ValueError):
             Scenario(macro=a, small=b)
-        mixed = Scenario(macro=a, small=b, common_pathloss=False)
-        with pytest.raises(ValueError):
-            mixed.pathloss
 
     def test_pathloss_property(self):
         assert default_scenario().pathloss == 3.0
