@@ -189,17 +189,19 @@ def log_laplace_derivative_quad(ctx: LaplaceContext, n: int) -> float:
 
 
 def bell_series(sigmas, order: int) -> list:
-    """(-1)^k/k! * B_k(sigmas) for k = 0..order-1, B_k the complete Bell
-    polynomials by B_k = sum_{j=1..k} C(k-1, j-1) x_j B_(k-j).
+    """(-1)^k/k! * B_k for k = 0..order-1, B_k the complete Bell polynomials
+    over x_j = sigmas[j-1], by B_k = sum_{j=1..k} C(k-1, j-1) x_j B_(k-j).
 
     Each x_j may be an array, giving one series per entry. With
-    sigmas_j = s^j g^(j)(s), term k is (-s)^k/k! * d^k/ds^k e^(g(s)) over
+    x_j = s^j g^(j)(s), term k is (-s)^k/k! * d^k/ds^k e^(g(s)) over
     e^(g(s)): the signed form of the engine's Taylor recurrence, kept as
     its reference.
     """
     bell = [1.0]
     for k in range(1, order):
-        bell.append(sum(math.comb(k - 1, j - 1) * sigmas[j - 1] * bell[k - j] for j in range(1, k + 1)))
+        bell.append(
+            sum(math.comb(k - 1, j - 1) * sigmas[j - 1] * bell[k - j] for j in range(1, k + 1))
+        )
     return [(-1.0) ** k / math.factorial(k) * b for k, b in enumerate(bell)]
 
 

@@ -318,8 +318,8 @@ class TestBellAssembly:
         assert list(got) == pytest.approx(BELL_NUMBERS)
 
     def test_recurrence_matches_partition_loop(self):
-        # Both sides sum the same monomials in a different order, so they
-        # agree to the roundoff scale of the positive-term sum B_k(|x|).
+        # Both sides reach the same polynomial B_k(x) by different routes,
+        # so they agree to the roundoff scale of the positive-term sum B_k(|x|).
         rng = np.random.default_rng(16)
         for k in range(MAX_PARTITION_ORDER + 1):
             scale = [1.0 / math.factorial(j) for j in range(max(1, k))]  # 1/(j-1)!
