@@ -8,6 +8,15 @@ serving distance. Each term is e^(-sN) L_I(s) times the k-th Taylor
 coefficient of exp(sum_j y_j x^j / j), where y_j = (-s)^j g^(j)(s)/(j-1)!
 are the scaled log-Laplace derivatives, g = -sN + log L_I. Every y_j is
 non-negative, so one positive-term recurrence builds every series.
+
+The serving geometry splits into a scale coordinate (tau = pi*mix*r^2 for
+one server, the farthest arrival t_K for the cluster) and shape
+coordinates (the ratios t_i/t_K). With zero noise, log L_I and every y_j
+are linear in the scale, so the Gamma moment-generating function averages
+the scale out in closed form: the series becomes the coefficients of
+(1 - B(x)/D)^(-m), from the same recurrence. The single-server events are
+then finite sums, and the cooperative events integrate over the shape
+coordinates only. With noise, the scale is integrated numerically.
 """
 
 from __future__ import annotations
@@ -23,9 +32,12 @@ from .association import (
     AssociationEvent,
     IntegrationFailure,
     OrderedDistances,
+    _check_quadrature,
     _chunked,
     _cluster_exclusion,
     _cluster_integral,
+    _cone_coeff,
+    _cone_integral,
     _panel_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
@@ -344,20 +356,25 @@ def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
     return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
 
 
-def _taylor_terms(y, n: int) -> np.ndarray:
-    """Taylor coefficients t_0..t_(n-1) of exp(sum_j y_j x^j / j), along
-    the last axis, from y_1, y_2, ... along the last axis of y.
+def _taylor_terms(y, n: int, shape: float = math.inf) -> np.ndarray:
+    """Taylor coefficients t_0..t_(n-1) of (1 - G(x)/shape)^(-shape),
+    G(x) = sum_j y_j x^j / j, along the last axis, from y_1, y_2, ... along
+    the last axis of y. The default shape = inf gives exp(G).
 
-    With F = exp(G), F' = G' F gives t_0 = 1 and
-    k t_k = sum_{j=1..k} y_j t_(k-j) (Knuth, TAOCP Vol. 2, 4.7). For
-    non-negative y every term is non-negative, so the sum cannot cancel,
-    and it needs no binomial, factorial or sign.
+    With F = (1 - G/m)^(-m), F' (1 - G/m) = G' F gives t_0 = 1 and
+    k t_k = sum_{j=1..k} y_j (1 + (k-j)/(m j)) t_(k-j) (Knuth, TAOCP Vol. 2,
+    4.7). For non-negative y every term is non-negative, so the sum cannot
+    cancel, and it needs no binomial, factorial or sign.
     """
     y = np.asarray(y, dtype=float)
     t = np.empty(y.shape[:-1] + (n,))
     t[..., 0] = 1.0
+    j = np.arange(1.0, n)
     for k in range(1, n):
-        t[..., k] = np.einsum("...j,...j->...", y[..., :k], t[..., k - 1 :: -1]) / k
+        y_k = y[..., :k]
+        if shape != math.inf:
+            y_k = y_k * (1.0 + (k - j[:k]) / (shape * j[:k]))
+        t[..., k] = np.einsum("...j,...j->...", y_k, t[..., k - 1 :: -1]) / k
     return t
 
 
@@ -375,6 +392,27 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
         return np.zeros(np.shape(base) + (order,))
     y = _log_derivatives(ctx, order - 1) if order > 1 else ()
     return base[..., None] * _taylor_terms(y, order)
+
+
+def _scale_averaged_series(ctx: LaplaceContext, order: int, shape: int, rate) -> np.ndarray:
+    """Terms k = 0..order-1 of the zero-noise Laplace series integrated over
+    a scale coordinate tau with weight tau^(shape-1) e^(-rate tau), along
+    the last axis.
+
+    ctx is the geometry at tau = 1. Scaling every distance by sqrt(tau)
+    scales log L_I and each y_j by tau, so term k at scale tau is
+    e^(-tau A) times the k-th Taylor coefficient of exp(tau B(x)), with
+    A = -log L_I and B(x) = sum_j y_j x^j / j at tau = 1. The Gamma
+    moment-generating function does the integral exactly:
+    int tau^(m-1) e^(-D tau) e^(tau B) dtau = (m-1)! D^(-m) (1 - B/D)^(-m),
+    D = rate + A, whose coefficients are the _taylor_terms of shape m at
+    y_j * m/D.
+    """
+    if ctx.scenario.noise != 0.0:
+        raise ValueError("the scale average requires zero noise")
+    d = np.asarray(rate - _log_laplace_beta(ctx))
+    y = _log_derivatives(ctx, order - 1) * (shape / d)[..., None] if order > 1 else ()
+    return (math.factorial(shape - 1) * d ** -shape)[..., None] * _taylor_terms(y, order, shape)
 
 
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
@@ -400,10 +438,12 @@ def _tail_weights(ctx: LaplaceContext, order: int):
 
 
 def _single_server_kernel(
-    scenario: Scenario, event: AssociationEvent, r, threshold: float
+    scenario: Scenario, event: AssociationEvent, r, threshold: float, rate=None
 ) -> np.ndarray:
     """Conditional coverage given a single serving BS, at each distance of
-    the 1-D array r."""
+    the 1-D array r. Given rate (zero noise only), each value is instead the
+    kernel at distance sqrt(u) r integrated over u with weight e^(-rate u),
+    the finite sum of _scale_averaged_series of shape 1."""
     r = np.asarray(r, dtype=float)
     tier = scenario.macro if event.macro_serving else scenario.small
     # laplace_context's single-server argument s = T * r^alpha / p_serve
@@ -411,10 +451,14 @@ def _single_server_kernel(
     # s = 0 (a server at, or numerically at, zero distance): the series is
     # its k = 0 term L_I(0) = 1, certain coverage
     live = s > 0.0
-    out = np.ones(r.shape)
+    out = np.ones(r.shape) if rate is None else np.full(r.shape, 1.0 / rate)
     d_macro, d_small = _single_exclusions(event, scenario, r[live])
     ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
-    out[live] = _tail_weights(ctx, derive_tier(tier).fading_order)
+    order = derive_tier(tier).fading_order
+    if rate is None:
+        out[live] = _tail_weights(ctx, order)
+    else:
+        out[live] = _scale_averaged_series(ctx, order, 1, rate).sum(axis=-1)
     return out
 
 
@@ -502,46 +546,88 @@ def _erlang_mixture(gains, order: int) -> list:
     return out
 
 
-def _cluster_kernel(scenario: Scenario, distances, threshold: float) -> np.ndarray:
+def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) -> np.ndarray:
     """Conditional coverage given the cluster serves from these distances,
     one value per row of an (n, K) array of ascending distances.
 
     "exact" folds the non-coherent power sum of Gamma-faded links into an
-    exact Erlang mixture; "gamma" collapses it to one mean-matched Gamma.
+    exact Erlang mixture; "gamma" collapses it to one mean-matched Gamma, a
+    single pole at the summed gain. Given an array rate (zero noise only),
+    each value is instead the kernel at distances sqrt(u) r integrated over
+    u with weight u^(K-1) e^(-rate u): _scale_averaged_series of shape K,
+    since the fold's weights depend only on gain ratios.
     """
     r = np.asarray(distances, dtype=float)
-    alpha = scenario.pathloss
+    k = scenario.cluster_size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        path_gain = r ** (-alpha)
+        path_gain = r ** (-scenario.pathloss)
         # laplace_context's mean-matched argument s = T / (p_s sum r_i^-alpha),
         # the least of the Laplace arguments the exact form uses
         s = threshold / (scenario.small.power * path_gain.sum(axis=1))
     # s = 0 (a server at, or numerically at, zero distance): the series is
-    # its k = 0 term L_I(0) = 1, certain coverage
+    # its k = 0 term L_I(0) = 1, certain coverage; its scale integral is the
+    # weight's, (K-1)! rate^(-K)
+    weight = np.ones(len(r)) if rate is None else math.factorial(k - 1) * rate ** -k
     live = s > 0.0
-    out = np.ones(len(r))
-    r, path_gain = r[live], path_gain[live]
-    if not len(r):
-        return out
+    if not live.any():
+        return weight
     order = derive_tier(scenario.small).fading_order
+    r, gains = r[live], scenario.small.power * path_gain[live]
     d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
+    if rate is not None:
+        rate = rate[live]
     if scenario.numerics.cluster_fading == "gamma":
-        ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
-        out[live] = _tail_weights(ctx, order)
-        return out
-    gains = scenario.small.power * path_gain
+        unit = np.broadcast_to(np.eye(order)[-1], (len(r), order))  # weight 1 at `order`
+        mixture = [(np.arange(len(r)), [(gains.sum(axis=1), unit)])]
+    else:
+        mixture = _erlang_mixture(gains, order)
     total = np.zeros(len(r))
-    for rows, poles in _erlang_mixture(gains, order):
+    for rows, poles in mixture:
         for b, weights in poles:
             ctx = LaplaceContext(
                 s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
                 scenario=scenario,
             )
+            width = weights.shape[1]
+            if rate is None:
+                series = _laplace_series(ctx, width)
+            else:
+                series = _scale_averaged_series(ctx, width, k, rate[rows])
             # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
             cum = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]  # cum[:, k] = sum_{l>k} w_l
-            total[rows] += (cum * _laplace_series(ctx, weights.shape[1])).sum(axis=1)
-    out[live] = np.clip(total, 0.0, 1.0)  # rounding only
+            total[rows] += (cum * series).sum(axis=1)
+    out = weight.copy()
+    out[live] = np.clip(total, 0.0, weight[live])  # rounding only
     return out
+
+
+def _cluster_average(scenario: Scenario, threshold: float, epsabs: float, spike: float) -> float:
+    """P[SINR > threshold and the cluster event] at zero noise.
+
+    With t = t_K (z, 1), the cone weight e^(-t_K - c eta(t)) dt is
+    t_K^(K-1) e^(-t_K (1 + c eta(z, 1))) dt_K dz, so _cluster_kernel at the
+    distances of t_K = 1 with rate 1 + c eta(z, 1) integrates out t_K. The
+    shape z runs over 0 < z_1 < ... < z_(K-1) < 1 in one unit-weight
+    _cone_integral (for K = 2, one adaptive integral over (0, 1)), its
+    error estimate checked against the gate. spike hints the shape
+    coordinate where coverage concentrates.
+    """
+    k, alpha = scenario.cluster_size, scenario.pathloss
+    c = _cone_coeff(scenario)
+
+    def over_shape(z):
+        t = np.column_stack([z, np.ones(len(z))])
+        with np.errstate(divide="ignore"):
+            eta = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
+        r = np.sqrt(t / (math.pi * scenario.small.density))
+        return _cluster_kernel(scenario, r, threshold, rate=1.0 + c * eta)
+
+    if k == 1:
+        return float(over_shape(np.empty((1, 0)))[0])
+    what = "cluster shape integral"
+    val, err = _cone_integral(k - 1, over_shape, 1.0, epsabs, what, spike, rate=0.0)
+    _check_quadrature(val, err, epsabs, what)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +655,13 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     {sum_i x_i^(-alpha/2) <= beta} independent of tau, and every term of the
     coverage kernel linear in tau: the two tier fields contribute
     log-Laplace slopes -A*tau and scaled log-derivatives y_j = b_j*tau,
-    while the K conditioned small BSs contribute tau-free terms psi_s*u^j. The
-    tau average is then a Gamma(K+1) average of a degree-kmax polynomial in
-    tau, exact on kmax//2 + 1 generalized Gauss-Laguerre nodes, leaving a
-    single K-dimensional cone integral, done on Gauss-Legendre panels under
-    a rational map aimed at the scale where the kernel actually varies. The
+    while the K conditioned small BSs contribute tau-free terms psi_s*u^j,
+    the log-series C(x). tau carries the weight tau^K e^(-d tau), so the
+    Gamma moment-generating function averages it out in closed form: the
+    series is exp(C(x)) (1 - B(x)/d)^(-(K+1)) times K! d^(-(K+1)), two
+    _taylor_terms and one truncated product. What is left is a single
+    K-dimensional cone integral, done on Gauss-Legendre panels under a
+    rational map aimed at the scale where the kernel actually varies. The
     panels' node set is built level by level as arrays, and the kernel runs
     once over all of it.
     """
@@ -603,7 +691,6 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
 
     x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
     lb_outer = (beta / big_k) ** (-two_a)
-    lag_y, lag_w = special.roots_genlaguerre(kmax // 2 + 1, big_k)
 
     def panel_points(lo, hi, scale):
         """Quadrature nodes and weights on (lo, hi): a linear Gauss panel
@@ -627,12 +714,13 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
         # each small BS at u adds psi_s * u^j to y_j
         c_tot = psi_s * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
         d = 1.0 + lhat * xs[:, -1] + a_macro + a_small
-        b_tot = b_macro + b_small
-        acc = 0.0
-        for y, w in zip(lag_y.tolist(), lag_w.tolist()):  # tau = y / d
-            terms = _taylor_terms(c_tot + b_tot * (y / d)[:, None], kmax + 1)
-            acc = acc + w * terms.sum(axis=-1)
-        return np.exp(logp) * acc * d ** (-(big_k + 1))
+        fixed = _taylor_terms(c_tot, kmax + 1)
+        scaled = _taylor_terms(
+            (b_macro + b_small) * ((big_k + 1) / d)[:, None], kmax + 1, big_k + 1
+        )
+        # sum_{i+j<=kmax} fixed_i scaled_j, by the partial sums of scaled
+        acc = np.einsum("nk,nk->n", fixed, np.cumsum(scaled, axis=1)[:, ::-1])
+        return np.exp(logp) * acc * math.factorial(big_k) * d ** (-(big_k + 1))
 
     # Beyond x_max the integrand is below weight * 1, whose tail mass is
     # ~2/(lhat * x); the cap keeps the truncation under ~1e-7.
@@ -686,9 +774,17 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
     """P[SINR > threshold | association event].
 
     Averages the fixed-geometry coverage kernel over the serving-distance
-    density of the event. Radial integrals run in the exponent coordinate
-    tau (serving pdf becomes e^(-tau)), truncated at the configured tail
-    mass; the cluster event integrates over the ordered distance cone.
+    density of the event. Each event splits its serving geometry into a
+    scale coordinate (tau = pi*mix*r^2 for one server, the farthest arrival
+    t_K for the cluster, tau for the macro side under cooperation) and
+    shape coordinates (none, the ratios t_i/t_K, the scaled small-tier
+    arrivals). At zero noise every log-Laplace term is linear in the scale,
+    so the Gamma moment-generating function averages the scale out in
+    closed form (_scale_averaged_series): the single-server events become
+    finite sums, and the cooperative events integrate over the shape
+    coordinates only. With noise, radial integrals run in tau (serving pdf
+    e^(-tau)), truncated at the configured tail mass, and the cluster event
+    integrates over the whole ordered distance cone.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -706,6 +802,9 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
             mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
         else:
             mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+        if scenario.noise == 0.0:  # tau = 1 at r = mix^(-1/2)
+            p = _single_server_kernel(scenario, event, [mix ** -0.5], threshold, rate=1.0)[0]
+            return min(max(float(p), 0.0), 1.0)
 
         def integrand(tau):
             r = np.sqrt(tau / mix)
@@ -718,13 +817,20 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
 
     if event is AssociationEvent.MACRO_COOP:
         norm = 1.0 - assoc_prob_sbs_cluster(scenario)
-        if scenario.cluster_size >= 2 and scenario.noise == 0.0:
-            return min(max(_coop_macro_joint(scenario, threshold) / norm, 0.0), 1.0)
+        if scenario.noise == 0.0:
+            if scenario.cluster_size >= 2:
+                joint = _coop_macro_joint(scenario, threshold)
+            else:
+                # K=1: the lone competitor loses with probability
+                # exp(-lhat beta^(-2/alpha) tau) at tau = pi*lambda_m*r^2
+                rate = 1.0 + lam_s / lam_m * beta ** (-2.0 / alpha)
+                r = [(math.pi * lam_m) ** -0.5]
+                joint = float(_single_server_kernel(scenario, event, r, threshold, rate=rate)[0])
+            return min(max(joint / norm, 0.0), 1.0)
 
-        # K=1, where conditioning the lone competitor away is exactly a
-        # small-tier exclusion at beta^(-1/alpha) r -- or nonzero noise,
-        # where the scaled-cone collapse is unavailable and the same
-        # exclusion stands in for the conditioned interferers.
+        # nonzero noise, where the scaled-cone collapse is unavailable and
+        # the small-tier exclusion at beta^(-1/alpha) r (exact for K=1)
+        # stands in for the conditioned interferers.
         mix = math.pi * lam_m
 
         def integrand(tau):
@@ -743,12 +849,15 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
 
     if event is AssociationEvent.CLUSTER:
         norm = assoc_prob_sbs_cluster(scenario)
-        raw = _cluster_integral(
-            scenario,
-            h=lambda rvec: _cluster_kernel(scenario, rvec, threshold),
-            epsabs=num.coverage_epsabs * 0.5,
-            spike=tau_star,
-        )
+        if scenario.noise == 0.0:
+            raw = _cluster_average(scenario, threshold, num.coverage_epsabs * 0.5, tau_star)
+        else:
+            raw = _cluster_integral(
+                scenario,
+                h=lambda rvec: _cluster_kernel(scenario, rvec, threshold),
+                epsabs=num.coverage_epsabs * 0.5,
+                spike=tau_star,
+            )
         return min(max(raw / norm, 0.0), 1.0)
 
     raise ValueError(f"unknown event {event!r}")

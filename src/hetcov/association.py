@@ -267,11 +267,14 @@ def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
     return float(val.sum()), float(err.sum())
 
 
-def _cone_integral(k: int, f, upper: float, epsabs: float, what: str, spike=None):
+def _cone_integral(
+    k: int, f, upper: float, epsabs: float, what: str, spike=None, rate: float = 1.0
+):
     """(integral, error estimate) of E[f(t_1..t_k)] over the first k arrival
     times of a unit-rate Poisson process: f(t) * exp(-t_k) over the ordered
-    cone 0 < t_1 < ... < t_k < upper. f maps an (n, k) array of ascending
-    rows to n values, at most _CHUNK rows per call.
+    cone 0 < t_1 < ... < t_k < upper. A rate other than 1 weights by
+    exp(-rate * t_k) instead; rate = 0 integrates f alone. f maps an (n, k)
+    array of ascending rows to n values, at most _CHUNK rows per call.
 
     t_k runs outermost on the panels of _panel_integral. Each inner level
     i = k-1..1 runs z_i = t_i/t_(i+1) over (0, 1), split at z = spike/t_(i+1)
@@ -314,7 +317,7 @@ def _cone_integral(k: int, f, upper: float, epsabs: float, what: str, spike=None
         return t_next * val.sum(axis=-1)
 
     val, err = _panel_integral(
-        lambda t_k: np.exp(-t_k) * level(k - 1, t_k[:, None]), upper, epsabs, what, spike
+        lambda t_k: np.exp(-rate * t_k) * level(k - 1, t_k[:, None]), upper, epsabs, what, spike
     )
     return val, err + sum(inner_err)
 

@@ -9,12 +9,22 @@ from scipy import integrate, special
 
 from hetcov.analysis import (
     LaplaceContext,
+    _cluster_kernel,
     _gauss_panel,
+    _single_server_kernel,
     _tail_weights,
     laplace_context,
     serving_context,
 )
-from hetcov.association import AssociationEvent, _cone_coeff, _spike_hints
+from hetcov.association import (
+    AssociationEvent,
+    _cluster_integral,
+    _cone_coeff,
+    _panel_integral,
+    _spike_hints,
+    assoc_prob_sbs_cluster,
+    mbs_win_prob,
+)
 from hetcov.model import Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.specfun import faa_coefficient, integer_partitions
 
@@ -540,3 +550,44 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
             )
         total += w * val
     return lhat ** big_k * total
+
+
+def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> float:
+    """P[SINR > threshold | event] at zero noise by the routes that integrate
+    over the scale coordinate numerically: the single-server kernel over
+    tau = pi*mix*r^2 on adaptive panels, the cluster kernel over the whole
+    ordered cone, and the macro side under cooperation by the
+    Gauss-Laguerre oracle (K >= 2) or the exclusion route (K = 1)."""
+    num = scenario.numerics
+    alpha = scenario.pathloss
+    beta = hat_ratios(scenario).macro_advantage
+    lam_m, lam_s = scenario.macro.density, scenario.small.density
+    spike = threshold ** (-2.0 / alpha)
+    if event is AssociationEvent.CLUSTER:
+        raw = _cluster_integral(
+            scenario, h=lambda r: _cluster_kernel(scenario, r, threshold),
+            epsabs=0.5 * num.coverage_epsabs, spike=spike,
+        )
+        return raw / assoc_prob_sbs_cluster(scenario)
+    if event is AssociationEvent.MACRO_COOP and scenario.cluster_size >= 2:
+        joint = coop_macro_joint_scalar(scenario, threshold)
+        return joint / (1.0 - assoc_prob_sbs_cluster(scenario))
+    norm = 1.0
+    if event is AssociationEvent.MACRO:
+        mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+    elif event is AssociationEvent.SMALL:
+        mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+    else:
+        mix, norm = math.pi * lam_m, 1.0 - assoc_prob_sbs_cluster(scenario)
+
+    def integrand(tau):
+        r = np.sqrt(tau / mix)
+        weight = np.exp(-tau)
+        if event is AssociationEvent.MACRO_COOP:
+            weight *= [mbs_win_prob(scenario, x) if x > 0.0 else 1.0 for x in r.tolist()]
+        return weight * _single_server_kernel(scenario, event, r, threshold)
+
+    tau_max = -math.log(num.tail_mass)
+    val, err = _panel_integral(integrand, tau_max, num.coverage_epsabs, "reference", spike)
+    assert err <= max(50.0 * num.coverage_epsabs, 1e-4), (val, err)
+    return val / norm

@@ -21,6 +21,7 @@ from helpers import (
     cluster_kernel_scalar,
     comp_inc_beta,
     coop_macro_joint_scalar,
+    coverage_conditional_quad,
     gamma_ccdf,
     log_laplace_derivative_quad,
     radial_tail_direct,
@@ -40,6 +41,7 @@ from hetcov.analysis import (
     _leggauss,
     _log_derivatives,
     _radial_tail_integral,
+    _scale_averaged_series,
     _single_server_kernel,
     _tail_weights,
     _taylor_terms,
@@ -351,6 +353,70 @@ class TestBellAssembly:
         # the engine's y_j are non-negative, and so is every term they give
         assert np.all(_taylor_terms(magnitudes, len(magnitudes) + 1) >= 0.0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    def test_negative_power_binomials(self, m):
+        # (1 - x)^(-m): G = m x, so y_1 = m, and t_k = C(m+k-1, k)
+        got = _taylor_terms([float(m)] + [0.0] * 39, 40, m)
+        assert_allclose(got, [math.comb(m + k - 1, k) for k in range(40)], rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_shape_is_the_gamma_average_of_the_exponential(self, m):
+        # E[exp(tau B(x))] = (1 - B(x))^(-m) for tau ~ Gamma(m, 1): the terms
+        # of shape m at y_j = m b_j are the Gamma average of the exponential
+        # series at y_j = tau b_j, which is a polynomial of degree n-1 in tau,
+        # exact on n/2 generalized Gauss-Laguerre nodes
+        rng = np.random.default_rng(m)
+        n = 12
+        b = rng.uniform(0.0, 2.0, size=(5, n - 1))
+        nodes, weights = special.roots_genlaguerre(n // 2, m - 1)
+        want = sum(
+            w * _taylor_terms(tau * b, n) for tau, w in zip(nodes, weights)
+        ) / math.factorial(m - 1)
+        assert_allclose(_taylor_terms(m * b, n, m), want, rtol=1e-12)
+
+
+def scale_case(name, index) -> Scenario:
+    """A default scenario at cluster size `index`, or random draw `index`."""
+    if name == "random":
+        rng = np.random.default_rng(123)
+        return [random_scenario(rng) for _ in range(index + 1)][-1]
+    return default_scenario(name, cluster_size=index)
+
+
+class TestScaleAverage:
+    """Zero noise: coverage with the scale coordinate averaged in closed
+    form, against the routes that integrate it numerically."""
+
+    CASES = [(name, k) for name in ("SISO", "SUBF", "SDMA") for k in (2, 3)]
+    CASES += [("random", i) for i in range(10)]
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: "%s-%d" % case)
+    @pytest.mark.parametrize("event", list(AssociationEvent), ids=lambda event: event.value)
+    def test_matches_quadrature_route(self, event, case):
+        s = scale_case(*case)
+        got = []
+        for db in (-20.0, 0.0, 20.0, 40.0):
+            t = 10.0 ** (db / 10.0)
+            got.append(coverage_conditional(event, s, t))
+            want = coverage_conditional_quad(event, s, t)
+            assert abs(got[-1] - want) <= s.numerics.coverage_epsabs, (db, got[-1], want)
+        assert all(b <= a for a, b in zip(got, got[1:])), got
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gamma_surrogate_matches_cone(self, k):
+        # the mean-matched single-Gamma cluster signal takes the same route
+        exact = default_scenario("SUBF", cluster_size=k)
+        s = replace(exact, numerics=Numerics(cluster_fading="gamma"))
+        for t in (0.1, 1.0, 100.0):
+            got = coverage_conditional(AssociationEvent.CLUSTER, s, t)
+            assert abs(got - coverage_conditional_quad(AssociationEvent.CLUSTER, s, t)) <= 1e-6
+            assert got != coverage_conditional(AssociationEvent.CLUSTER, exact, t)
+
+    def test_requires_zero_noise(self):
+        ctx = LaplaceContext(s=1.0, d_macro=1.0, d_small=1.0, scenario=near_silent_scenario(1e-9))
+        with pytest.raises(ValueError):
+            _scale_averaged_series(ctx, 2, 1, 1.0)
+
 
 class TestHighFadingOrders:
     """SUBF with 20 and 32 macro antennas: fading orders above 16."""
@@ -581,18 +647,20 @@ class TestQuadratureWork:
 
     def test_cluster_coverage_kernel_rows(self, monkeypatch):
         # tanh-sinh's floor of 67 nodes per interval, nested, spent 34,068
-        # kernel rows on this integral; the adaptive rule spends ~8k
+        # kernel rows on this integral, and the adaptive cone ~8k; with the
+        # scale t_K averaged in closed form, K=2 is one adaptive integral
+        # over the shape z = t_1/t_2, 42 rows here
         s = default_scenario()
         a = assoc_prob_sbs_cluster(s)
         rows = []
 
-        def counting(scenario, distances, threshold, kernel=_cluster_kernel):
+        def counting(scenario, distances, threshold, rate=None, kernel=_cluster_kernel):
             rows.append(len(distances))
-            return kernel(scenario, distances, threshold)
+            return kernel(scenario, distances, threshold, rate)
 
         monkeypatch.setattr(analysis, "_cluster_kernel", counting)
         got = coverage_conditional(AssociationEvent.CLUSTER, s, 1.0)
-        assert 0 < sum(rows) < 15_000
+        assert 0 < sum(rows) <= 100
         expected = cluster_integral_quad(
             s, h=lambda r: cluster_kernel_scalar(s, r, 1.0),
             epsabs=0.5 * s.numerics.coverage_epsabs, spike=1.0,  # T^(-2/alpha) at T = 1
