@@ -9,7 +9,7 @@ direct simulation of Poisson-dropped base stations with Gamma fading. The
 
 from .association import AssociationEvent, association_probabilities, select_tier
 from .analysis import coverage_overall, mean_rate
-from .mcsim import empirical_association, run_trials
+from .mcsim import empirical_association, run_modes, run_trials
 from .model import (
     COOPERATIVE,
     MODES,
@@ -39,6 +39,7 @@ __all__ = [
     "empirical_association",
     "load_config",
     "mean_rate",
+    "run_modes",
     "run_trials",
     "select_tier",
     "__version__",

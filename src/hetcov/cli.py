@@ -131,10 +131,11 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> list[dict[str, str]]:
     """Evaluate the sweep; one row dict per cell, failures noted in 'error'.
 
     MC batches are shared across grid cells that leave the scenario unchanged
-    (threshold sweeps), so each (strategy, mode) simulates once.
+    (threshold sweeps), and one run_modes call serves every mode, so each
+    distinct scenario draws its trials once.
     """
     rows: list[dict[str, str]] = []
-    batches: dict[tuple[Scenario, str], mcsim.TrialBatch] = {}
+    batches: dict[Scenario, dict[str, mcsim.TrialBatch]] = {}
     rate_cache: dict[tuple[Scenario, str], float] = {}
     for value in spec.grid:
         threshold_db = value if spec.variable == "threshold_db" else spec.threshold_db
@@ -173,16 +174,15 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> list[dict[str, str]]:
                                 res = rate_cache[key]
                             row["result"] = _fmt(res)
                         else:
-                            key = (scn, mode)
-                            if key not in batches:
-                                batches[key] = mcsim.run_trials(
+                            if scn not in batches:
+                                batches[scn] = mcsim.run_modes(
                                     scn,
-                                    mode,
+                                    spec.modes,
                                     spec.trials,
                                     spec.master_seed,
                                     workers=spec.workers,
                                 )
-                            batch = batches[key]
+                            batch = batches[scn][mode]
                             if spec.metric == "coverage":
                                 mr = mcsim.coverage_from_batch(batch, threshold)
                             else:
@@ -256,9 +256,11 @@ def validate(
         delta = abs(probs[event] - emp[event].value)
         checks.append(CheckResult("association", mode, delta, tol))
 
-    # Coverage at 0 dB and mean rate, per mode, sharing one batch per mode.
+    # Coverage at 0 dB and mean rate, per mode; one run draws the trials once
+    # and evaluates them for both modes.
+    batches = mcsim.run_modes(mc_scn, MODES, trials, master_seed, workers=workers)
     for mode in MODES:
-        batch = mcsim.run_trials(mc_scn, mode, trials, master_seed, workers=workers)
+        batch = batches[mode]
         cov_mc = mcsim.coverage_from_batch(batch, 1.0)
         cov_an = analysis.coverage_overall(mode, scenario, 1.0)
         checks.append(

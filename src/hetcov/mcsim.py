@@ -4,14 +4,16 @@ Each trial builds both base-station tiers around the user from the ordered
 arrival times of a Poisson process: the squared distances of a PPP of
 density lambda, in ascending order, are cumsum(Exp(1)) / (pi * lambda). A
 fixed number of arrivals per tier covers a disk; the BSs beyond the last
-arrival contribute their exact conditional mean interference. The trial
-picks the serving side with the same biased-power rule the analytic engine
-integrates over, draws per-link Gamma fading, and records the resulting
-association event and SINR.
+arrival contribute their exact conditional mean interference. A trial is
+two steps: a mode-free draw of the network and of per-link Gamma fading,
+then, per mode, the serving side by the same biased-power rule the analytic
+engine integrates over, and the resulting association event and SINR.
 
 Determinism contract: trial i always consumes the stream
 ``Philox(master_seed).jumped(i)``, and results land in trial-indexed arrays,
-so every statistic is bit-identical for any worker count.
+so every statistic is bit-identical for any worker count. Every mode of
+trial i reads the same draws, so ``run_modes(..., MODES, ...)`` equals the
+per-mode ``run_trials`` byte for byte while drawing each trial once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,9 +91,16 @@ class NetworkRealization:
             raise ValueError("both tiers must be nonempty")
 
 
-def sample_network(scenario: Scenario, rng: np.random.Generator) -> NetworkRealization:
-    """Draw both tiers' nearest BSs from their arrival times: macro, then small."""
-    n_macro, n_small = point_counts(scenario)
+def sample_network(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    counts: tuple[int, int] | None = None,
+) -> NetworkRealization:
+    """Draw both tiers' nearest BSs from their arrival times: macro, then small.
+
+    ``counts`` is the arrivals per tier, point_counts(scenario) when None.
+    """
+    n_macro, n_small = point_counts(scenario) if counts is None else counts
     return NetworkRealization(
         macro=_arrival_distances(scenario.macro.density, n_macro, rng),
         small=_arrival_distances(scenario.small.density, n_small, rng),
@@ -123,6 +133,103 @@ class TrialOutcome:
     serving_distances: tuple[float, ...]  # m, ascending
 
 
+class _TrialDraws(NamedTuple):
+    """Everything one trial draws, before any mode picks a serving side."""
+
+    net: NetworkRealization
+    h_macro: np.ndarray  # serving fading of the nearest macro BS, shape (1,)
+    h_small: np.ndarray  # serving fading of the K nearest small BSs
+    gain_macro: np.ndarray  # r^-alpha per listed macro BS
+    gain_small: np.ndarray  # r^-alpha per listed small BS
+    faded_macro: np.ndarray  # interferer fading times gain, per macro BS
+    faded_small: np.ndarray  # interferer fading times gain, per small BS
+    tail: float  # tail_interference, watts
+
+
+def _serving_orders(scenario: Scenario) -> tuple[int, int]:
+    """Serving-link fading orders (macro, small)."""
+    return (
+        derive_tier(scenario.macro).fading_order,
+        derive_tier(scenario.small).fading_order,
+    )
+
+
+def _draw_trial(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    orders: tuple[int, int],
+    counts: tuple[int, int] | None = None,
+    net: NetworkRealization | None = None,
+) -> _TrialDraws:
+    """Draw one trial's network and fading; mode-free.
+
+    The draw sequence is macro arrivals, small arrivals, serving fading
+    (the nearest macro BS, then the K nearest small BSs), then interferer
+    fading for every listed BS (macro, then small). ``orders`` are the
+    serving fading orders (_serving_orders); ``counts`` the arrivals per
+    tier (point_counts); ``net`` injects a fixed realization instead.
+    """
+    if net is None:
+        net = sample_network(scenario, rng, counts)
+    alpha = scenario.pathloss
+    h_macro = sample_gamma(orders[0], rng, size=1)
+    h_small = sample_gamma(orders[1], rng, size=scenario.cluster_size)
+    g_macro = sample_gamma(scenario.macro.users, rng, size=len(net.macro))
+    g_small = sample_gamma(scenario.small.users, rng, size=len(net.small))
+    gain_macro = net.macro ** (-alpha)
+    gain_small = net.small ** (-alpha)
+    return _TrialDraws(
+        net=net,
+        h_macro=h_macro,
+        h_small=h_small,
+        gain_macro=gain_macro,
+        gain_small=gain_small,
+        faded_macro=g_macro * gain_macro,
+        faded_small=g_small * gain_small,
+        tail=tail_interference(scenario, net),
+    )
+
+
+def _evaluate_trial(
+    scenario: Scenario, mode: str, draws: _TrialDraws
+) -> tuple[AssociationEvent, float, np.ndarray]:
+    """Association event, SINR and serving distances of one mode on a draw.
+
+    Draws nothing, so every mode evaluated on the same draws sees the
+    same network and channels.
+    """
+    net = draws.net
+    k = scenario.cluster_size if mode == COOPERATIVE else 1
+    event = select_tier(scenario, mode, float(net.macro[0]), net.small[:k])
+
+    # Desired power: non-coherent sum of Gamma(delta)-faded serving links.
+    if event.macro_serving:
+        macro_served, small_served = 1, 0
+        serving = net.macro[:1]
+        desired = scenario.macro.power * float(draws.h_macro[0] * draws.gain_macro[0])
+    else:
+        macro_served = 0
+        small_served = k if event is AssociationEvent.CLUSTER else 1
+        serving = net.small[:small_served]
+        desired = scenario.small.power * float(
+            np.dot(draws.h_small[:small_served], draws.gain_small[:small_served])
+        )
+
+    # Interference: Gamma(psi)-faded power from every other listed BS, plus
+    # the mean of the BSs beyond the last ones.
+    interference = (
+        scenario.macro.power * float(draws.faded_macro[macro_served:].sum())
+        + scenario.small.power * float(draws.faded_small[small_served:].sum())
+        + draws.tail
+    )
+    return event, desired / (interference + scenario.noise), serving
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 def simulate_trial(
     scenario: Scenario,
     mode: str,
@@ -131,53 +238,16 @@ def simulate_trial(
 ) -> TrialOutcome:
     """Run one association + fading trial for the user at the origin.
 
-    The random draw sequence is mode-independent: macro arrivals, small
-    arrivals, candidate desired fading for both potential serving sets, then
-    interference fading for every listed BS. Runs sharing a seed therefore
-    see identical networks and channels across modes (common random
-    numbers), so mode comparisons are paired rather than independent.
+    _draw_trial, then _evaluate_trial. The draw sequence is mode-independent
+    (see _draw_trial), so runs sharing a seed see identical networks and
+    channels across modes (common random numbers), and mode comparisons are
+    paired rather than independent.
 
     ``net`` injects a fixed realization instead of sampling one.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if net is None:
-        net = sample_network(scenario, rng)
-    k = scenario.cluster_size if mode == COOPERATIVE else 1
-    event = select_tier(scenario, mode, float(net.macro[0]), net.small[:k])
-
-    alpha = scenario.pathloss
-    h_macro = sample_gamma(derive_tier(scenario.macro).fading_order, rng, size=1)
-    h_small = sample_gamma(
-        derive_tier(scenario.small).fading_order, rng, size=scenario.cluster_size
-    )
-    g_macro = sample_gamma(scenario.macro.users, rng, size=len(net.macro))
-    g_small = sample_gamma(scenario.small.users, rng, size=len(net.small))
-    gain_macro = net.macro ** (-alpha)
-    gain_small = net.small ** (-alpha)
-
-    # Desired power: non-coherent sum of Gamma(delta)-faded serving links.
-    if event.macro_serving:
-        macro_served, small_served = 1, 0
-        serving = net.macro[:1]
-        desired = scenario.macro.power * float(h_macro[0] * gain_macro[0])
-    else:
-        macro_served = 0
-        small_served = k if event is AssociationEvent.CLUSTER else 1
-        serving = net.small[:small_served]
-        desired = scenario.small.power * float(
-            np.dot(h_small[:small_served], gain_small[:small_served])
-        )
-
-    # Interference: Gamma(psi)-faded power from every other listed BS, plus
-    # the mean of the BSs beyond the last ones.
-    interference = (
-        scenario.macro.power * float((g_macro * gain_macro)[macro_served:].sum())
-        + scenario.small.power * float((g_small * gain_small)[small_served:].sum())
-        + tail_interference(scenario, net)
-    )
-
-    sinr = desired / (interference + scenario.noise)
+    _check_mode(mode)
+    draws = _draw_trial(scenario, rng, _serving_orders(scenario), net=net)
+    event, sinr, serving = _evaluate_trial(scenario, mode, draws)
     return TrialOutcome(
         event=event, sinr=sinr, serving_distances=tuple(float(r) for r in serving)
     )
@@ -199,32 +269,46 @@ class TrialBatch:
         return len(self.events)
 
 
-def run_trials(
+def run_modes(
     scenario: Scenario,
-    mode: str,
+    modes: tuple[str, ...],
     trials: int,
     master_seed: int,
     workers: int = 1,
-) -> TrialBatch:
-    """Simulate ``trials`` independent trials; bit-identical for any ``workers``.
+) -> dict[str, TrialBatch]:
+    """Simulate ``trials`` trials once and evaluate each for every mode.
 
-    The workers are threads that share CPython's GIL, so more of them give
-    no speed-up.
+    Trial i draws from ``Philox(master_seed).jumped(i)`` whatever the modes,
+    so ``run_modes(s, modes, ...)[mode]`` is byte-identical to
+    ``run_trials(s, mode, ...)``, and to itself for any ``workers``. The
+    workers are threads that share CPython's GIL, so more of them give no
+    speed-up.
     """
+    modes = tuple(dict.fromkeys(modes))
+    if not modes:
+        raise ValueError("modes must be nonempty")
+    for mode in modes:
+        _check_mode(mode)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     base = np.random.Philox(key=master_seed)
-    events = np.empty(trials, dtype=np.int8)
-    sinr = np.empty(trials, dtype=np.float64)
+    orders = _serving_orders(scenario)
+    counts = point_counts(scenario)
+    columns = [
+        (mode, np.empty(trials, dtype=np.int8), np.empty(trials, dtype=np.float64))
+        for mode in modes
+    ]
 
     def run_range(start: int, stop: int) -> None:
         for i in range(start, stop):
             rng = np.random.Generator(base.jumped(i))
-            outcome = simulate_trial(scenario, mode, rng)
-            events[i] = EVENT_CODES[outcome.event]
-            sinr[i] = outcome.sinr
+            draws = _draw_trial(scenario, rng, orders, counts)
+            for mode, events, sinr in columns:
+                event, value, _ = _evaluate_trial(scenario, mode, draws)
+                events[i] = EVENT_CODES[event]
+                sinr[i] = value
 
     if workers == 1:
         run_range(0, trials)
@@ -238,7 +322,22 @@ def run_trials(
             ]
             for f in futures:
                 f.result()
-    return TrialBatch(events=events, sinr=sinr)
+    return {mode: TrialBatch(events=events, sinr=sinr) for mode, events, sinr in columns}
+
+
+def run_trials(
+    scenario: Scenario,
+    mode: str,
+    trials: int,
+    master_seed: int,
+    workers: int = 1,
+) -> TrialBatch:
+    """Simulate ``trials`` trials of one mode: ``run_modes`` with that mode alone.
+
+    Every mode of trial i reads the same draws, so the batch equals the
+    matching entry of ``run_modes(scenario, MODES, ...)`` byte for byte.
+    """
+    return run_modes(scenario, (mode,), trials, master_seed, workers)[mode]
 
 
 def coverage_from_batch(batch: TrialBatch, threshold: float) -> MetricResult:

@@ -40,14 +40,15 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def mc_batches():
-    """One 10^4-trial batch per (strategy, mode), shared across criteria."""
+    """One 10^4-trial batch per (strategy, mode), shared across criteria; each
+    strategy draws its trials once for both modes."""
     start = time.perf_counter()
     batches = {
-        (strategy, mode): mcsim.run_trials(
-            default_scenario(strategy=strategy), mode, TRIALS, MASTER_SEED, workers=WORKERS
-        )
+        (strategy, mode): batch
         for strategy in STRATEGY_NAMES
-        for mode in MODES
+        for mode, batch in mcsim.run_modes(
+            default_scenario(strategy=strategy), MODES, TRIALS, MASTER_SEED, workers=WORKERS
+        ).items()
     }
     return batches, time.perf_counter() - start
 

@@ -116,6 +116,7 @@ class TestRunSweep:
             raise AssertionError("analytic sweep must not touch the simulator")
 
         monkeypatch.setattr(cli.mcsim, "run_trials", boom)
+        monkeypatch.setattr(cli.mcsim, "run_modes", boom)
         rows = run_sweep(SweepSpec(**spec_kwargs()), default_scenario())
         assert all(r["error"] == "" for r in rows)
 
@@ -130,18 +131,30 @@ class TestRunSweep:
         assert all(r["error"] == "" for r in rows)
         assert all(r["trials"] == "50" for r in rows)
 
-    def test_mc_batch_shared_across_thresholds(self, monkeypatch):
+    @staticmethod
+    def count_draws(monkeypatch, modes) -> int:
+        """run_modes calls of an MC threshold sweep over the given modes."""
         calls = []
-        real = cli.mcsim.run_trials
+        real = cli.mcsim.run_modes
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli.mcsim, "run_trials", counting)
-        spec = SweepSpec(**spec_kwargs(engines=("mc",), trials=40))
-        run_sweep(spec, default_scenario())
-        assert len(calls) == 1  # one batch reused across the 3 grid values
+        monkeypatch.setattr(cli.mcsim, "run_modes", counting)
+        spec = SweepSpec(**spec_kwargs(engines=("mc",), trials=40, modes=modes))
+        rows = run_sweep(spec, default_scenario())
+        assert len(rows) == 3 * len(modes)
+        assert all(r["error"] == "" for r in rows)
+        return len(calls)
+
+    def test_mc_batch_shared_across_thresholds(self, monkeypatch):
+        # one batch reused across the 3 grid values
+        assert self.count_draws(monkeypatch, ("noncooperative",)) == 1
+
+    def test_mc_batch_shared_across_modes(self, monkeypatch):
+        # one draw serves both modes as well as the 3 grid values
+        assert self.count_draws(monkeypatch, ("noncooperative", "cooperative")) == 1
 
     def test_cell_error_is_recorded_not_raised(self):
         # bias_ratio -1 makes the small-tier bias invalid for that cell only

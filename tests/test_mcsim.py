@@ -21,12 +21,13 @@ from hetcov.mcsim import (
     empirical_association,
     point_counts,
     rate_from_batch,
+    run_modes,
     run_trials,
     sample_network,
     simulate_trial,
     tail_interference,
 )
-from hetcov.model import Scenario, TierParams, default_scenario
+from hetcov.model import MODES, Scenario, TierParams, default_scenario
 
 
 def siso_scenario(p_macro=1.0, p_small=0.1, cluster_size=1, noise=0.0) -> Scenario:
@@ -376,6 +377,58 @@ class TestRunTrials:
         a = coverage_from_batch(run_trials(base, "cooperative", 2500, master_seed=9), 1.0)
         b = coverage_from_batch(run_trials(scaled, "cooperative", 2500, master_seed=10), 1.0)
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth
+
+
+class TestRunModes:
+    """One draw per trial serves every mode: run_modes equals per-mode runs."""
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-13])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    def test_matches_per_mode_runs(self, strategy, k, noise):
+        s = default_scenario(strategy=strategy, cluster_size=k, noise=noise)
+        trials, seed = 12, 7
+        base = np.random.Philox(key=seed)
+        for mode in MODES:
+            # one fresh stream per trial and mode: the draws are not shared
+            single = [
+                simulate_trial(s, mode, np.random.Generator(base.jumped(i)))
+                for i in range(trials)
+            ]
+            events = np.array([EVENT_CODES[o.event] for o in single], dtype=np.int8)
+            sinr = np.array([o.sinr for o in single])
+            ref = run_trials(s, mode, trials, master_seed=seed)
+            assert ref.events.tobytes() == events.tobytes()
+            assert ref.sinr.tobytes() == sinr.tobytes()
+            for workers in (1, 2):
+                both = run_modes(s, MODES, trials, master_seed=seed, workers=workers)
+                assert list(both) == list(MODES)
+                assert both[mode].events.tobytes() == ref.events.tobytes()
+                assert both[mode].sinr.tobytes() == ref.sinr.tobytes()
+
+    def test_one_draw_per_trial(self, monkeypatch):
+        calls = []
+        real = mcsim.sample_gamma
+
+        def spy(shape, rng, size=None):
+            calls.append(size)
+            return real(shape, rng, size)
+
+        monkeypatch.setattr(mcsim, "sample_gamma", spy)
+        small_budget(monkeypatch, 8.0, 2.0)
+        out = run_modes(siso_scenario(cluster_size=2), MODES, 5, master_seed=3)
+        assert set(out) == set(MODES)
+        # serving macro, serving cluster, macro and small interferers
+        assert calls == [1, 2, 2, 8] * 5
+
+    def test_validation(self):
+        s = default_scenario()
+        with pytest.raises(ValueError):
+            run_modes(s, ("noncooperative", "hybrid"), 10, master_seed=1)
+        with pytest.raises(ValueError):
+            run_modes(s, (), 10, master_seed=1)
+        with pytest.raises(ValueError):
+            run_trials(s, "hybrid", 10, master_seed=1)
 
 
 class TestEmpiricalAssociation:
