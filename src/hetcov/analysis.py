@@ -11,12 +11,15 @@ non-negative, so one positive-term recurrence builds every series.
 
 The serving geometry splits into a scale coordinate (tau = pi*mix*r^2 for
 one server, the farthest arrival t_K for the cluster) and shape
-coordinates (the ratios t_i/t_K). With zero noise, log L_I and every y_j
-are linear in the scale, so the Gamma moment-generating function averages
-the scale out in closed form: the series becomes the coefficients of
-(1 - B(x)/D)^(-m), from the same recurrence. The single-server events are
-then finite sums, and the cooperative events integrate over the shape
-coordinates only. With noise, the scale is integrated numerically.
+coordinates (the ratios t_i/t_K). log L_I and every y_j of the
+interference are linear in the scale; the noise term sN grows like
+scale^(alpha/2), and it enters only through the scale average. With zero
+noise, the Gamma moment-generating function averages the scale out in
+closed form: the series becomes the coefficients of (1 - B(x)/D)^(-m), from
+the same recurrence, and the single-server events are finite sums. With
+noise, the same average runs as one adaptive integral over the whole scale
+range. The cooperative events integrate the average over the shape
+coordinates, so every event has one route at every noise level.
 """
 
 from __future__ import annotations
@@ -32,17 +35,13 @@ from .association import (
     AssociationEvent,
     IntegrationFailure,
     OrderedDistances,
-    _check_quadrature,
     _chunked,
     _cluster_exclusion,
-    _cluster_integral,
-    _cone_coeff,
-    _cone_integral,
-    _panel_integral,
+    _gauss_kronrod,
+    _shape_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     exclusion_radius_mbs,
-    mbs_win_prob,
 )
 from .model import (
     MODES,
@@ -106,8 +105,9 @@ def serving_context(event: AssociationEvent, scenario: Scenario, serving) -> Ser
     macro at r: macro beyond r, small beyond beta^(-1/alpha) r; small at r:
     small beyond r, macro beyond beta^(1/alpha) r; cluster at r_1..r_K:
     small beyond r_K, macro beyond the cluster exclusion radius; macro under
-    cooperation reuses the single-small surrogate beta^(-1/alpha) r (exact
-    for K=1).
+    cooperation reuses the single-small exclusion beta^(-1/alpha) r, which
+    is exact for K = 1 only. Coverage does not use it for K >= 2, where
+    _coop_macro_joint conditions on the K losing small BSs instead.
     """
     r = tuple(float(v) for v in np.atleast_1d(serving))
     if event is AssociationEvent.CLUSTER:
@@ -334,8 +334,10 @@ def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
     s = ctx.s
     if np.less_equal(s, 0.0).any():
         raise ValueError("log-Laplace derivatives need s > 0")
-    alpha = ctx.scenario.pathloss
     out = np.zeros(np.shape(s) + (nmax,))
+    if nmax == 0:
+        return out
+    alpha = ctx.scenario.pathloss
     out[..., 0] = s * ctx.scenario.noise
     for lam, p, psi, d in ctx.tiers():
         if lam == 0.0:
@@ -356,19 +358,20 @@ def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
     return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
 
 
-def _taylor_terms(y, n: int, shape: float = math.inf) -> np.ndarray:
-    """Taylor coefficients t_0..t_(n-1) of (1 - G(x)/shape)^(-shape),
+def _taylor_terms(y, n: int, shape: float = math.inf, first=1.0) -> np.ndarray:
+    """Taylor coefficients t_0..t_(n-1) of first * (1 - G(x)/shape)^(-shape),
     G(x) = sum_j y_j x^j / j, along the last axis, from y_1, y_2, ... along
     the last axis of y. The default shape = inf gives exp(G).
 
-    With F = (1 - G/m)^(-m), F' (1 - G/m) = G' F gives t_0 = 1 and
+    With F = (1 - G/m)^(-m), F' (1 - G/m) = G' F gives t_0 = first and
     k t_k = sum_{j=1..k} y_j (1 + (k-j)/(m j)) t_(k-j) (Knuth, TAOCP Vol. 2,
     4.7). For non-negative y every term is non-negative, so the sum cannot
-    cancel, and it needs no binomial, factorial or sign.
+    cancel, and it needs no binomial, factorial or sign. A small `first`
+    keeps terms in float range where the coefficients of F alone overflow.
     """
     y = np.asarray(y, dtype=float)
     t = np.empty(y.shape[:-1] + (n,))
-    t[..., 0] = 1.0
+    t[..., 0] = first
     j = np.arange(1.0, n)
     for k in range(1, n):
         y_k = y[..., :k]
@@ -394,25 +397,70 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
     return base[..., None] * _taylor_terms(y, order)
 
 
-def _scale_averaged_series(ctx: LaplaceContext, order: int, shape: int, rate) -> np.ndarray:
-    """Terms k = 0..order-1 of the zero-noise Laplace series integrated over
-    a scale coordinate tau with weight tau^(shape-1) e^(-rate tau), along
-    the last axis.
+def _scale_average(poles, shape: int, rate) -> np.ndarray:
+    """Weighted Laplace series integrated over a scale tau with weight
+    tau^(m-1) e^(-rate tau), m = shape, one value per row: the sum over
+    poles (ctx, w) of sum_k w[:, k] times term k of the _laplace_series at
+    ctx's geometry (tau = 1, an array context) scaled by sqrt(tau).
 
-    ctx is the geometry at tau = 1. Scaling every distance by sqrt(tau)
-    scales log L_I and each y_j by tau, so term k at scale tau is
-    e^(-tau A) times the k-th Taylor coefficient of exp(tau B(x)), with
-    A = -log L_I and B(x) = sum_j y_j x^j / j at tau = 1. The Gamma
-    moment-generating function does the integral exactly:
-    int tau^(m-1) e^(-D tau) e^(tau B) dtau = (m-1)! D^(-m) (1 - B/D)^(-m),
-    D = rate + A, whose coefficients are the _taylor_terms of shape m at
-    y_j * m/D.
+    The scaling multiplies log L_I and every y_j of the interference by tau
+    and the noise term sN by tau^(alpha/2): term k at scale tau is
+    e^(-tau A - kappa tau^(alpha/2)) times the k-th Taylor coefficient of
+    exp(tau B(x) + kappa tau^(alpha/2) x), with A = -log L_I,
+    B(x) = sum_j y_j x^j / j and kappa = sN at tau = 1. At zero noise the
+    Gamma moment-generating function gives (m-1)! D^(-m) (1 - B/D)^(-m),
+    D = rate + A: the _taylor_terms of shape m at y_j * m/D. With noise,
+    _gauss_kronrod covers all of (0, inf) in v = u/(1+u),
+    u = 2 D' tau / (m + width - 1), D' the least rate + A + kappa^(2/alpha)
+    over the poles, so u = 1 sits mid-mass of the terms (Gamma densities in
+    D' tau of shape up to m + width - 1). Its integrand, the Gamma(m, rate)
+    density times the series over their value sum_poles w[:, 0] at tau = 0,
+    is bounded, so one absolute tolerance, a tenth of coverage_epsabs, holds
+    for every row, or IntegrationFailure is raised. Each series starts from
+    its weight, so no term overflows at large tau.
     """
-    if ctx.scenario.noise != 0.0:
-        raise ValueError("the scale average requires zero noise")
-    d = np.asarray(rate - _log_laplace_beta(ctx))
-    y = _log_derivatives(ctx, order - 1) * (shape / d)[..., None] if order > 1 else ()
-    return (math.factorial(shape - 1) * d ** -shape)[..., None] * _taylor_terms(y, order, shape)
+    scenario = poles[0][0].scenario
+    series = []
+    for ctx, w in poles:
+        kappa = ctx.s * scenario.noise
+        y = _log_derivatives(ctx, w.shape[1] - 1)
+        y[:, :1] -= kappa[:, None]  # the interference's y_1; the noise scales apart
+        series.append((rate - _log_laplace_beta(ctx), y, kappa, w))
+    if scenario.noise == 0.0:
+        return sum(
+            math.factorial(shape - 1) * d ** -shape
+            * (w * _taylor_terms(y * (shape / d)[:, None], w.shape[1], shape)).sum(axis=1)
+            for d, y, _, w in series
+        )
+
+    alpha = scenario.pathloss
+    n = len(series[0][0])
+    rate = np.broadcast_to(rate, (n,))
+    gamma_norm = math.factorial(shape - 1) * rate ** -shape
+    at_zero = sum(w[:, 0] for *_, w in series)
+    at_zero = np.where(at_zero != 0.0, np.abs(at_zero), 1.0)
+    width = max(w.shape[1] for *_, w in series)
+    u_per_tau = np.min([d + kappa ** (2.0 / alpha) for d, _, kappa, _ in series], axis=0)
+    u_per_tau *= 2.0 / (shape + width - 1)
+    log_norm = -np.log(gamma_norm * u_per_tau * at_zero)
+
+    def integrand(v, row):
+        tau = v / (1.0 - v) / u_per_tau[row]
+        noise = tau ** (alpha / 2.0)
+        log_weight = log_norm[row] + special.xlogy(shape - 1, tau) - 2.0 * np.log1p(-v)
+        total = 0.0
+        for d, y, kappa, w in series:
+            y_tau = tau[..., None] * y[row]
+            y_tau[..., :1] += (kappa[row] * noise)[..., None]
+            first = np.exp(log_weight - d[row] * tau - kappa[row] * noise)
+            total = total + (w[row] * _taylor_terms(y_tau, w.shape[1], first=first)).sum(axis=-1)
+        return total
+
+    val, _ = _gauss_kronrod(
+        integrand, 0.0, np.ones(n), 0.1 * scenario.numerics.coverage_epsabs, "scale average",
+        args=(np.arange(n),),
+    )
+    return val * gamma_norm * at_zero
 
 
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
@@ -441,9 +489,9 @@ def _single_server_kernel(
     scenario: Scenario, event: AssociationEvent, r, threshold: float, rate=None
 ) -> np.ndarray:
     """Conditional coverage given a single serving BS, at each distance of
-    the 1-D array r. Given rate (zero noise only), each value is instead the
-    kernel at distance sqrt(u) r integrated over u with weight e^(-rate u),
-    the finite sum of _scale_averaged_series of shape 1."""
+    the 1-D array r. Given rate, each value is instead the kernel at
+    distance sqrt(u) r integrated over u with weight e^(-rate u), the
+    _scale_average of shape 1."""
     r = np.asarray(r, dtype=float)
     tier = scenario.macro if event.macro_serving else scenario.small
     # laplace_context's single-server argument s = T * r^alpha / p_serve
@@ -458,7 +506,7 @@ def _single_server_kernel(
     if rate is None:
         out[live] = _tail_weights(ctx, order)
     else:
-        out[live] = _scale_averaged_series(ctx, order, 1, rate).sum(axis=-1)
+        out[live] = _scale_average([(ctx, np.ones((len(ctx.s), order)))], 1, rate)
     return out
 
 
@@ -552,10 +600,10 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
 
     "exact" folds the non-coherent power sum of Gamma-faded links into an
     exact Erlang mixture; "gamma" collapses it to one mean-matched Gamma, a
-    single pole at the summed gain. Given an array rate (zero noise only),
-    each value is instead the kernel at distances sqrt(u) r integrated over
-    u with weight u^(K-1) e^(-rate u): _scale_averaged_series of shape K,
-    since the fold's weights depend only on gain ratios.
+    single pole at the summed gain. Given an array rate, each value is
+    instead the kernel at distances sqrt(u) r integrated over u with weight
+    u^(K-1) e^(-rate u): the _scale_average of shape K over the poles, since
+    the fold's weights depend only on gain ratios.
     """
     r = np.asarray(distances, dtype=float)
     k = scenario.cluster_size
@@ -583,51 +631,27 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
         mixture = _erlang_mixture(gains, order)
     total = np.zeros(len(r))
     for rows, poles in mixture:
-        for b, weights in poles:
-            ctx = LaplaceContext(
-                s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
-                scenario=scenario,
+        # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...): each pole's
+        # series terms weighted by cum[:, k] = sum_{l>k} w_l
+        series = [
+            (
+                LaplaceContext(
+                    s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
+                    scenario=scenario,
+                ),
+                np.cumsum(weights[:, ::-1], axis=1)[:, ::-1],
             )
-            width = weights.shape[1]
-            if rate is None:
-                series = _laplace_series(ctx, width)
-            else:
-                series = _scale_averaged_series(ctx, width, k, rate[rows])
-            # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
-            cum = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]  # cum[:, k] = sum_{l>k} w_l
-            total[rows] += (cum * series).sum(axis=1)
+            for b, weights in poles
+        ]
+        if rate is None:
+            total[rows] = sum(
+                (cum * _laplace_series(ctx, cum.shape[1])).sum(axis=1) for ctx, cum in series
+            )
+        else:
+            total[rows] = _scale_average(series, k, rate[rows])
     out = weight.copy()
     out[live] = np.clip(total, 0.0, weight[live])  # rounding only
     return out
-
-
-def _cluster_average(scenario: Scenario, threshold: float, epsabs: float, spike: float) -> float:
-    """P[SINR > threshold and the cluster event] at zero noise.
-
-    With t = t_K (z, 1), the cone weight e^(-t_K - c eta(t)) dt is
-    t_K^(K-1) e^(-t_K (1 + c eta(z, 1))) dt_K dz, so _cluster_kernel at the
-    distances of t_K = 1 with rate 1 + c eta(z, 1) integrates out t_K. The
-    shape z runs over 0 < z_1 < ... < z_(K-1) < 1 in one unit-weight
-    _cone_integral (for K = 2, one adaptive integral over (0, 1)), its
-    error estimate checked against the gate. spike hints the shape
-    coordinate where coverage concentrates.
-    """
-    k, alpha = scenario.cluster_size, scenario.pathloss
-    c = _cone_coeff(scenario)
-
-    def over_shape(z):
-        t = np.column_stack([z, np.ones(len(z))])
-        with np.errstate(divide="ignore"):
-            eta = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-        r = np.sqrt(t / (math.pi * scenario.small.density))
-        return _cluster_kernel(scenario, r, threshold, rate=1.0 + c * eta)
-
-    if k == 1:
-        return float(over_shape(np.empty((1, 0)))[0])
-    what = "cluster shape integral"
-    val, err = _cone_integral(k - 1, over_shape, 1.0, epsabs, what, spike, rate=0.0)
-    _check_quadrature(val, err, epsabs, what)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -649,25 +673,23 @@ def _gauss_panel(a: float, b: float, n: int):
 def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     """P[SINR > threshold and the macro side wins] under cooperation.
 
-    Interference-limited only (zero noise). Conditioned on the nearest-macro
-    distance (tau = pi*lambda_m*r^2), rescaling the small-tier arrival
-    coordinates to x_i = t_i/(lhat*tau) makes the macro-win region
-    {sum_i x_i^(-alpha/2) <= beta} independent of tau, and every term of the
-    coverage kernel linear in tau: the two tier fields contribute
-    log-Laplace slopes -A*tau and scaled log-derivatives y_j = b_j*tau,
-    while the K conditioned small BSs contribute tau-free terms psi_s*u^j,
-    the log-series C(x). tau carries the weight tau^K e^(-d tau), so the
-    Gamma moment-generating function averages it out in closed form: the
-    series is exp(C(x)) (1 - B(x)/d)^(-(K+1)) times K! d^(-(K+1)), two
-    _taylor_terms and one truncated product. What is left is a single
-    K-dimensional cone integral, done on Gauss-Legendre panels under a
-    rational map aimed at the scale where the kernel actually varies. The
-    panels' node set is built level by level as arrays, and the kernel runs
-    once over all of it.
+    Conditioned on the nearest-macro distance (tau = pi*lambda_m*r^2),
+    rescaling the small-tier arrival coordinates to x_i = t_i/(lhat*tau)
+    makes the macro-win region {sum_i x_i^(-alpha/2) <= beta} independent
+    of tau. The K conditioned small BSs then contribute tau-free terms: the
+    factor prod_i (1 + y_i)^(-psi_s) and psi_s*u_i^j to y_j, the log-series
+    C(x). The two tier fields beyond the macro BS and beyond x_K are the
+    geometry at tau = 1 scaled by sqrt(tau), and tau carries the weight
+    tau^K e^(-(1 + lhat x_K) tau). The coverage series is the product of
+    exp(C(x)) and the fields' series, so its sum up to order kmax weights
+    the fields' term j by the partial sum of exp(C(x)) up to kmax - j.
+    These weights are summed over the inner coordinates first, as moments
+    per outer node x_K; one _scale_average of shape K+1 over the outer
+    nodes then averages out tau. The cone runs on Gauss-Legendre panels
+    under a rational map aimed at the scale where the kernel actually
+    varies; the panels' node set is built level by level as arrays.
     """
     sc = scenario
-    if sc.noise != 0.0:
-        raise ValueError("the scaled-cone macro route requires zero noise")
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     alpha = sc.pathloss
@@ -675,20 +697,14 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     ratios = hat_ratios(sc)
     beta, lhat = ratios.macro_advantage, ratios.density
     p_hat = sc.small.power / sc.macro.power
-    psi_m, psi_s = sc.macro.users, sc.small.users
+    psi_s = sc.small.users
     kmax = derive_tier(sc.macro).fading_order - 1
     two_a = 2.0 / alpha
     t = threshold
 
-    # Macro-field constants: the dimensionless exclusion limit r/(s*p_m)^(1/alpha)
-    # is T^(-1/alpha) at every serving distance, so these are per-threshold.
-    a_macro = two_a * t ** two_a * _beta_tier_sum(psi_m, alpha, 1.0 / (1.0 + t))
-    b_macro = (
-        2.0 * t ** two_a * _tail_constants(psi_m, kmax, alpha)[2]
-        * _radial_tail_integral(t ** (-1.0 / alpha), psi_m, kmax, alpha)
-    )
-    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * _tail_constants(psi_s, kmax, alpha)[2]
-
+    # the macro field's log-Laplace slope: the dimensionless exclusion limit
+    # r/(s*p_m)^(1/alpha) is T^(-1/alpha) at every serving distance
+    a_macro = two_a * t ** two_a * _beta_tier_sum(sc.macro.users, alpha, 1.0 / (1.0 + t))
     x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
     lb_outer = (beta / big_k) ** (-two_a)
 
@@ -705,35 +721,22 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
             xs, ws = np.concatenate([xs, np.exp(zs)]), np.concatenate([ws, wz * np.exp(zs)])
         return xs, ws
 
-    def kernel_at(xs, a_small, b_small):
-        """Coverage kernel at cone points, one per row of xs (innermost
-        coordinate first, the outermost x_K last), tau already integrated out."""
+    def conditioned(xs):
+        """Weights of the fields' terms 0..kmax at cone points, one per row
+        of xs: the conditioned small BSs' factor times the partial sums of
+        exp(C(x))."""
         y = t * p_hat * xs ** (-alpha / 2.0)
-        logp = -psi_s * np.log1p(y).sum(axis=1)
         u = y / (1.0 + y)
         # each small BS at u adds psi_s * u^j to y_j
         c_tot = psi_s * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
-        d = 1.0 + lhat * xs[:, -1] + a_macro + a_small
-        fixed = _taylor_terms(c_tot, kmax + 1)
-        scaled = _taylor_terms(
-            (b_macro + b_small) * ((big_k + 1) / d)[:, None], kmax + 1, big_k + 1
-        )
-        # sum_{i+j<=kmax} fixed_i scaled_j, by the partial sums of scaled
-        acc = np.einsum("nk,nk->n", fixed, np.cumsum(scaled, axis=1)[:, ::-1])
-        return np.exp(logp) * acc * math.factorial(big_k) * d ** (-(big_k + 1))
+        partial = np.cumsum(_taylor_terms(c_tot, kmax + 1), axis=1)[:, ::-1]
+        return np.exp(-psi_s * np.log1p(y).sum(axis=1))[:, None] * partial
 
     # Beyond x_max the integrand is below weight * 1, whose tail mass is
     # ~2/(lhat * x); the cap keeps the truncation under ~1e-7.
     outer_scale = max(x_scale, lb_outer, (1.0 + a_macro) / lhat)
     x_max = max(2e7 / lhat, 1e3 * (lb_outer + 3.0 * outer_scale))
     x_k, w = panel_points(lb_outer, x_max, outer_scale)
-    # Small-field constants depend only on the outermost coordinate.
-    y_k = t * p_hat * x_k ** (-alpha / 2.0)
-    a_small = lhat * two_a * (t * p_hat) ** two_a * _beta_tier_sum(
-        psi_s, alpha, 1.0 / (1.0 + y_k)
-    )
-    v0_s = np.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
-    b_small = b_small_coeff * _radial_tail_integral(v0_s, psi_s, kmax, alpha)
 
     # Inner levels i = K-1..1: x_i runs over (lower feasibility bound, x_{i+1}).
     xs, owner = x_k[:, None], np.arange(len(x_k))
@@ -752,22 +755,21 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
         xs, owner = np.column_stack([x_i, xs[rows]]), owner[rows]
         budget = budget[rows] - x_i ** (-alpha / 2.0)
 
-    vals = _chunked(kernel_at, xs, a_small[owner], b_small[owner])
-    return lhat ** big_k * float(w @ vals)
+    weighted = w[:, None] * _chunked(conditioned, xs)
+    moments = np.column_stack([np.bincount(owner, col, len(x_k)) for col in weighted.T])
+    # the fields at tau = 1: the macro BS at r_m = (pi*lambda_m)^(-1/2), the
+    # K-th small BS at r_m sqrt(x_K)
+    r_m = (math.pi * sc.macro.density) ** -0.5
+    ctx = LaplaceContext(
+        s=np.full(len(x_k), t * r_m ** alpha / sc.macro.power), d_macro=r_m,
+        d_small=r_m * np.sqrt(x_k), scenario=sc,
+    )
+    joint = _scale_average([(ctx, moments)], big_k + 1, 1.0 + lhat * x_k)
+    return lhat ** big_k * float(joint.sum())
 
 
 # ---------------------------------------------------------------------------
 # Conditional and overall coverage
-
-
-def _probability_integral(integrand, upper: float, epsabs: float, what: str, spike) -> float:
-    """int_0^upper of a probability density over an array of nodes, by
-    adaptive Gauss-Kronrod on panels split at the spike hints; raises when
-    the error estimate misses the gate."""
-    val, err = _panel_integral(integrand, upper, epsabs, what, spike)
-    if err > max(50.0 * epsabs, 1e-4):
-        raise IntegrationFailure(f"{what}: estimate {val}, error bound {err}")
-    return val
 
 
 def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold: float) -> float:
@@ -778,89 +780,43 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
     scale coordinate (tau = pi*mix*r^2 for one server, the farthest arrival
     t_K for the cluster, tau for the macro side under cooperation) and
     shape coordinates (none, the ratios t_i/t_K, the scaled small-tier
-    arrivals). At zero noise every log-Laplace term is linear in the scale,
-    so the Gamma moment-generating function averages the scale out in
-    closed form (_scale_averaged_series): the single-server events become
-    finite sums, and the cooperative events integrate over the shape
-    coordinates only. With noise, radial integrals run in tau (serving pdf
-    e^(-tau)), truncated at the configured tail mass, and the cluster event
-    integrates over the whole ordered distance cone.
+    arrivals). _scale_average integrates the scale out, in closed form at
+    zero noise and by adaptive quadrature with noise: the single-server
+    events are one scale average, and the cooperative events integrate it
+    over the shape coordinates. Every event takes this one route at every
+    noise level.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    num = scenario.numerics
     alpha = scenario.pathloss
     beta = hat_ratios(scenario).macro_advantage
     lam_m, lam_s = scenario.macro.density, scenario.small.density
-    tau_max = -math.log(num.tail_mass)
-    # Coverage kernels live where the log-Laplace slope ~T^(2/alpha) allows,
-    # i.e. at exponent coordinates of order T^(-2/alpha).
-    tau_star = threshold ** (-2.0 / alpha)
-
-    if event is AssociationEvent.MACRO or event is AssociationEvent.SMALL:
-        if event is AssociationEvent.MACRO:
-            mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
-        else:
-            mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
-        if scenario.noise == 0.0:  # tau = 1 at r = mix^(-1/2)
-            p = _single_server_kernel(scenario, event, [mix ** -0.5], threshold, rate=1.0)[0]
-            return min(max(float(p), 0.0), 1.0)
-
-        def integrand(tau):
-            r = np.sqrt(tau / mix)
-            return np.exp(-tau) * _single_server_kernel(scenario, event, r, threshold)
-
-        p = _probability_integral(
-            integrand, tau_max, num.coverage_epsabs, f"coverage {event}", tau_star
-        )
-        return min(max(p, 0.0), 1.0)
-
-    if event is AssociationEvent.MACRO_COOP:
-        norm = 1.0 - assoc_prob_sbs_cluster(scenario)
-        if scenario.noise == 0.0:
-            if scenario.cluster_size >= 2:
-                joint = _coop_macro_joint(scenario, threshold)
-            else:
-                # K=1: the lone competitor loses with probability
-                # exp(-lhat beta^(-2/alpha) tau) at tau = pi*lambda_m*r^2
-                rate = 1.0 + lam_s / lam_m * beta ** (-2.0 / alpha)
-                r = [(math.pi * lam_m) ** -0.5]
-                joint = float(_single_server_kernel(scenario, event, r, threshold, rate=rate)[0])
-            return min(max(joint / norm, 0.0), 1.0)
-
-        # nonzero noise, where the scaled-cone collapse is unavailable and
-        # the small-tier exclusion at beta^(-1/alpha) r (exact for K=1)
-        # stands in for the conditioned interferers.
-        mix = math.pi * lam_m
-
-        def integrand(tau):
-            r = np.sqrt(tau / mix)
-            # a macro BS on top of the user always wins
-            win = np.fromiter(
-                (mbs_win_prob(scenario, x) if x > 0.0 else 1.0 for x in r.tolist()),
-                dtype=float, count=len(r),
-            )
-            return np.exp(-tau) * win * _single_server_kernel(scenario, event, r, threshold)
-
-        p = _probability_integral(
-            integrand, tau_max, num.coverage_epsabs, "coverage macro_coop", tau_star
-        )
-        return min(max(p / norm, 0.0), 1.0)
 
     if event is AssociationEvent.CLUSTER:
-        norm = assoc_prob_sbs_cluster(scenario)
-        if scenario.noise == 0.0:
-            raw = _cluster_average(scenario, threshold, num.coverage_epsabs * 0.5, tau_star)
-        else:
-            raw = _cluster_integral(
-                scenario,
-                h=lambda rvec: _cluster_kernel(scenario, rvec, threshold),
-                epsabs=num.coverage_epsabs * 0.5,
-                spike=tau_star,
-            )
-        return min(max(raw / norm, 0.0), 1.0)
+        # the kernel at the distances of t_K = 1 with rate 1 + c eta(z, 1)
+        # integrates out t_K at shape z; coverage concentrates at arrival
+        # coordinates of order T^(-2/alpha)
+        def kernel(t, rate):
+            return _cluster_kernel(scenario, np.sqrt(t / (math.pi * lam_s)), threshold, rate=rate)
 
-    raise ValueError(f"unknown event {event!r}")
+        raw = _shape_integral(
+            scenario, kernel, scenario.numerics.coverage_epsabs * 0.5, "cluster shape integral",
+            threshold ** (-2.0 / alpha),
+        )
+        return min(max(raw / assoc_prob_sbs_cluster(scenario), 0.0), 1.0)
+
+    if event is AssociationEvent.MACRO_COOP and scenario.cluster_size >= 2:
+        joint = _coop_macro_joint(scenario, threshold)
+        return min(max(joint / (1.0 - assoc_prob_sbs_cluster(scenario)), 0.0), 1.0)
+
+    # one server; with K = 1 the macro side under cooperation is the
+    # noncooperative macro event. tau = 1 at r = mix^(-1/2).
+    if event.macro_serving:
+        mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+    else:
+        mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+    p = _single_server_kernel(scenario, event, [mix ** -0.5], threshold, rate=1.0)[0]
+    return min(max(float(p), 0.0), 1.0)
 
 
 def coverage_overall(mode: str, scenario: Scenario, threshold: float) -> float:

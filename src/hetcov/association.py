@@ -16,7 +16,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .model import (
     COOPERATIVE,
@@ -322,37 +321,29 @@ def _cone_integral(
     return val, err + sum(inner_err)
 
 
-def _cluster_integral(
-    scenario: Scenario, h=None, epsabs: float | None = None, spike: float | None = None
-) -> float:
-    """Integral of h(r_1..r_K) * exp(-lambda_m*pi*eta^(2/alpha)) * f(r) over
-    the ordered cone, where f is the joint PDF of the K nearest small-BS
-    distances. h maps an (n, K) array of ascending distance rows to n values;
-    h=None means h=1, giving the cluster association probability.
+def _shape_integral(scenario: Scenario, f, epsabs: float, what: str, spike=None) -> float:
+    """Unit-weight integral of f(t, rate) over the shape
+    z = (t_1..t_(K-1))/t_K of the K nearest arrivals, 0 < z_1 < ... < 1.
 
-    One _cone_integral in arrival coordinates serves every K, its error
-    estimate checked against the gate. t_K is cut at the larger of
-    -log(tail_mass) + 5 and the Gamma(K) quantile at tail_mass, so less
-    than tail_mass of the cone is dropped for every K. spike hints the
-    arrival coordinate where h concentrates.
+    With t_K as the scale, the cone weight e^(-t_K - c eta(t)) dt is
+    t_K^(K-1) e^(-t_K (1 + c eta(z, 1))) dt_K dz, so f takes an (n, K) array
+    of rows t = (z, 1) and the rates 1 + c*eta(t) at them. One _cone_integral
+    over the K-1 shape coordinates, its error estimate checked against the
+    gate; K = 1 has no shape and gives f at t = (1,). spike hints the shape
+    coordinate where f concentrates.
     """
-    num = scenario.numerics
-    if epsabs is None:
-        epsabs = num.quad_epsabs
-    k = scenario.cluster_size
-    alpha = scenario.pathloss
+    k, alpha = scenario.cluster_size, scenario.pathloss
     c = _cone_coeff(scenario)
-    lam_s = scenario.small.density
 
-    def values(t):
-        with np.errstate(divide="ignore", over="ignore"):
-            eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-        w = np.exp(-c * eta_term)
-        return w if h is None else w * h(np.sqrt(t / (math.pi * lam_s)))
+    def over_shape(z):
+        t = np.column_stack([z, np.ones(len(z))])
+        with np.errstate(divide="ignore"):
+            eta = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
+        return f(t, 1.0 + c * eta)
 
-    upper = max(-math.log(num.tail_mass) + 5.0, float(special.gammainccinv(k, num.tail_mass)))
-    what = "cluster cone integral"
-    val, err = _cone_integral(k, values, upper, epsabs, what, spike)
+    if k == 1:
+        return float(over_shape(np.empty((1, 0)))[0])
+    val, err = _cone_integral(k - 1, over_shape, 1.0, epsabs, what, spike, rate=0.0)
     _check_quadrature(val, err, epsabs, what)
     return val
 
@@ -361,10 +352,18 @@ def _cluster_integral(
 def assoc_prob_sbs_cluster(scenario: Scenario) -> float:
     """Probability the cooperative user attaches to the K-nearest-SBS cluster.
 
-    Cached per scenario: coverage_overall and both cooperative conditionals
-    need it for the same scenario.
+    E[exp(-lambda_m*pi*eta^(2/alpha))] over the K nearest arrivals, whose
+    scale t_K integrates out to (K-1)! (1 + c*eta(z, 1))^(-K), a
+    _shape_integral. Cached per scenario: coverage_overall and both
+    cooperative conditionals need it for the same scenario.
     """
-    return _cluster_integral(scenario)
+    k = scenario.cluster_size
+
+    def integrand(t, rate):
+        return math.factorial(k - 1) * rate ** -k
+
+    epsabs = scenario.numerics.quad_epsabs
+    return _shape_integral(scenario, integrand, epsabs, "cluster association")
 
 
 def association_probabilities(scenario: Scenario, mode: str) -> dict[AssociationEvent, float]:

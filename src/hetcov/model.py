@@ -107,8 +107,8 @@ class Numerics:
     """Quadrature controls for the analytic engine.
 
     quad_epsabs      absolute tolerance for association/pdf integrals
-    coverage_epsabs  absolute tolerance for probability integrals
-    tail_mass        neglected tail mass when truncating radial integrals
+    coverage_epsabs  absolute tolerance for coverage probabilities; a
+                     noisy link's scale average meets a tenth of it
     cluster_fading   cluster signal model: "exact" folds the sum of per-link
                      Gamma powers into an exact Erlang mixture; "gamma"
                      uses a mean-matched single-Gamma surrogate
@@ -116,7 +116,6 @@ class Numerics:
 
     quad_epsabs: float = 1e-10
     coverage_epsabs: float = 1e-6
-    tail_mass: float = 1e-8
     cluster_fading: str = "exact"
 
     def __post_init__(self):

@@ -18,8 +18,9 @@ from hetcov.analysis import (
 )
 from hetcov.association import (
     AssociationEvent,
-    _cluster_integral,
+    _check_quadrature,
     _cone_coeff,
+    _cone_integral,
     _panel_integral,
     _spike_hints,
     assoc_prob_sbs_cluster,
@@ -27,6 +28,9 @@ from hetcov.association import (
 )
 from hetcov.model import Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.specfun import faa_coefficient, integer_partitions
+
+# Tail mass the oracles below drop when they cut a radial or cone integral.
+TAIL_MASS = 1e-8
 
 EVENTS_BY_MODE = {
     "noncooperative": (AssociationEvent.MACRO, AssociationEvent.SMALL),
@@ -261,7 +265,7 @@ def single_coverage_quad(event, scenario: Scenario, threshold: float) -> float:
         mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
     else:
         mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
-    tau_max = -math.log(scenario.numerics.tail_mass)
+    tau_max = -math.log(TAIL_MASS)
     val, err = integrate.quad(
         lambda tau: math.exp(-tau) * single_server_kernel_scalar(
             scenario, event, math.sqrt(tau / mix), threshold
@@ -441,11 +445,42 @@ def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -
             )
             return t2 * math.exp(-t2) * val
 
-    tmax = -math.log(num.tail_mass) + 5.0
+    tmax = -math.log(TAIL_MASS) + 5.0
     val, err = integrate.quad(
         integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
     )
     assert err <= max(epsabs * 100.0, 1e-6), (val, err)
+    return val
+
+
+def cluster_integral_cone(scenario: Scenario, h=None, epsabs=None, spike=None) -> float:
+    """Integral of h(r_1..r_K) * exp(-lambda_m*pi*eta^(2/alpha)) * f(r) over
+    the whole ordered cone, f the joint PDF of the K nearest small-BS
+    distances; h maps an (n, K) array of ascending distance rows to n
+    values, and h=None means h=1, the cluster association probability.
+
+    One _cone_integral in arrival coordinates, its error estimate checked
+    against the engine's gate. t_K is cut at the larger of
+    -log(TAIL_MASS) + 5 and the Gamma(K) quantile at TAIL_MASS, so less than
+    TAIL_MASS of the cone is dropped for every K. spike hints the arrival
+    coordinate where h concentrates.
+    """
+    if epsabs is None:
+        epsabs = scenario.numerics.quad_epsabs
+    k = scenario.cluster_size
+    alpha = scenario.pathloss
+    c = _cone_coeff(scenario)
+
+    def values(t):
+        with np.errstate(divide="ignore", over="ignore"):
+            eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
+        w = np.exp(-c * eta_term)
+        return w if h is None else w * h(np.sqrt(t / (math.pi * scenario.small.density)))
+
+    upper = max(-math.log(TAIL_MASS) + 5.0, float(special.gammainccinv(k, TAIL_MASS)))
+    what = "cluster cone integral"
+    val, err = _cone_integral(k, values, upper, epsabs, what, spike)
+    _check_quadrature(val, err, epsabs, what)
     return val
 
 
@@ -553,23 +588,26 @@ def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
 
 
 def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> float:
-    """P[SINR > threshold | event] at zero noise by the routes that integrate
-    over the scale coordinate numerically: the single-server kernel over
+    """P[SINR > threshold | event] by the routes that integrate over the
+    scale coordinate numerically: the single-server kernel over
     tau = pi*mix*r^2 on adaptive panels, the cluster kernel over the whole
-    ordered cone, and the macro side under cooperation by the
-    Gauss-Laguerre oracle (K >= 2) or the exclusion route (K = 1)."""
+    ordered cone, and the macro side under cooperation by the exclusion
+    route (K = 1) or, at zero noise only, the Gauss-Laguerre oracle
+    (K >= 2)."""
     num = scenario.numerics
     alpha = scenario.pathloss
     beta = hat_ratios(scenario).macro_advantage
     lam_m, lam_s = scenario.macro.density, scenario.small.density
     spike = threshold ** (-2.0 / alpha)
     if event is AssociationEvent.CLUSTER:
-        raw = _cluster_integral(
+        raw = cluster_integral_cone(
             scenario, h=lambda r: _cluster_kernel(scenario, r, threshold),
             epsabs=0.5 * num.coverage_epsabs, spike=spike,
         )
         return raw / assoc_prob_sbs_cluster(scenario)
     if event is AssociationEvent.MACRO_COOP and scenario.cluster_size >= 2:
+        if scenario.noise != 0.0:
+            raise ValueError("the Gauss-Laguerre oracle requires zero noise")
         joint = coop_macro_joint_scalar(scenario, threshold)
         return joint / (1.0 - assoc_prob_sbs_cluster(scenario))
     norm = 1.0
@@ -587,7 +625,7 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
             weight *= [mbs_win_prob(scenario, x) if x > 0.0 else 1.0 for x in r.tolist()]
         return weight * _single_server_kernel(scenario, event, r, threshold)
 
-    tau_max = -math.log(num.tail_mass)
+    tau_max = -math.log(TAIL_MASS)
     val, err = _panel_integral(integrand, tau_max, num.coverage_epsabs, "reference", spike)
     assert err <= max(50.0 * num.coverage_epsabs, 1e-4), (val, err)
     return val / norm

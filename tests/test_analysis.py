@@ -15,6 +15,7 @@ from scipy import special
 from helpers import (
     EVENTS_BY_MODE,
     bell_sum_by_partitions,
+    cluster_integral_cone,
     cluster_integral_quad,
     cluster_integral_sampled,
     cluster_kernel_mp,
@@ -41,7 +42,6 @@ from hetcov.analysis import (
     _leggauss,
     _log_derivatives,
     _radial_tail_integral,
-    _scale_averaged_series,
     _single_server_kernel,
     _tail_weights,
     _taylor_terms,
@@ -56,9 +56,9 @@ from hetcov.analysis import (
     serving_context,
 )
 from hetcov import analysis, association
-from hetcov.association import AssociationEvent, _cluster_integral, assoc_prob_sbs_cluster
+from hetcov.association import AssociationEvent, assoc_prob_sbs_cluster
 from hetcov.mcsim import coverage_from_batch, run_trials
-from hetcov.model import MODES, Numerics, Scenario, TierParams, default_scenario
+from hetcov.model import MODES, STRATEGIES, Numerics, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -383,17 +383,39 @@ def scale_case(name, index) -> Scenario:
     return default_scenario(name, cluster_size=index)
 
 
+LOUD_NOISE = 1.0  # W, +30 dBm: moves the default cells' coverage by more than 1e-3
+SCALE_CASES = [(name, k) for name in ("SISO", "SUBF", "SDMA") for k in (2, 3)]
+SCALE_CASES += [("random", i) for i in range(10)]
+NOISY_SCALE_CASES = [(name, k) for name in ("SISO", "SUBF", "SDMA") for k in (1, 2)]
+NOISY_SCALE_CASES += [("random", i) for i in range(10)]
+
+
+def scale_route_params():
+    """(event, case, noise) cases of TestScaleAverage: every case at zero
+    noise, and the K <= 2 cases at LOUD_NOISE for each event the
+    numeric-scale oracle covers with noise (not the K >= 2 macro side)."""
+    params = [
+        pytest.param(event, case, 0.0, id="%s-%s-%d" % (event.value, *case))
+        for event in AssociationEvent
+        for case in SCALE_CASES
+    ]
+    for event in AssociationEvent:
+        for case in NOISY_SCALE_CASES:
+            k = scale_case(*case).cluster_size
+            if event is AssociationEvent.MACRO_COOP and k >= 2:
+                continue
+            case_id = "%s-%s-%d-30dBm" % (event.value, *case)
+            params.append(pytest.param(event, case, LOUD_NOISE, id=case_id))
+    return params
+
+
 class TestScaleAverage:
-    """Zero noise: coverage with the scale coordinate averaged in closed
-    form, against the routes that integrate it numerically."""
+    """Coverage with the scale coordinate averaged by _scale_average, against
+    the routes that integrate it numerically, at zero noise and with noise."""
 
-    CASES = [(name, k) for name in ("SISO", "SUBF", "SDMA") for k in (2, 3)]
-    CASES += [("random", i) for i in range(10)]
-
-    @pytest.mark.parametrize("case", CASES, ids=lambda case: "%s-%d" % case)
-    @pytest.mark.parametrize("event", list(AssociationEvent), ids=lambda event: event.value)
-    def test_matches_quadrature_route(self, event, case):
-        s = scale_case(*case)
+    @pytest.mark.parametrize("event, case, noise", scale_route_params())
+    def test_matches_quadrature_route(self, event, case, noise):
+        s = replace(scale_case(*case), noise=noise)
         got = []
         for db in (-20.0, 0.0, 20.0, 40.0):
             t = 10.0 ** (db / 10.0)
@@ -412,10 +434,15 @@ class TestScaleAverage:
             assert abs(got - coverage_conditional_quad(AssociationEvent.CLUSTER, s, t)) <= 1e-6
             assert got != coverage_conditional(AssociationEvent.CLUSTER, exact, t)
 
-    def test_requires_zero_noise(self):
-        ctx = LaplaceContext(s=1.0, d_macro=1.0, d_small=1.0, scenario=near_silent_scenario(1e-9))
-        with pytest.raises(ValueError):
-            _scale_averaged_series(ctx, 2, 1, 1.0)
+    def test_loud_noise_moves_the_defaults(self):
+        # the noisy cases above check a noise term, not only zero noise again
+        for strategy in STRATEGIES:
+            s = default_scenario(strategy)
+            loud = replace(s, noise=LOUD_NOISE)
+            for event in AssociationEvent:
+                quiet_value = coverage_conditional(event, s, 1.0)
+                moved = quiet_value - coverage_conditional(event, loud, 1.0)
+                assert moved > 1e-3, (strategy, event, moved)
 
 
 class TestHighFadingOrders:
@@ -506,12 +533,9 @@ class TestCoopMacroRoute:
             via_exclusion = coverage_conditional(AssociationEvent.MACRO_COOP, s, t)
             assert_allclose(via_cone, via_exclusion, atol=5e-6)
 
-    def test_requires_zero_noise_and_positive_threshold(self):
-        s = default_scenario()
+    def test_requires_positive_threshold(self):
         with pytest.raises(ValueError):
-            _coop_macro_joint(replace(s, noise=1e-9), 1.0)
-        with pytest.raises(ValueError):
-            _coop_macro_joint(s, 0.0)
+            _coop_macro_joint(default_scenario(), 0.0)
 
 
 class TestArrayKernels:
@@ -693,7 +717,9 @@ class TestLargerClusters:
             return _cluster_kernel(s, r, 1.0)
 
         # coverage-level tolerance, spike at T^(-2/alpha) as coverage_conditional uses
-        got = _cluster_integral(s, h=kernel, epsabs=0.5 * s.numerics.coverage_epsabs, spike=1.0)
+        got = cluster_integral_cone(
+            s, h=kernel, epsabs=0.5 * s.numerics.coverage_epsabs, spike=1.0
+        )
         mean, stderr = cluster_integral_sampled(s, h=kernel, n=200_000)
         assert abs(got - mean) <= 4.0 * stderr
 
@@ -743,26 +769,29 @@ class TestCoverageOverall:
 
     def test_cooperative_cone_integral_runs_once(self, monkeypatch):
         # coverage_overall and both cooperative conditionals need the cluster
-        # association probability; the h=1 cone integral runs once for them
-        real = association._cluster_integral
+        # association probability; its shape integral runs once for them
+        real = association._shape_integral
         calls = []
 
-        def counting(scenario, h=None, *args, **kwargs):
-            if h is None:
-                calls.append(scenario)
-            return real(scenario, h, *args, **kwargs)
+        def counting(scenario, *args, **kwargs):
+            calls.append(scenario)
+            return real(scenario, *args, **kwargs)
 
         s = default_scenario()
         assoc_prob_sbs_cluster.cache_clear()
-        monkeypatch.setattr(association, "_cluster_integral", counting)
+        monkeypatch.setattr(association, "_shape_integral", counting)
         try:
             coverage_overall("cooperative", s, 1.0)
         finally:
             assoc_prob_sbs_cluster.cache_clear()
         assert calls == [s]
 
-    def test_noise_continuity_single_competitor(self):
-        s0 = default_scenario(cluster_size=1)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    def test_noise_continuity(self, strategy, k):
+        # vanishing noise must give the interference-limited value, at every
+        # cluster size: the noise enters only the scale average
+        s0 = default_scenario(strategy, cluster_size=k)
         tiny = replace(s0, noise=1e-15)
         for mode in ("noncooperative", "cooperative"):
             assert_allclose(
@@ -770,6 +799,32 @@ class TestCoverageOverall:
                 coverage_overall(mode, s0, 1.0),
                 atol=1e-6,
             )
+
+    def test_noisy_cooperative_matches_monte_carlo(self):
+        # +30 dBm moves the K=2 Monte Carlo value by far more than its
+        # interval, so the check sees the noise term of the cooperative route
+        s0 = default_scenario("SISO")
+        loud = replace(s0, noise=LOUD_NOISE)
+        quiet = coverage_from_batch(run_trials(s0, "cooperative", 4000, master_seed=0), 1.0)
+        mc = coverage_from_batch(run_trials(loud, "cooperative", 4000, master_seed=0), 1.0)
+        assert abs(mc.value - quiet.value) > 3.0 * mc.ci_halfwidth, (mc, quiet)
+        got = coverage_overall("cooperative", loud, 1.0)
+        assert abs(got - mc.value) <= 0.03 + 2.0 * mc.ci_halfwidth, (got, mc)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_noisy_cells_are_decreasing_probabilities(self, seed):
+        s = random_scenario(
+            np.random.default_rng(seed), cluster_sizes=(1, 2, 3),
+            noise_choices=(0.0, 1e-15, LOUD_NOISE),
+        )
+        for mode in MODES:
+            try:
+                vals = [coverage_overall(mode, s, t) for t in (0.1, 1.0, 10.0)]
+            except IntegrationFailure:
+                continue
+            assert all(0.0 <= v <= 1.0 for v in vals), (mode, vals)
+            assert all(b <= a for a, b in zip(vals, vals[1:])), (mode, vals)
 
 
 class TestMeanRate:

@@ -10,13 +10,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from helpers import random_scenario
+from helpers import cluster_integral_cone, random_scenario
 from hetcov import association
 from hetcov.association import (
     AssociationEvent,
     IntegrationFailure,
     OrderedDistances,
-    _cluster_integral,
     _cone_integral,
     _gauss_kronrod,
     assoc_prob_sbs_cluster,
@@ -232,10 +231,19 @@ class TestClusterAssociation:
             association_probabilities(default_scenario(), "both")
 
     def test_k1_unresolved_integrand_raises(self):
-        # the K=1 quadrature's error estimate is checked, as K=2's is
-        s = default_scenario(cluster_size=1)
-        with pytest.raises(RuntimeError):
-            _cluster_integral(s, h=lambda r: np.sin(1e6 * r[:, 0]) ** 2)
+        # the one-level cone rule's error estimate is checked, as deeper ones are
+        with pytest.raises(IntegrationFailure):
+            _cone_integral(1, lambda t: np.sin(1e6 * t[:, 0]) ** 2, 30.0, 1e-10, "unresolved")
+
+    def test_shape_integral_matches_full_cone(self):
+        # integrating the scale t_K out in closed form leaves the shape only;
+        # the full-cone oracle cuts t_K, so it may sit below by its tail mass
+        rng = np.random.default_rng(123)
+        cells = [default_scenario(cluster_size=k) for k in (1, 2, 3)]
+        cells += [random_scenario(rng, cluster_sizes=(1, 2, 3)) for _ in range(8)]
+        for s in cells:
+            diff = assoc_prob_sbs_cluster(s) - cluster_integral_cone(s)
+            assert -1e-9 <= diff <= 1e-8, (s.cluster_size, diff)
 
 
 class TestGaussKronrod:

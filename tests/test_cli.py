@@ -291,6 +291,21 @@ class TestMain:
         assert cli.main(["validate"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_noisy_config_validates(self, tmp_path, capsys):
+        # a config file is how noise reaches the engines; at +30 dBm every
+        # cross-engine check must still pass
+        config = tmp_path / "noisy.ini"
+        with open(config, "w") as f:
+            scenario_to_config(default_scenario(noise=dbm_to_watts(30.0))).write(f)
+        out = tmp_path / "validate.csv"
+        code = cli.main(
+            ["validate", "--config", str(config), "--trials", "1000", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().out
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 8
+        assert all(r["error"] == "" for r in rows), rows
+
     def test_end_to_end_analytic_sweep(self, tmp_path, capsys):
         out = tmp_path / "cov.csv"
         code = cli.main(
