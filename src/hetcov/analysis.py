@@ -676,9 +676,10 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     Conditioned on the nearest-macro distance (tau = pi*lambda_m*r^2),
     rescaling the small-tier arrival coordinates to x_i = t_i/(lhat*tau)
     makes the macro-win region {sum_i x_i^(-alpha/2) <= beta} independent
-    of tau. The K conditioned small BSs then contribute tau-free terms: the
-    factor prod_i (1 + y_i)^(-psi_s) and psi_s*u_i^j to y_j, the log-series
-    C(x). The two tier fields beyond the macro BS and beyond x_K are the
+    of tau. The K conditioned small BSs then contribute tau-free terms, with
+    y_i = T p_hat x_i^(-alpha/2) and u_i = y_i/(1 + y_i): the factor
+    prod_i (1 + y_i)^(-psi_s), and psi_s*u_i^j to y_j, the log-series C(x).
+    The two tier fields beyond the macro BS and beyond x_K are the
     geometry at tau = 1 scaled by sqrt(tau), and tau carries the weight
     tau^K e^(-(1 + lhat x_K) tau). The coverage series is the product of
     exp(C(x)) and the fields' series, so its sum up to order kmax weights
