@@ -10,8 +10,9 @@ are the scaled log-Laplace derivatives, g = -sN + log L_I. Every y_j is
 non-negative, so one positive-term recurrence builds every series.
 
 The serving geometry splits into a scale coordinate (tau = pi*mix*r^2 for
-one server, the farthest arrival t_K for the cluster) and shape
-coordinates (the ratios t_i/t_K). log L_I and every y_j of the
+one server, the farthest small-cell arrival t_K under cooperation) and
+shape coordinates (the ratios t_i/t_K, and for the macro side under
+cooperation rho = (r_m/r_K)^2). log L_I and every y_j of the
 interference are linear in the scale; the noise term sN grows like
 scale^(alpha/2), and it enters only through the scale average. With zero
 noise, the Gamma moment-generating function averages the scale out in
@@ -19,7 +20,8 @@ closed form: the series becomes the coefficients of (1 - B(x)/D)^(-m), from
 the same recurrence, and the single-server events are finite sums. With
 noise, the same average runs as one adaptive integral over the whole scale
 range. The cooperative events integrate the average over the shape
-coordinates, so every event has one route at every noise level.
+coordinates on the one adaptive Gauss-Kronrod rule of the association
+module, so every event has one route at every noise level.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from .association import (
     AssociationEvent,
     IntegrationFailure,
     OrderedDistances,
-    _chunked,
+    _check_quadrature,
     _cluster_exclusion,
+    _cone_levels,
     _gauss_kronrod,
+    _panel_integral,
     _shape_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
@@ -106,8 +110,8 @@ def serving_context(event: AssociationEvent, scenario: Scenario, serving) -> Ser
     small beyond r, macro beyond beta^(1/alpha) r; cluster at r_1..r_K:
     small beyond r_K, macro beyond the cluster exclusion radius; macro under
     cooperation reuses the single-small exclusion beta^(-1/alpha) r, which
-    is exact for K = 1 only. Coverage does not use it for K >= 2, where
-    _coop_macro_joint conditions on the K losing small BSs instead.
+    is exact for K = 1 only. Coverage does not use it: _coop_macro_joint
+    conditions on the K losing small BSs at every K.
     """
     r = tuple(float(v) for v in np.atleast_1d(serving))
     if event is AssociationEvent.CLUSTER:
@@ -658,115 +662,83 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
 # Macro coverage under cooperation: exact scaled-cone route
 
 
-@lru_cache(maxsize=None)  # orders are bounded by panel_points
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _conditioned_weights(scenario: Scenario, threshold: float, rows) -> np.ndarray:
+    """Weights of the macro-served fields' terms 0..kmax, one row per cone
+    row (w_1..w_K, rho) of the K losing small BSs.
 
-
-def _gauss_panel(a: float, b: float, n: int):
-    """Gauss-Legendre nodes and weights mapped to (a, b)."""
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (b + a), 0.5 * (b - a)
-    return mid + half * x, half * w
+    The loser at w_i = t_i/t_K has y_i = T p_hat (rho/w_i)^(alpha/2) at
+    every scale: it contributes the factor (1 + y_i)^(-psi_s) and adds
+    psi_s * u_i^j, u_i = y_i/(1 + y_i), to the log-series C. The coverage
+    sum up to order kmax weights the fields' term j by the partial sum of
+    exp(C) up to kmax - j.
+    """
+    sc = scenario
+    kmax = derive_tier(sc.macro).fading_order - 1
+    y = threshold * hat_ratios(sc).power * (rows[:, -1:] / rows[:, :-1]) ** (sc.pathloss / 2.0)
+    u = y / (1.0 + y)
+    c_tot = sc.small.users * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
+    partial = np.cumsum(_taylor_terms(c_tot, kmax + 1), axis=1)[:, ::-1]
+    return np.exp(-sc.small.users * np.log1p(y).sum(axis=1))[:, None] * partial
 
 
 def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     """P[SINR > threshold and the macro side wins] under cooperation.
 
-    Conditioned on the nearest-macro distance (tau = pi*lambda_m*r^2),
-    rescaling the small-tier arrival coordinates to x_i = t_i/(lhat*tau)
-    makes the macro-win region {sum_i x_i^(-alpha/2) <= beta} independent
-    of tau. The K conditioned small BSs then contribute tau-free terms, with
-    y_i = T p_hat x_i^(-alpha/2) and u_i = y_i/(1 + y_i): the factor
-    prod_i (1 + y_i)^(-psi_s), and psi_s*u_i^j to y_j, the log-series C(x).
-    The two tier fields beyond the macro BS and beyond x_K are the
-    geometry at tau = 1 scaled by sqrt(tau), and tau carries the weight
-    tau^K e^(-(1 + lhat x_K) tau). The coverage series is the product of
-    exp(C(x)) and the fields' series, so its sum up to order kmax weights
-    the fields' term j by the partial sum of exp(C(x)) up to kmax - j.
-    These weights are summed over the inner coordinates first, as moments
-    per outer node x_K; one _scale_average of shape K+1 over the outer
-    nodes then averages out tau. The cone runs on Gauss-Legendre panels
-    under a rational map aimed at the scale where the kernel actually
-    varies; the panels' node set is built level by level as arrays.
+    With t_K, the K-th small-tier arrival, as the scale, the losers' shape
+    w_i = t_i/t_K and rho = (r_m/r_K)^2 = lhat*tau/t_K (tau = pi*lambda_m*r_m^2),
+    the weight e^(-tau - t_K) becomes t_K^K e^(-(1 + rho/lhat) t_K) dt_K dw drho/lhat.
+    The macro side wins where sum_i (w_i/rho)^(-alpha/2) <= beta: rho runs
+    over (0, (beta/K)^(2/alpha)], and the budget left bounds each w_i from
+    below. The losers are scale-free (_conditioned_weights); the two tier
+    fields are the geometry at t_K = 1, macro beyond r_m = sqrt(rho/(pi*lambda_s))
+    and small beyond r_K = (pi*lambda_s)^(-1/2), scaled by sqrt(t_K).
+
+    Per node of rho, the inner levels z_i = w_i/w_(i+1) (_cone_levels, from
+    the budget bound to 1, split where y_i = 1 and at 10 and 100 times that
+    z) sum the losers' weights into moments; one _scale_average of shape K+1
+    and rate 1 + rho/lhat averages out t_K. rho runs on _panel_integral,
+    hinted where y_K = 1. The outer estimate plus the largest error of each
+    inner level is checked against the gate; K = 1 has no inner level.
     """
     sc = scenario
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    alpha = sc.pathloss
-    big_k = sc.cluster_size
+    alpha, big_k = sc.pathloss, sc.cluster_size
     ratios = hat_ratios(sc)
     beta, lhat = ratios.macro_advantage, ratios.density
-    p_hat = sc.small.power / sc.macro.power
-    psi_s = sc.small.users
-    kmax = derive_tier(sc.macro).fading_order - 1
-    two_a = 2.0 / alpha
-    t = threshold
+    x_scale = (threshold * ratios.power) ** (2.0 / alpha)  # y_i = 1 at w_i = rho * x_scale
+    r_k = (math.pi * sc.small.density) ** -0.5
+    epsabs = 0.5 * sc.numerics.coverage_epsabs
+    what = "macro cooperative cone"
+    inner_err = [0.0] * big_k
 
-    # the macro field's log-Laplace slope: the dimensionless exclusion limit
-    # r/(s*p_m)^(1/alpha) is T^(-1/alpha) at every serving distance
-    a_macro = two_a * t ** two_a * _beta_tier_sum(sc.macro.users, alpha, 1.0 / (1.0 + t))
-    x_scale = (t * p_hat) ** two_a  # scaled distance where one small BS matches T
-    lb_outer = (beta / big_k) ** (-two_a)
+    def z_edges(i, outer):
+        # rows (w_(i+1)..w_K, rho); some w_1 < ... < w_i fit the budget
+        # sum_(j<=i) w_j^(-alpha/2) <= b only above w_i = (b/i)^(-2/alpha)
+        rho, w_next = outer[:, -1], outer[:, 0]
+        budget = beta * rho ** (-alpha / 2.0) - (outer[:, :-1] ** (-alpha / 2.0)).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            lo = np.minimum((np.maximum(budget, 0.0) / i) ** (-2.0 / alpha) / w_next, 1.0)
+        knee = rho * x_scale / w_next  # y_i = 1
+        hints = [np.clip(f * knee, lo, 1.0) for f in (1.0, 10.0, 100.0)]
+        return np.column_stack([lo, *hints, np.ones_like(lo)])
 
-    def panel_points(lo, hi, scale):
-        """Quadrature nodes and weights on (lo, hi): a linear Gauss panel
-        resolves structure of width ~scale above lo; a log-space panel (node
-        count grown with the decade span) covers the algebraically decaying
-        rest."""
-        xb = min(hi, lo + 3.0 * scale)
-        xs, ws = _gauss_panel(lo, xb, 16)
-        if hi > xb * (1.0 + 1e-12):
-            zspan = math.log(hi / xb)
-            zs, wz = _gauss_panel(math.log(xb), math.log(hi), max(12, int(2.0 * zspan) + 8))
-            xs, ws = np.concatenate([xs, np.exp(zs)]), np.concatenate([ws, wz * np.exp(zs)])
-        return xs, ws
-
-    def conditioned(xs):
-        """Weights of the fields' terms 0..kmax at cone points, one per row
-        of xs: the conditioned small BSs' factor times the partial sums of
-        exp(C(x))."""
-        y = t * p_hat * xs ** (-alpha / 2.0)
-        u = y / (1.0 + y)
-        # each small BS at u adds psi_s * u^j to y_j
-        c_tot = psi_s * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
-        partial = np.cumsum(_taylor_terms(c_tot, kmax + 1), axis=1)[:, ::-1]
-        return np.exp(-psi_s * np.log1p(y).sum(axis=1))[:, None] * partial
-
-    # Beyond x_max the integrand is below weight * 1, whose tail mass is
-    # ~2/(lhat * x); the cap keeps the truncation under ~1e-7.
-    outer_scale = max(x_scale, lb_outer, (1.0 + a_macro) / lhat)
-    x_max = max(2e7 / lhat, 1e3 * (lb_outer + 3.0 * outer_scale))
-    x_k, w = panel_points(lb_outer, x_max, outer_scale)
-
-    # Inner levels i = K-1..1: x_i runs over (lower feasibility bound, x_{i+1}).
-    xs, owner = x_k[:, None], np.arange(len(x_k))
-    budget = beta - x_k ** (-alpha / 2.0)
-    for i in range(big_k - 1, 0, -1):
-        lb = (budget / i) ** (-two_a)
-        level = [
-            (row, *panel_points(lb[row], xs[row, 0], max(x_scale, lb[row])))
-            for row in np.flatnonzero(xs[:, 0] > lb).tolist()
-        ]
-        if not level:
-            return 0.0
-        rows = np.concatenate([np.full(len(x), row) for row, x, _ in level])
-        x_i = np.concatenate([x for _, x, _ in level])
-        w = w[rows] * np.concatenate([wx for _, _, wx in level])
-        xs, owner = np.column_stack([x_i, xs[rows]]), owner[rows]
-        budget = budget[rows] - x_i ** (-alpha / 2.0)
-
-    weighted = w[:, None] * _chunked(conditioned, xs)
-    moments = np.column_stack([np.bincount(owner, col, len(x_k)) for col in weighted.T])
-    # the fields at tau = 1: the macro BS at r_m = (pi*lambda_m)^(-1/2), the
-    # K-th small BS at r_m sqrt(x_K)
-    r_m = (math.pi * sc.macro.density) ** -0.5
-    ctx = LaplaceContext(
-        s=np.full(len(x_k), t * r_m ** alpha / sc.macro.power), d_macro=r_m,
-        d_small=r_m * np.sqrt(x_k), scenario=sc,
+    level = _cone_levels(
+        lambda rows: _conditioned_weights(sc, threshold, rows), z_edges, epsabs, what, inner_err
     )
-    joint = _scale_average([(ctx, moments)], big_k + 1, 1.0 + lhat * x_k)
-    return lhat ** big_k * float(joint.sum())
+
+    def over_rho(rho):
+        moments = level(big_k - 1, np.column_stack([np.ones_like(rho), rho]))
+        r_m = r_k * np.sqrt(rho)
+        ctx = LaplaceContext(
+            s=threshold * r_m ** alpha / sc.macro.power, d_macro=r_m, d_small=r_k, scenario=sc
+        )
+        return _scale_average([(ctx, moments)], big_k + 1, 1.0 + rho / lhat) / lhat
+
+    rho_max = (beta / big_k) ** (2.0 / alpha)
+    val, err = _panel_integral(over_rho, rho_max, epsabs, what, 1.0 / x_scale)
+    _check_quadrature(val, err + sum(inner_err), epsabs, what)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -778,10 +750,11 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
 
     Averages the fixed-geometry coverage kernel over the serving-distance
     density of the event. Each event splits its serving geometry into a
-    scale coordinate (tau = pi*mix*r^2 for one server, the farthest arrival
-    t_K for the cluster, tau for the macro side under cooperation) and
-    shape coordinates (none, the ratios t_i/t_K, the scaled small-tier
-    arrivals). _scale_average integrates the scale out, in closed form at
+    scale coordinate (tau = pi*mix*r^2 for one server, the farthest
+    small-tier arrival t_K under cooperation) and shape coordinates (none;
+    the ratios t_i/t_K for the cluster; rho = (r_m/r_K)^2 and the K losers'
+    ratios for the macro side under cooperation, _coop_macro_joint, at
+    every K). _scale_average integrates the scale out, in closed form at
     zero noise and by adaptive quadrature with noise: the single-server
     events are one scale average, and the cooperative events integrate it
     over the shape coordinates. Every event takes this one route at every
@@ -806,12 +779,11 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
         )
         return min(max(raw / assoc_prob_sbs_cluster(scenario), 0.0), 1.0)
 
-    if event is AssociationEvent.MACRO_COOP and scenario.cluster_size >= 2:
+    if event is AssociationEvent.MACRO_COOP:
         joint = _coop_macro_joint(scenario, threshold)
         return min(max(joint / (1.0 - assoc_prob_sbs_cluster(scenario)), 0.0), 1.0)
 
-    # one server; with K = 1 the macro side under cooperation is the
-    # noncooperative macro event. tau = 1 at r = mix^(-1/2).
+    # one server; tau = 1 at r = mix^(-1/2)
     if event.macro_serving:
         mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
     else:

@@ -211,7 +211,8 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
 
     Each round evaluates every live piece of every interval in one call,
     f(x, *args) with x an (n, 21) array of nodes and each arg an (n, 1)
-    column. A piece's error estimate is |K21 - G10|. A piece whose error
+    column, and returns (n, 21) values or (n, 21, ...) vectors. A piece's
+    error estimate is the largest component of |K21 - G10|. A piece whose error
     exceeds its share of epsabs is bisected, each half taking half the
     share, until every piece meets its share or the interval's summed error
     meets epsabs. Returns per-interval integrals and error estimates; a
@@ -231,13 +232,18 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
         fx = f(mid[:, None] + half[:, None] * _GK_NODES, *(x[owner, None] for x in args))
         if not np.all(np.isfinite(fx)):
             raise IntegrationFailure(f"{what}: non-finite integrand value")
-        kronrod = half * (fx @ _K21)
-        piece_err = half * np.abs(fx @ (_K21 - _G10))
+        fx = np.moveaxis(fx, 1, -1)  # nodes last, after any trailing axes
+        kronrod = half.reshape((-1,) + (1,) * (fx.ndim - 2)) * (fx @ _K21)
+        piece_err = half * np.abs(fx @ (_K21 - _G10)).reshape(len(half), -1).max(axis=1)
+        if val.shape[1:] != kronrod.shape[1:]:  # the first round fixes the trailing axes
+            val = np.zeros((n,) + kronrod.shape[1:])
         # the summed test ends an interval whose error is set by an integrable
         # endpoint singularity: there a piece's error falls slower than its share
         total_err = err + np.bincount(owner, piece_err, minlength=n)
         done = (piece_err <= share) | (total_err[owner] <= epsabs)
-        val += np.bincount(owner[done], kronrod[done], minlength=n)
+        gained = np.zeros_like(val)  # summed per interval first, as bincount would
+        np.add.at(gained, owner[done], kronrod[done])
+        val += gained
         err += np.bincount(owner[done], piece_err[done], minlength=n)
         split = ~done
         owner, lo, mid, hi, share = (x[split] for x in (owner, lo, mid, hi, share))
@@ -249,9 +255,9 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
                 f"{int(over.sum())} of {n} intervals: error estimate "
                 f"{total_err[over][:3].tolist()}"
             )
-        owner, share = np.r_[owner, owner], np.r_[share, share] / 2.0
-        lo, hi = np.r_[lo, mid], np.r_[mid, hi]
-    return val.reshape(shape), err.reshape(shape)
+        owner, share = np.concatenate([owner, owner]), np.concatenate([share, share]) / 2.0
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return val.reshape(shape + val.shape[1:]), err.reshape(shape)
 
 
 def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
@@ -266,6 +272,37 @@ def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
     return float(val.sum()), float(err.sum())
 
 
+def _cone_levels(f, z_edges, epsabs: float, what: str, inner_err: list):
+    """level(i, outer): the integral of f over t_1..t_i given the rows
+    `outer` of (t_(i+1), ...). Level i runs z_i = t_i/t_(i+1) over the
+    pieces between the edges z_edges(i, outer), one row per outer row, as
+    one batched _gauss_kronrod call, and carries the Jacobian t_(i+1). f
+    maps an (n, m) array of rows to n values or n rows of values, at most
+    _CHUNK rows per call. inner_err[i] keeps the largest error of level i."""
+
+    def level(i, outer):
+        if i == 0:
+            return f(outer)
+        t_next = outer[:, 0]
+        edges = z_edges(i, outer)
+
+        def over_z(z, row):
+            tail = np.broadcast_to(outer[row], z.shape + outer.shape[1:])
+            rows = np.concatenate([(z * t_next[row])[..., None], tail], axis=-1)
+            values = _chunked(lambda r: level(i - 1, r), rows.reshape(-1, rows.shape[-1]))
+            return values.reshape(z.shape + values.shape[1:])
+
+        val, err = _gauss_kronrod(
+            over_z, edges[:, :-1], edges[:, 1:], epsabs, f"{what} (inner)",
+            args=(np.arange(len(t_next))[:, None],),
+        )
+        inner_err[i] = max(inner_err[i], float(err.sum(axis=-1).max()))
+        val = val.sum(axis=1)
+        return t_next.reshape((-1,) + (1,) * (val.ndim - 1)) * val
+
+    return level
+
+
 def _cone_integral(
     k: int, f, upper: float, epsabs: float, what: str, spike=None, rate: float = 1.0
 ):
@@ -277,20 +314,16 @@ def _cone_integral(
 
     t_k runs outermost on the panels of _panel_integral. Each inner level
     i = k-1..1 runs z_i = t_i/t_(i+1) over (0, 1), split at z = spike/t_(i+1)
-    and 10*spike/t_(i+1), as one batched _gauss_kronrod call over a chunk of
-    the next level's nodes, and carries the Jacobian t_(i+1). The error is
-    the outer estimate plus the largest error of each inner level: the
-    weights an inner level's result is integrated against over the rest of
-    the cone integrate to at most 1. spike hints the arrival coordinate
-    where f concentrates (a coverage kernel at a deep-tail threshold is a
-    narrow peak the first round would miss).
+    and 10*spike/t_(i+1) (_cone_levels). The error is the outer estimate
+    plus the largest error of each inner level: the weights an inner level's
+    result is integrated against over the rest of the cone integrate to at
+    most 1. spike hints the arrival coordinate where f concentrates (a
+    coverage kernel at a deep-tail threshold is a narrow peak the first
+    round would miss).
     """
     inner_err = [0.0] * k
 
-    def level(i, outer):
-        """Integral of f over t_1..t_i given the rows of t_(i+1)..t_k."""
-        if i == 0:
-            return f(outer)
+    def z_edges(i, outer):
         t_next = outer[:, 0]
         z_hints = np.empty((len(t_next), 0))
         if spike is not None:
@@ -299,22 +332,9 @@ def _cone_integral(
                     np.minimum(spike / t_next, 1.0),
                     np.where(spike < t_next, np.minimum(10.0 * spike / t_next, 0.5), 1.0),
                 ], axis=0).T
-        z_edges = np.column_stack([np.zeros_like(t_next), z_hints, np.ones_like(t_next)])
+        return np.column_stack([np.zeros_like(t_next), z_hints, np.ones_like(t_next)])
 
-        def over_z(z, row):
-            tail = np.broadcast_to(outer[row], z.shape + outer.shape[1:])
-            rows = np.concatenate([(z * t_next[row])[..., None], tail], axis=-1)
-            return _chunked(lambda r: level(i - 1, r), rows.reshape(-1, k - i + 1)).reshape(
-                z.shape
-            )
-
-        val, err = _gauss_kronrod(
-            over_z, z_edges[:, :-1], z_edges[:, 1:], epsabs, f"{what} (inner)",
-            args=(np.arange(len(t_next))[:, None],),
-        )
-        inner_err[i] = max(inner_err[i], float(err.sum(axis=-1).max()))
-        return t_next * val.sum(axis=-1)
-
+    level = _cone_levels(f, z_edges, epsabs, what, inner_err)
     val, err = _panel_integral(
         lambda t_k: np.exp(-rate * t_k) * level(k - 1, t_k[:, None]), upper, epsabs, what, spike
     )

@@ -276,11 +276,17 @@ def validate(
             )
         )
 
-    # Single-SBS limit of the cluster association integral (analytic only).
+    # Single-SBS limit of the cooperative events (analytic only): with K = 1
+    # the cluster association and both cooperative conditionals at 0 dB
+    # reduce to their noncooperative counterparts, each by its own route.
     scn_k1 = replace(scenario, cluster_size=1)
     delta = abs(
         association.assoc_prob_sbs_cluster(scn_k1) - association.assoc_prob_sbs_single(scn_k1)
     )
+    conditional = analysis.coverage_conditional
+    for coop, non in ((AssociationEvent.CLUSTER, AssociationEvent.SMALL),
+                      (AssociationEvent.MACRO_COOP, AssociationEvent.MACRO)):
+        delta = max(delta, abs(conditional(coop, scn_k1, 1.0) - conditional(non, scn_k1, 1.0)))
     checks.append(CheckResult("cluster_k1_reduction", "-", delta, 1e-4))
 
     # Interference Laplace transform: closed form vs direct radial quadrature.

@@ -10,7 +10,6 @@ from scipy import integrate, special
 from hetcov.analysis import (
     LaplaceContext,
     _cluster_kernel,
-    _gauss_panel,
     _single_server_kernel,
     _tail_weights,
     laplace_context,
@@ -397,7 +396,9 @@ def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> fl
         return float(coverage(np.array([lo_gain]), 2 * order)[0])
     start = max(0.0, span - 40.0)
     edges = np.linspace(start, span, int(math.ceil((span - start) / 2.0)) + 1)
-    y, wy = map(np.concatenate, zip(*(_gauss_panel(a, b, 16) for a, b in zip(edges, edges[1:]))))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    y, wy = (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
     x = np.expm1(y) / math.expm1(span)
     density = (x * (1.0 - x)) ** (order - 1) / special.beta(order, order)
     jacobian = np.exp(y) / math.expm1(span)
@@ -500,91 +501,76 @@ def cluster_integral_sampled(scenario: Scenario, h=None, n=200_000, seed=0, chun
     return float(w.mean()), float(w.std(ddof=1) / math.sqrt(n))
 
 
-def coop_macro_joint_scalar(scenario: Scenario, threshold: float) -> float:
-    """P[SINR > threshold and the macro side wins] under cooperation, on the
-    engine's fixed scaled-cone panels, one cone point per kernel call."""
+def coop_macro_joint_scalar(scenario: Scenario, threshold: float, atol: float = 1e-8) -> float:
+    """P[SINR > threshold and the macro side wins] under cooperation, at
+    zero noise, over the cluster event's coordinates by scipy's adaptive
+    cubature: the engine's coordinates and integrator are not used.
+
+    The K losers' shape w = (t_1..t_(K-1))/t_K runs over the unit cube in
+    z_i = w_i/w_(i+1), with Jacobian w_2 ... w_(K-1). At shape w the macro
+    side wins while rho = (r_m/r_K)^2 stays below
+    rho_max = beta^(2/alpha) (sum_i w_i^(-alpha/2))^(-2/alpha), w_K = 1;
+    the weight is drho/lhat and the scale t_K has rate 1 + rho/lhat. The
+    last cube coordinate v maps onto (0, rho_max) by
+    rho/rho_knee = q/(1 - q), q proportional to v^2, with rho_knee where the
+    K-th loser alone matches T. At t_K = 1 the macro field lies beyond
+    r_m = sqrt(rho/(pi lambda_s)) and the small field beyond
+    r_K = (pi lambda_s)^(-1/2); the losers' signed scaled log-derivatives
+    are scale-free, the fields' grow linearly in t_K. The Gamma(K+1) average
+    over t_K is exact on kmax//2 + 1 generalized Gauss-Laguerre nodes, each
+    summing the complete Bell series of the coverage terms.
+    """
     sc = scenario
     alpha = sc.pathloss
     big_k = sc.cluster_size
     ratios = hat_ratios(sc)
-    beta, lhat = ratios.macro_advantage, ratios.density
-    p_hat = sc.small.power / sc.macro.power
+    beta, lhat, p_hat = ratios.macro_advantage, ratios.density, ratios.power
     psi_m, psi_s = sc.macro.users, sc.small.users
     kmax = derive_tier(sc.macro).fading_order - 1
     two_a = 2.0 / alpha
     t = threshold
 
-    a_macro = two_a * t ** two_a * beta_tier_sum_direct(psi_m, alpha, 1.0 / (1.0 + t))
+    # the fields' log-Laplace exponent and signed scaled log-derivatives at
+    # t_K = 1, per unit rho: the macro field's dimensionless exclusion is
+    # T^(-1/alpha) at every rho
+    a_macro = two_a * t ** two_a * beta_tier_sum_direct(psi_m, alpha, 1.0 / (1.0 + t)) / lhat
     b_macro = (
         2.0 * t ** two_a * signed_rising(psi_m, kmax)
-        * radial_tail_direct(t ** (-1.0 / alpha), psi_m, kmax, alpha)
-    ).tolist()
-    b_small_coeff = 2.0 * lhat * (t * p_hat) ** two_a * signed_rising(psi_s, kmax)
+        * radial_tail_direct(t ** (-1.0 / alpha), psi_m, kmax, alpha) / lhat
+    )
+    b_small = 2.0 * (t * p_hat) ** two_a * signed_rising(psi_s, kmax)
+    lag_y, lag_w = special.roots_genlaguerre(kmax // 2 + 1, big_k)
+    orders = np.arange(1, kmax + 1)
+    signs = (-1.0) ** orders * special.factorial(orders - 1)
+    rho_knee = (t * p_hat) ** (-two_a)
 
-    x_scale = (t * p_hat) ** two_a
-    lb_outer = (beta / big_k) ** (-two_a)
-    lag_y, lag_w = (v.tolist() for v in special.roots_genlaguerre(kmax // 2 + 1, big_k))
-
-    def panel_points(lo, hi, scale):
-        xb = min(hi, lo + 3.0 * scale)
-        xs, ws = _gauss_panel(lo, xb, 16)
-        pts = list(zip(xs, ws))
-        if hi > xb * (1.0 + 1e-12):
-            zspan = math.log(hi / xb)
-            zs, wz = _gauss_panel(math.log(xb), math.log(hi), max(12, int(2.0 * zspan) + 8))
-            pts += [(math.exp(z), w * math.exp(z)) for z, w in zip(zs, wz)]
-        return pts
-
-    def kernel_at(xs, a_small, b_small) -> float:
-        logp = 0.0
-        c_tot = [0.0] * kmax
-        for x in xs:
-            y = t * p_hat * x ** (-alpha / 2.0)
-            logp -= psi_s * math.log1p(y)
-            u = y / (1.0 + y)
-            for j in range(1, kmax + 1):
-                c_tot[j - 1] += psi_s * (-1.0) ** j * math.factorial(j - 1) * u ** j
-        d = 1.0 + lhat * xs[-1] + a_macro + a_small
-        b_tot = [bm + bs for bm, bs in zip(b_macro, b_small)]
-        acc = 0.0
-        for y, w in zip(lag_y, lag_w):
-            sigmas = [c + b * y / d for c, b in zip(c_tot, b_tot)]
-            acc += w * sum(bell_series(sigmas, kmax + 1))
-        return math.exp(logp) * acc * d ** (-(big_k + 1))
-
-    def inner_levels(i, budget, upper, xs, a_small, b_small) -> float:
-        lb = (budget / i) ** (-two_a)
-        if upper <= lb:
-            return 0.0
-        total = 0.0
-        for x, w in panel_points(lb, upper, max(x_scale, lb)):
-            if i == 1:
-                val = kernel_at((x, *xs), a_small, b_small)
-            else:
-                val = inner_levels(
-                    i - 1, budget - x ** (-alpha / 2.0), x, (x, *xs), a_small, b_small
-                )
-            total += w * val
-        return total
-
-    outer_scale = max(x_scale, lb_outer, (1.0 + a_macro) / lhat)
-    x_max = max(2e7 / lhat, 1e3 * (lb_outer + 3.0 * outer_scale))
-    total = 0.0
-    for x_k, w in panel_points(lb_outer, x_max, outer_scale):
-        y_k = t * p_hat * x_k ** (-alpha / 2.0)
-        a_small = lhat * two_a * (t * p_hat) ** two_a * beta_tier_sum_direct(
-            psi_s, alpha, 1.0 / (1.0 + y_k)
+    def integrand(x):
+        z, v = x[:, :-1], x[:, -1]
+        w = np.column_stack([np.cumprod(z[:, ::-1], axis=1)[:, ::-1], np.ones(len(x))])
+        eta = ((w ** (-alpha / 2.0)).sum(axis=1)) ** (-two_a)
+        # q = q_max v^2 makes the powers rho and rho^(alpha/2) smooth in v at 0
+        q_max = 1.0 / (1.0 + rho_knee / (beta ** two_a * eta))
+        q = q_max * v * v
+        rho = rho_knee * q / (1.0 - q)
+        jacobian = np.prod(w[:, 1:-1], axis=1) * rho_knee * 2.0 * q_max * v / (1.0 - q) ** 2 / lhat
+        y = t * p_hat * (rho[:, None] / w) ** (alpha / 2.0)
+        u = y / (1.0 + y)
+        c_tot = psi_s * signs * (u[..., None] ** orders).sum(axis=1)
+        a_small = two_a * (t * p_hat) ** two_a * rho * beta_tier_sum_direct(
+            psi_s, alpha, 1.0 / (1.0 + y[:, -1])
         )
-        v0_s = math.sqrt(x_k) * (t * p_hat) ** (-1.0 / alpha)
-        b_small = (b_small_coeff * radial_tail_direct(v0_s, psi_s, kmax, alpha)).tolist()
-        if big_k == 1:
-            val = kernel_at((x_k,), a_small, b_small)
-        else:
-            val = inner_levels(
-                big_k - 1, beta - x_k ** (-alpha / 2.0), x_k, (x_k,), a_small, b_small
-            )
-        total += w * val
-    return lhat ** big_k * total
+        v0_small = (t * p_hat) ** (-1.0 / alpha) / np.sqrt(rho)
+        b_tot = rho[:, None] * (b_macro + b_small * radial_tail_direct(v0_small, psi_s, kmax, alpha))
+        d = 1.0 + rho / lhat + rho * a_macro + a_small
+        sigmas = c_tot[..., None] + b_tot[..., None] * (lag_y / d[:, None])[:, None, :]
+        terms = bell_series(list(sigmas.transpose(1, 0, 2)), kmax + 1)
+        acc = sum(terms, np.zeros((len(x), len(lag_w)))) @ lag_w
+        losers = np.exp(-psi_s * np.log1p(y).sum(axis=1))
+        return jacobian * losers * acc * d ** (-(big_k + 1))
+
+    res = integrate.cubature(integrand, np.zeros(big_k), np.ones(big_k), rtol=0.0, atol=atol)
+    assert res.status == "converged", (res.estimate, res.error)
+    return float(res.estimate)
 
 
 def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> float:
@@ -592,8 +578,8 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
     scale coordinate numerically: the single-server kernel over
     tau = pi*mix*r^2 on adaptive panels, the cluster kernel over the whole
     ordered cone, and the macro side under cooperation by the exclusion
-    route (K = 1) or, at zero noise only, the Gauss-Laguerre oracle
-    (K >= 2)."""
+    route (K = 1) or, at zero noise only, the cubature oracle
+    coop_macro_joint_scalar (K >= 2)."""
     num = scenario.numerics
     alpha = scenario.pathloss
     beta = hat_ratios(scenario).macro_advantage
@@ -607,7 +593,7 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
         return raw / assoc_prob_sbs_cluster(scenario)
     if event is AssociationEvent.MACRO_COOP and scenario.cluster_size >= 2:
         if scenario.noise != 0.0:
-            raise ValueError("the Gauss-Laguerre oracle requires zero noise")
+            raise ValueError("the cubature oracle requires zero noise")
         joint = coop_macro_joint_scalar(scenario, threshold)
         return joint / (1.0 - assoc_prob_sbs_cluster(scenario))
     norm = 1.0

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from helpers import random_laplace_context, random_scenario
 from hetcov import analysis, association, cli, mcsim
-from hetcov.analysis import _taylor_terms
+from hetcov.analysis import _taylor_terms, coverage_conditional
 from hetcov.association import (
     AssociationEvent,
     assoc_prob_sbs_cluster,
@@ -102,26 +102,40 @@ def test_criterion_01_association_probability_matches_simulation(capsys):
     assert ok, failures
 
 
+K1_PAIRS = (
+    (AssociationEvent.CLUSTER, AssociationEvent.SMALL),
+    (AssociationEvent.MACRO_COOP, AssociationEvent.MACRO),
+)
+
+
 def test_criterion_02_cluster_integral_single_cell_limit(capsys):
-    # the cone integral with a one-cell cluster must reduce to the
-    # noncooperative closed form on 20 random scenarios
+    # with a one-cell cluster, the cluster association and the cooperative
+    # conditional coverages (their own routes: the cluster kernel, the
+    # macro-cooperative cone) must reduce to the noncooperative closed forms
+    # on 20 random scenarios
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     worst = 0.0
     failures = []
     for i in range(20):
         s = random_scenario(rng, cluster_sizes=(1,))
-        diff = abs(assoc_prob_sbs_cluster(s) - assoc_prob_sbs_single(s))
-        worst = max(worst, diff)
-        if diff > 1e-4:
-            failures.append(f"scenario {i}: cone integral off by {diff:.2e}")
+        diffs = {"association": abs(assoc_prob_sbs_cluster(s) - assoc_prob_sbs_single(s))}
+        for t in (0.1, 1.0, 10.0):
+            for coop, non in K1_PAIRS:
+                diffs[f"{coop.value} at T={t}"] = abs(
+                    coverage_conditional(coop, s, t) - coverage_conditional(non, s, t)
+                )
+        for what, diff in diffs.items():
+            worst = max(worst, diff)
+            if diff > 1e-4:
+                failures.append(f"scenario {i}: {what} off by {diff:.2e}")
     elapsed = time.perf_counter() - start
     if elapsed > 60.0:
         failures.append(f"took {elapsed:.1f}s, budget 60s")
     ok = not failures
     _report(
         capsys, 2, ok,
-        f"cluster association K=1 limit on 20 scenarios: worst |diff| {worst:.2e} "
+        f"cooperative K=1 limit on 20 scenarios: worst |diff| {worst:.2e} "
         f"(tol 1e-4), {elapsed:.1f}s",
     )
     assert ok, failures

@@ -39,7 +39,6 @@ from hetcov.analysis import (
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
-    _leggauss,
     _log_derivatives,
     _radial_tail_integral,
     _single_server_kernel,
@@ -524,18 +523,41 @@ class TestCoopMacroRoute:
         assert_allclose(_coop_macro_joint(s, 1e-9), expected, atol=1e-6)
 
     def test_single_competitor_matches_exclusion_route(self):
-        # K=1 has an exact single-exclusion formulation; the scaled-cone
-        # route must agree with it
-        s = default_scenario(cluster_size=1)
+        # K=1: the macro side under cooperation is the noncooperative macro
+        # event, whose conditional coverage is a closed-form finite sum; the
+        # cone route must agree with it
+        for strategy in STRATEGIES:
+            s = default_scenario(strategy, cluster_size=1)
+            for t in (0.3, 1.0, 5.0):
+                via_cone = coverage_conditional(AssociationEvent.MACRO_COOP, s, t)
+                closed_form = coverage_conditional(AssociationEvent.MACRO, s, t)
+                assert abs(via_cone - closed_form) <= 1e-8, (strategy, t, via_cone, closed_form)
+
+    def test_64_macro_antennas_decrease_and_match_oracle(self):
+        # a long macro series (fading order 64) on the macro cooperative
+        # cone: coverage falls with the threshold and matches the oracle
+        base = default_scenario("SUBF")
+        s = replace(base, macro=replace(base.macro, antennas=64), cluster_size=2)
         norm = 1.0 - assoc_prob_sbs_cluster(s)
-        for t in (0.3, 1.0, 5.0):
-            via_cone = _coop_macro_joint(s, t) / norm
-            via_exclusion = coverage_conditional(AssociationEvent.MACRO_COOP, s, t)
-            assert_allclose(via_cone, via_exclusion, atol=5e-6)
+        got = []
+        for t in (0.1, 0.3, 1.0, 3.0, 10.0):
+            got.append(coverage_conditional(AssociationEvent.MACRO_COOP, s, t))
+            oracle = coop_macro_joint_scalar(s, t) / norm
+            assert abs(got[-1] - oracle) <= s.numerics.coverage_epsabs, (t, got[-1], oracle)
+        assert all(b < a for a, b in zip(got, got[1:])), got
 
     def test_requires_positive_threshold(self):
         with pytest.raises(ValueError):
             _coop_macro_joint(default_scenario(), 0.0)
+
+    def test_summed_error_estimate_is_gated(self, monkeypatch):
+        # an estimate past the gate raises instead of returning the value
+        def loose(f, upper, epsabs, what, spike=None, panels=analysis._panel_integral):
+            return panels(f, upper, epsabs, what, spike)[0], 1e-3
+
+        monkeypatch.setattr(analysis, "_panel_integral", loose)
+        with pytest.raises(IntegrationFailure, match="macro cooperative cone"):
+            _coop_macro_joint(default_scenario(), 1.0)
 
 
 class TestArrayKernels:
@@ -644,7 +666,7 @@ class TestArrayKernels:
         s = default_scenario(strategy, cluster_size=k)
         for t in (0.1, 1.0, 10.0):
             assert_allclose(
-                _coop_macro_joint(s, t), coop_macro_joint_scalar(s, t), rtol=1e-12, atol=1e-15
+                _coop_macro_joint(s, t), coop_macro_joint_scalar(s, t), rtol=0.0, atol=1e-7
             )
 
     @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
@@ -691,13 +713,20 @@ class TestQuadratureWork:
         )
         assert_allclose(got, expected / a, atol=1e-6)
 
-    def test_panel_orders_stay_cached(self):
-        # the macro route asks for over two dozen Gauss-Legendre orders per call
+    def test_macro_cooperative_cone_rows(self, monkeypatch):
+        # one round of 42 outer nodes, each inner level split where y_1 = 1
+        # and at 10 and 100 times that z: 1,407 conditioned rows here
         s = default_scenario()
-        _coop_macro_joint(s, 1.0)
-        misses = _leggauss.cache_info().misses
-        _coop_macro_joint(s, 1.0)
-        assert _leggauss.cache_info().misses == misses
+        rows = []
+
+        def counting(scenario, threshold, cone_rows, weights=analysis._conditioned_weights):
+            rows.append(len(cone_rows))
+            return weights(scenario, threshold, cone_rows)
+
+        monkeypatch.setattr(analysis, "_conditioned_weights", counting)
+        got = _coop_macro_joint(s, 1.0)
+        assert 0 < sum(rows) <= 2000
+        assert_allclose(got, coop_macro_joint_scalar(s, 1.0), rtol=0.0, atol=1e-7)
 
 
 class TestLargerClusters:
