@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .association import (
     AssociationEvent,
@@ -56,6 +56,8 @@ from .model import (
 )
 
 _FOLD_DIGITS = 4.0    # split weights of the cluster fold stay near 10^_FOLD_DIGITS
+_RADIAL_EPSABS = 1e-13  # per integral of laplace_interference_radial, integrands in (0, 1]
+_RADIAL_RTOL = 1e-10    # its gate: summed error estimate over the exponent
 
 
 @dataclass(frozen=True)
@@ -232,53 +234,55 @@ def laplace_interference(ctx: LaplaceContext) -> float:
     return math.exp(_log_laplace_beta(ctx))
 
 
-def laplace_interference_radial(ctx: LaplaceContext, epsrel: float = 1e-12) -> float:
+def laplace_interference_radial(ctx: LaplaceContext) -> float:
     """Independent radial-quadrature evaluation of the Laplace transform.
 
-    Integrates exp{-2*pi*sum_j lambda_j * int_d^inf (1-(1+s p u^-alpha)^-psi) u du}
-    directly, in the variable t = (u/scale)^-alpha so the slow u^(1-alpha)
-    tail becomes an algebraic t^(-2/alpha) endpoint handled by a weighted
-    rule. Slower than the Beta form; used for cross-validation.
+    Each tier adds lambda * int_d^inf (1-(1+s p u^-alpha)^-psi) u du to the
+    exponent of L_I = exp(-2*pi*sum). In t = (u/scale)^-alpha, with
+    scale = (s p)^(1/alpha), that is
+    scale^2/alpha * int_0^t0 (1-(1+t)^-psi) t^(-1-2/alpha) dt, t0 = (d/scale)^-alpha.
+    Two substitutions leave bounded integrands:
+    - inner part, t < min(t0, 1): t = y^m with m = alpha/(alpha-2) turns
+      t^(-2/alpha) dt into m dy, so the integrand is m (1-(1+t)^-psi)/t,
+      psi at t = 0; y runs to min(t0, 1)^(1/m), stretched onto (0, 1);
+    - tail, 1 < t < t0: t = y^(-alpha/2) maps it onto y in ((d/scale)^2, 1)
+      with the integrand (alpha/2)(1-(1+t)^-psi); d = 0 is t0 = inf.
+    Each integrand is scaled into (0, 1] and runs on the adaptive
+    Gauss-Kronrod rule of the association module. The exponent's summed error
+    estimate must stay within _RADIAL_RTOL of it, or IntegrationFailure is
+    raised. Slower than the Beta form; used for cross-validation.
     """
     s = ctx.s
     if s == 0.0:
         return 1.0
     alpha = ctx.scenario.pathloss
-    total = 0.0
-    for lam, p, psi, d in ctx.tiers():
-        if lam == 0.0:
-            continue
-        scale = (s * p) ** (1.0 / alpha)
-        v0 = d / scale
-        log_t0 = -alpha * math.log(v0)
-        t0 = math.inf if log_t0 > 700.0 else math.exp(log_t0)
+    m, half_alpha = alpha / (alpha - 2.0), alpha / 2.0
+    lam, p, psi, d = (np.array(col, dtype=float) for col in zip(*ctx.tiers()))
+    scale2 = (s * p) ** (2.0 / alpha)
+    v0 = d / np.sqrt(scale2)  # t0 = v0^-alpha
+    top = np.maximum(v0, 1.0) ** (2.0 - alpha)  # min(t0, 1)^(1/m)
 
-        def smooth(t, _psi=psi):
-            # (1 - (1+t)^-psi) / t, continued to psi at t = 0
-            if t <= 0.0:
-                return float(_psi)
-            return -math.expm1(-_psi * math.log1p(t)) / t
+    def inner(x, psi, top):
+        # (1-(1+t)^-psi)/(psi t) at t = (x top)^m; below the smallest normal
+        # t it equals 1 to double precision
+        t = np.maximum((x * top) ** m, np.finfo(float).tiny)
+        return -np.expm1(-psi * np.log1p(t)) / (psi * t)
 
-        def upper(t, _psi=psi):
-            return -math.expm1(-_psi * math.log1p(t)) * t ** (-1.0 - 2.0 / alpha)
+    def tail(y, psi):
+        w = y ** half_alpha  # 1/t
+        return 1.0 - (w / (1.0 + w)) ** psi
 
-        val, _ = integrate.quad(
-            smooth,
-            0.0,
-            min(t0, 1.0),
-            weight="alg",
-            wvar=(-2.0 / alpha, 0.0),
-            epsabs=1e-14,
-            epsrel=epsrel,
-            limit=400,
-        )
-        if t0 > 1.0:
-            hi, _ = integrate.quad(
-                upper, 1.0, t0, epsabs=1e-14, epsrel=epsrel, limit=400
-            )
-            val += hi
-        total += lam * scale ** 2 * val / alpha
-    return math.exp(-2.0 * math.pi * total)
+    what = "radial Laplace oracle"
+    inner_val, inner_err = _gauss_kronrod(inner, 0.0, 1.0, _RADIAL_EPSABS, what, args=(psi, top))
+    tail_val, tail_err = _gauss_kronrod(
+        tail, np.minimum(v0, 1.0) ** 2, 1.0, _RADIAL_EPSABS, what, args=(psi,)
+    )
+    weight = 2.0 * math.pi * lam * scale2 / alpha
+    exponent = float(weight @ (m * psi * top * inner_val + half_alpha * tail_val))
+    err = float(weight @ (m * psi * top * inner_err + half_alpha * tail_err))
+    if not err <= _RADIAL_RTOL * exponent:
+        raise IntegrationFailure(f"{what} did not converge: exponent {exponent}, error {err}")
+    return math.exp(-exponent)
 
 
 @lru_cache(maxsize=256)
@@ -676,7 +680,9 @@ def _conditioned_weights(scenario: Scenario, threshold: float, rows) -> np.ndarr
     kmax = derive_tier(sc.macro).fading_order - 1
     y = threshold * hat_ratios(sc).power * (rows[:, -1:] / rows[:, :-1]) ** (sc.pathloss / 2.0)
     u = y / (1.0 + y)
-    c_tot = sc.small.users * (u[..., None] ** np.arange(1, kmax + 1)).sum(axis=1)
+    # u_i^j for j = 1..kmax as cumulative products along the order axis
+    repeated = np.broadcast_to(u[..., None], u.shape + (kmax,))
+    c_tot = sc.small.users * np.cumprod(repeated, axis=-1).sum(axis=1)
     partial = np.cumsum(_taylor_terms(c_tot, kmax + 1), axis=1)[:, ::-1]
     return np.exp(-sc.small.users * np.log1p(y).sum(axis=1))[:, None] * partial
 

@@ -289,7 +289,7 @@ def validate(
         delta = max(delta, abs(conditional(coop, scn_k1, 1.0) - conditional(non, scn_k1, 1.0)))
     checks.append(CheckResult("cluster_k1_reduction", "-", delta, 1e-4))
 
-    # Interference Laplace transform: closed form vs direct radial quadrature.
+    # Interference Laplace transform: closed form vs the checked radial integral.
     r_typical = 0.5 / math.sqrt(scenario.macro.density)
     sctx = analysis.serving_context(AssociationEvent.MACRO, scenario, r_typical)
     ctx = analysis.laplace_context(sctx, scenario, threshold=1.0)

@@ -120,6 +120,35 @@ class TestLaplaceTransform:
             laplace_interference(ctx), laplace_interference_radial(ctx), rtol=1e-6
         )
 
+    @pytest.mark.parametrize("psi", [1, 4, 8])
+    @pytest.mark.parametrize("alpha", [2.05, 2.2, 3.0, 4.5, 6.0])
+    def test_radial_oracle_on_the_domain_edges(self, alpha, psi):
+        # alpha near 2 and far above it, no exclusion (d = 0) and far
+        # exclusions, arguments over six decades; RuntimeWarnings are errors
+        base = default_scenario()
+        tiers = {
+            name: replace(getattr(base, name), antennas=psi, users=psi, pathloss=alpha)
+            for name in ("macro", "small")
+        }
+        scn = replace(base, **tiers)
+        for d in (0.0, 0.5, 3.0, 30.0):
+            for s in (1e-3, 1.0, 1e3):
+                ctx = LaplaceContext(s=s, d_macro=d, d_small=d, scenario=scn)
+                assert_allclose(
+                    laplace_interference_radial(ctx), laplace_interference(ctx), rtol=1e-9,
+                    err_msg=f"d={d}, s={s}",
+                )
+
+    def test_radial_oracle_is_gated(self, monkeypatch):
+        ctx = LaplaceContext(s=1.0, d_macro=3.0, d_small=1.0, scenario=default_scenario())
+        with monkeypatch.context() as m:
+            m.setattr(association, "_MAX_PIECES", 1)
+            with pytest.raises(IntegrationFailure, match="radial Laplace oracle"):
+                laplace_interference_radial(ctx)
+        monkeypatch.setattr(analysis, "_RADIAL_RTOL", 0.0)
+        with pytest.raises(IntegrationFailure, match="radial Laplace oracle"):
+            laplace_interference_radial(ctx)
+
     def test_decreasing_in_argument(self):
         s = default_scenario()
         vals = [

@@ -4,6 +4,11 @@ subcommand, and exit codes."""
 import configparser
 import csv
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +277,25 @@ class TestMain:
         assert code == 2
         assert "path-loss exponent" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_validate_imports_no_scipy_integrate(self):
+        # a fresh interpreter: the test modules themselves import scipy.integrate
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import hetcov, hetcov.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = hetcov.cli.main(["validate", "--trials", "200"])
+            heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+            print(code, *[m for m in heavy if m in sys.modules])
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split() == ["0"], done.stdout
 
     def test_bad_engine_list_exits_2(self, capsys):
         code = cli.main(
