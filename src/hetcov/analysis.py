@@ -359,13 +359,6 @@ def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
     return out
 
 
-def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
-    """n-th derivative of g(s) = -sN + log L_I(s), n >= 1, in closed form."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
-
-
 def _taylor_terms(y, n: int, shape: float = math.inf, first=1.0) -> np.ndarray:
     """Taylor coefficients t_0..t_(n-1) of first * (1 - G(x)/shape)^(-shape),
     G(x) = sum_j y_j x^j / j, along the last axis, from y_1, y_2, ... along
@@ -469,17 +462,6 @@ def _scale_average(poles, shape: int, rate) -> np.ndarray:
         args=(np.arange(n),),
     )
     return val * gamma_norm * at_zero
-
-
-def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
-    """k-th derivative of e^(-sN) * L_I(s) with respect to s.
-
-    k=0 returns the function itself; order k is k!/(-s)^k times the k-th
-    term of the Laplace series.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return float(_laplace_series(ctx, k + 1)[-1]) * math.factorial(k) / (-ctx.s) ** k
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,9 @@ def _shape_integral(scenario: Scenario, f, epsabs: float, what: str, spike=None)
     of rows t = (z, 1) and the rates 1 + c*eta(t) at them. One _cone_integral
     over the K-1 shape coordinates, its error estimate checked against the
     gate; K = 1 has no shape and gives f at t = (1,). spike hints the shape
-    coordinate where f concentrates.
+    coordinate where f concentrates. assoc_prob_sbs_cluster and
+    mbs_win_prob are the association integrals on it; the cluster coverage
+    of the analysis module is the third.
     """
     k, alpha = scenario.cluster_size, scenario.pathloss
     c = _cone_coeff(scenario)
@@ -420,12 +422,11 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
     beta the macro power advantage; in arrival coordinates this is
     sum_i t_i^(-alpha/2) < lo^(-alpha/2), where lo = beta^(-2/alpha) * tau
     is the arrival coordinate at which one small BS alone matches the macro
-    BS at tau = lambda_s*pi*r_m^2. K=1 gives exp(-lo). For K >= 2, given
-    t_2..t_K the nearest arrival t_1 is uniform on (0, t_2), and the
-    cluster loses when t_1 > b = base^(-2/alpha), with
-    base = lo^(-alpha/2) - sum_{i>=2} t_i^(-alpha/2); it never loses where
-    base <= 0. The probability is then the (K-1)-arrival cone integral of
-    max(0, t_2 - b) over t_2 < ... < t_K.
+    BS at tau = lambda_s*pi*r_m^2. At shape t = (z, 1) the macro BS wins
+    iff the scale t_K exceeds x = lo * (sum_i t_i^(-alpha/2))^(2/alpha), so
+    the scale integrates out to the Gamma(K) tail
+    (K-1)! Q(K, x) = e^(-x) sum_{j<K} x^j (K-1)!/j!, a _shape_integral;
+    K = 1 gives exp(-lo).
     """
     if mbs_distance <= 0.0:
         raise ValueError(f"mbs_distance must be positive, got {mbs_distance}")
@@ -433,25 +434,25 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
     k = scenario.cluster_size
     beta = hat_ratios(scenario).macro_advantage
     lo = beta ** (-2.0 / alpha) * scenario.small.density * math.pi * mbs_distance ** 2
-    if k == 1:
-        return math.exp(-lo)
-    base_lo = lo ** (-alpha / 2.0)
 
-    def losing_gap(t):
+    def gamma_tail(t, rate):
         with np.errstate(divide="ignore", over="ignore"):
-            base = base_lo - (t ** (-alpha / 2.0)).sum(axis=1)
-            b = np.where(base > 0.0, base, 0.0) ** (-2.0 / alpha)
-        return np.maximum(t[:, 0] - b, 0.0)
+            x = lo * (t ** (-alpha / 2.0)).sum(axis=1) ** (2.0 / alpha)
+        # x = inf where z_1 underflows; past x ~ 745 every term is 0 anyway,
+        # and a finite x keeps 0 * x from giving NaN
+        x = np.minimum(x, np.finfo(float).max)
+        term = math.factorial(k - 1) * np.exp(-x)
+        total = term
+        for j in range(1, k):
+            term = term * x / j
+            total = total + term
+        return total
 
-    # the two nearest small BSs alone beat the macro BS where t_2 is below the
-    # knee 2^(2/alpha) * lo, so the gap is 0 there; every level splits at it,
-    # and 40 past it the weight exp(-t_K) leaves a negligible tail
-    knee = 2.0 ** (2.0 / alpha) * lo
-    epsabs = scenario.numerics.quad_epsabs
-    what = "macro win probability"
-    val, err = _cone_integral(k - 1, losing_gap, knee + 40.0, epsabs, what, knee)
-    _check_quadrature(val, err, epsabs, what)
-    return val
+    # the tail falls short of (K-1)! by about (lo/z_1)^K/K, a power of z_1
+    # that reaches well past z_1 = lo, so the hints sit a decade further out
+    return _shape_integral(
+        scenario, gamma_tail, scenario.numerics.quad_epsabs, "macro win probability", 10.0 * lo
+    )
 
 
 def serving_distance_pdf(event: AssociationEvent, scenario: Scenario):

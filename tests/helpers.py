@@ -10,6 +10,8 @@ from scipy import integrate, special
 from hetcov.analysis import (
     LaplaceContext,
     _cluster_kernel,
+    _laplace_series,
+    _log_derivatives,
     _single_server_kernel,
     _tail_weights,
     laplace_context,
@@ -185,6 +187,26 @@ def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 
     else:
         val, _ = integrate.quad(kernel, v0, np.inf, epsabs=0.0, epsrel=epsrel, limit=300)
     return val
+
+
+def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
+    """k-th derivative of e^(-sN) * L_I(s) with respect to s, from the
+    engine's Laplace series.
+
+    k=0 returns the function itself; order k is k!/(-s)^k times the k-th
+    term of the series.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return float(_laplace_series(ctx, k + 1)[-1]) * math.factorial(k) / (-ctx.s) ** k
+
+
+def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
+    """n-th derivative of g(s) = -sN + log L_I(s), n >= 1, from the engine's
+    scaled log-derivatives."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
 
 
 def log_laplace_derivative_quad(ctx: LaplaceContext, n: int) -> float:
@@ -452,6 +474,41 @@ def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -
     )
     assert err <= max(epsabs * 100.0, 1e-6), (val, err)
     return val
+
+
+def mbs_win_prob_quad(scenario: Scenario, mbs_distance: float, epsabs: float = 1e-13) -> float:
+    """P[the macro BS at mbs_distance beats the small-cell cluster], K in
+    {2, 3}, by nested QUADPACK over the ordered shape
+    w_1 < ... < w_(K-1) < 1 of the K nearest arrivals, not the engine's
+    ratio coordinates.
+
+    At shape w the macro BS wins iff the scale t_K exceeds
+    x = lo * (1 + sum_i w_i^(-alpha/2))^(2/alpha), lo = beta^(-2/alpha) *
+    lambda_s*pi*r_m^2, so the Gamma(K) scale leaves
+    (K-1)! * gammaincc(K, x). Every level breaks at lo, 10 lo and 100 lo,
+    around where the tail falls from (K-1)!.
+    """
+    k, alpha = scenario.cluster_size, scenario.pathloss
+    if k not in (2, 3):
+        raise ValueError(f"nested quadrature covers K in (2, 3), got {k}")
+    beta = hat_ratios(scenario).macro_advantage
+    lo = beta ** (-2.0 / alpha) * scenario.small.density * math.pi * mbs_distance ** 2
+
+    def tail(*w):
+        x = lo * (1.0 + sum(v ** (-alpha / 2.0) for v in w)) ** (2.0 / alpha)
+        return math.factorial(k - 1) * special.gammaincc(k, x)
+
+    def over(f, top):
+        points = [p for p in (lo, 10.0 * lo, 100.0 * lo) if p < top] or None
+        val, err = integrate.quad(
+            f, 0.0, top, epsabs=epsabs, epsrel=0.0, limit=400, points=points
+        )
+        assert err <= 100.0 * epsabs, (val, err)
+        return val
+
+    if k == 2:
+        return over(tail, 1.0)
+    return over(lambda w_2: over(lambda w_1: tail(w_1, w_2), w_2), 1.0)
 
 
 def cluster_integral_cone(scenario: Scenario, h=None, epsabs=None, spike=None) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from helpers import random_laplace_context, random_scenario
+from helpers import laplace_derivative, random_laplace_context, random_scenario
 from hetcov import analysis, association, cli, mcsim
 from hetcov.analysis import _taylor_terms, coverage_conditional
 from hetcov.association import (
@@ -184,7 +184,7 @@ def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
             continue
 
         def f(x):
-            return analysis.laplace_derivative(replace(ctx, s=x), 0)
+            return laplace_derivative(replace(ctx, s=x), 0)
 
         s = ctx.s
         f0 = f(s)
@@ -203,7 +203,7 @@ def test_criterion_04_derivative_assembly_vs_finite_differences(capsys):
             / (2.0 * h**3),
         }
         for k, fd in stencils.items():
-            exact = analysis.laplace_derivative(ctx, k)
+            exact = laplace_derivative(ctx, k)
             rel = abs(exact - fd) / max(abs(fd), abs(exact), 1e-280)
             worst = max(worst, rel)
             if rel > 1e-4:

@@ -24,6 +24,8 @@ from helpers import (
     coop_macro_joint_scalar,
     coverage_conditional_quad,
     gamma_ccdf,
+    laplace_derivative,
+    log_laplace_derivative,
     log_laplace_derivative_quad,
     radial_tail_direct,
     radial_tail_quad,
@@ -47,10 +49,8 @@ from hetcov.analysis import (
     coverage_conditional,
     coverage_overall,
     laplace_context,
-    laplace_derivative,
     laplace_interference,
     laplace_interference_radial,
-    log_laplace_derivative,
     mean_rate,
     serving_context,
 )

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, special
 
-from helpers import cluster_integral_cone, random_scenario
+from helpers import cluster_integral_cone, mbs_win_prob_quad, random_scenario
 from hetcov import association
 from hetcov.association import (
     AssociationEvent,
@@ -355,10 +355,43 @@ class TestMbsWinProb:
         grid = [mbs_win_prob(s, r) for r in (1.0, 3.0, 6.0, 12.0, 24.0)]
         assert all(b < a for a, b in zip(grid, grid[1:]))
         assert all(0.0 <= v <= 1.0 for v in grid)
+        # a farther macro BS, or one more small BS in the cluster sum, can
+        # only hurt the macro side; K + 1 may exceed K by two gates of 1e-8
+        rng = np.random.default_rng(31)
+        radii = (0.3, 1.0, 3.0, 6.0, 12.0, 24.0)
+        for _ in range(10):
+            s = random_scenario(rng)
+            grids = [
+                [mbs_win_prob(replace(s, cluster_size=k), r) for r in radii] for k in (1, 2, 3)
+            ]
+            for k, grid in enumerate(grids, start=1):
+                assert all(0.0 <= v <= 1.0 for v in grid), (k, grid)
+                assert all(b <= a for a, b in zip(grid, grid[1:])), (k, grid)
+            for fewer, more in zip(grids, grids[1:]):
+                assert all(m <= f + 2e-8 for f, m in zip(fewer, more)), (fewer, more)
+
+    @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_nested_quadrature(self, k, strategy):
+        # the Gamma-tail shape integral against QUADPACK over the ordered
+        # shape; at r = 0.01 m the tail falls from (K-1)! only near z_1 = 0
+        s = default_scenario(strategy, cluster_size=k)
+        for r in (0.01, 0.3, 1.0, 3.0, 6.0, 12.0, 24.0):
+            assert abs(mbs_win_prob(s, r) - mbs_win_prob_quad(s, r)) <= 1e-10, r
 
     def test_domain(self):
         with pytest.raises(ValueError):
             mbs_win_prob(default_scenario(), 0.0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tail_vanishes_where_nearest_shape_underflows(self, k, monkeypatch):
+        # z_1 = 0 or 1e-300 sends x to inf: the tail must be 0, not NaN,
+        # and RuntimeWarnings are errors under the test settings
+        rows = np.array([[0.0] * (k - 1) + [1.0], [1e-300] + [0.5] * (k - 2) + [1.0]])
+        monkeypatch.setattr(
+            association, "_shape_integral", lambda scenario, f, *args: f(rows, None)
+        )
+        assert mbs_win_prob(default_scenario(cluster_size=k), 1.0).tolist() == [0.0, 0.0]
 
     def test_k2_quadrature_error_is_gated(self, monkeypatch):
         # an error estimate past the cone-integral gate raises, as there
