@@ -141,7 +141,9 @@ def laplace_context(sctx: ServingContext, scenario: Scenario, threshold: float) 
     """Laplace argument for a threshold at this serving geometry.
 
     Single-server events use s = T * r^alpha / p_serve; the cluster event
-    uses the mean-matched surrogate s = T / (p_s * sum r_i^(-alpha)).
+    uses the summed-gain argument s = T / (p_s * sum r_i^(-alpha)), the
+    least of its per-link arguments T / (p_s r_i^(-alpha)); _cluster_kernel
+    reads s = 0 there as certain coverage.
     """
     if threshold <= 0.0:
         raise ValueError(f"threshold must be positive, got {threshold}")
@@ -588,9 +590,8 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
     """Conditional coverage given the cluster serves from these distances,
     one value per row of an (n, K) array of ascending distances.
 
-    "exact" folds the non-coherent power sum of Gamma-faded links into an
-    exact Erlang mixture; "gamma" collapses it to one mean-matched Gamma, a
-    single pole at the summed gain. Given an array rate, each value is
+    The non-coherent power sum of Gamma-faded links folds into an exact
+    Erlang mixture (_erlang_mixture). Given an array rate, each value is
     instead the kernel at distances sqrt(u) r integrated over u with weight
     u^(K-1) e^(-rate u): the _scale_average of shape K over the poles, since
     the fold's weights depend only on gain ratios.
@@ -599,8 +600,8 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
     k = scenario.cluster_size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         path_gain = r ** (-scenario.pathloss)
-        # laplace_context's mean-matched argument s = T / (p_s sum r_i^-alpha),
-        # the least of the Laplace arguments the exact form uses
+        # laplace_context's summed-gain argument s = T / (p_s sum r_i^-alpha),
+        # the least of the Laplace arguments the mixture uses
         s = threshold / (scenario.small.power * path_gain.sum(axis=1))
     # s = 0 (a server at, or numerically at, zero distance): the series is
     # its k = 0 term L_I(0) = 1, certain coverage; its scale integral is the
@@ -614,13 +615,8 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
     d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
     if rate is not None:
         rate = rate[live]
-    if scenario.numerics.cluster_fading == "gamma":
-        unit = np.broadcast_to(np.eye(order)[-1], (len(r), order))  # weight 1 at `order`
-        mixture = [(np.arange(len(r)), [(gains.sum(axis=1), unit)])]
-    else:
-        mixture = _erlang_mixture(gains, order)
     total = np.zeros(len(r))
-    for rows, poles in mixture:
+    for rows, poles in _erlang_mixture(gains, order):
         # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...): each pole's
         # series terms weighted by cum[:, k] = sum_{l>k} w_l
         series = [

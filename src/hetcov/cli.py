@@ -104,6 +104,8 @@ class SweepSpec:
                 raise ValueError(f"unknown engine {e!r}; choose from {ENGINES}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.metric not in ("coverage", "rate"):
@@ -424,10 +426,16 @@ def main(argv=None) -> int:
         scenario = _load_scenario(args)
         if args.seed is None:
             args.seed = scenario.seed
-        scenario = replace(scenario, seed=args.seed)
+        try:
+            scenario = replace(scenario, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         engines = _parse_csv_list(args.engines, "engines")
 
         if args.command == "validate":
+            for name in ("trials", "workers"):
+                if getattr(args, name) < 1:
+                    raise ConfigError(f"{name} must be positive, got {getattr(args, name)}")
             checks = validate(scenario, args.trials, args.seed, workers=args.workers)
             print(validate_report(checks))
             if args.out:

@@ -413,6 +413,8 @@ def empirical_association(
     scenario: Scenario, mode: str, trials: int, master_seed: int
 ) -> dict[AssociationEvent, MetricResult]:
     """Association frequencies by simulation of the selection inputs alone."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.Generator(np.random.Philox(key=master_seed))
     codes = _association_by_distance(scenario, mode, trials, rng)
     return _event_frequencies(codes, "mc-distance")

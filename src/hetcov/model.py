@@ -104,25 +104,17 @@ def derive_tier(t: TierParams) -> DerivedTier:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Quadrature controls for the analytic engine.
+    """Quadrature controls for the analytic engine. mean_rate relaxes both
+    for its coverage calls, quad_epsabs to at least 1e-8 and coverage_epsabs
+    to at least 1e-4.
 
     quad_epsabs      absolute tolerance for association/pdf integrals
     coverage_epsabs  absolute tolerance for coverage probabilities; a
                      noisy link's scale average meets a tenth of it
-    cluster_fading   cluster signal model: "exact" folds the sum of per-link
-                     Gamma powers into an exact Erlang mixture; "gamma"
-                     uses a mean-matched single-Gamma surrogate
     """
 
     quad_epsabs: float = 1e-10
     coverage_epsabs: float = 1e-6
-    cluster_fading: str = "exact"
-
-    def __post_init__(self):
-        if self.cluster_fading not in ("exact", "gamma"):
-            raise ValueError(
-                f"cluster_fading must be 'exact' or 'gamma', got {self.cluster_fading!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,8 @@ class Scenario:
     macro/small   the two tiers, which must share one path-loss exponent
     cluster_size  number of nearest small cells cooperating (K >= 1)
     noise         receiver noise power in watts; 0 = interference-limited
-    seed          default master seed for Monte Carlo runs
+    seed          default master seed for Monte Carlo runs, >= 0
+    numerics      quadrature controls for the analytic engine
     """
 
     macro: TierParams
@@ -147,6 +140,8 @@ class Scenario:
             raise ValueError(f"cluster_size must be an integer >= 1, got {self.cluster_size}")
         if self.noise < 0.0:
             raise ValueError(f"noise power must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.macro.pathloss != self.small.pathloss:
             raise ValueError(
                 "both tiers must share one path-loss exponent, got "
@@ -210,7 +205,6 @@ def default_scenario(
     cluster_size: int = 2,
     noise: float = 0.0,
     seed: int = 0,
-    numerics: Numerics | None = None,
 ) -> Scenario:
     """Reference two-tier scenario: macro 0.01 /m^2 at 45 dBm, small cells
     0.04 /m^2 at 35 dBm, path-loss exponent 3."""
@@ -220,7 +214,6 @@ def default_scenario(
         cluster_size=cluster_size,
         noise=noise,
         seed=seed,
-        numerics=numerics if numerics is not None else Numerics(),
     )
     return apply_strategy(s, strategy)
 

@@ -398,8 +398,6 @@ def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> fl
         return 1.0
     sctx = serving_context(AssociationEvent.CLUSTER, scenario, distances)
     order = derive_tier(scenario.small).fading_order
-    if scenario.numerics.cluster_fading == "gamma":
-        return _tail_weights(laplace_context(sctx, scenario, threshold), order)
 
     def coverage(gain, n):
         ctx = LaplaceContext(

@@ -57,16 +57,16 @@ from hetcov.analysis import (
 from hetcov import analysis, association
 from hetcov.association import AssociationEvent, assoc_prob_sbs_cluster
 from hetcov.mcsim import coverage_from_batch, run_trials
-from hetcov.model import MODES, STRATEGIES, Numerics, Scenario, TierParams, default_scenario
+from hetcov.model import MODES, STRATEGIES, Scenario, TierParams, default_scenario
 from hetcov.specfun import MAX_PARTITION_ORDER
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877]
 
 
-def cluster_scenario(k: int, order: int, psi: int, fading: str = "exact") -> Scenario:
+def cluster_scenario(k: int, order: int, psi: int) -> Scenario:
     """Reference scenario with a K-cell cluster whose small cells serve psi
     users each at fading order `order`."""
-    base = default_scenario(cluster_size=k, numerics=Numerics(cluster_fading=fading))
+    base = default_scenario(cluster_size=k)
     return replace(base, small=replace(base.small, antennas=psi + order - 1, users=psi))
 
 
@@ -452,16 +452,6 @@ class TestScaleAverage:
             assert abs(got[-1] - want) <= s.numerics.coverage_epsabs, (db, got[-1], want)
         assert all(b <= a for a, b in zip(got, got[1:])), got
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_gamma_surrogate_matches_cone(self, k):
-        # the mean-matched single-Gamma cluster signal takes the same route
-        exact = default_scenario("SUBF", cluster_size=k)
-        s = replace(exact, numerics=Numerics(cluster_fading="gamma"))
-        for t in (0.1, 1.0, 100.0):
-            got = coverage_conditional(AssociationEvent.CLUSTER, s, t)
-            assert abs(got - coverage_conditional_quad(AssociationEvent.CLUSTER, s, t)) <= 1e-6
-            assert got != coverage_conditional(AssociationEvent.CLUSTER, exact, t)
-
     def test_loud_noise_moves_the_defaults(self):
         # the noisy cases above check a noise term, not only zero noise again
         for strategy in STRATEGIES:
@@ -615,18 +605,15 @@ class TestArrayKernels:
                 seen += 1
         assert seen == len(r)
 
-    @pytest.mark.parametrize("fading", ["exact", "gamma"])
-    @pytest.mark.parametrize("k, order, psi", CASES)
-    def test_cluster_kernel_matches_scalar(self, k, order, psi, fading):
-        # "exact" against the mpmath partial fractions, "gamma" against the
-        # one-geometry-per-call form of the same surrogate
-        s = cluster_scenario(k, order, psi, fading)
+    # "exact" in the ids names the cluster model checked, the exact Erlang mixture
+    @pytest.mark.parametrize("k, order, psi", CASES, ids=["%d-%d-%d-exact" % c for c in CASES])
+    def test_cluster_kernel_matches_scalar(self, k, order, psi):
+        # against the mpmath partial fractions
+        s = cluster_scenario(k, order, psi)
         rng = np.random.default_rng(1000 * k + 10 * order + psi)
         r = random_cluster_distances(rng, 80, k)
-        got = _cluster_kernel(s, r, 1.0)
-        oracle = cluster_kernel_mp if fading == "exact" else cluster_kernel_scalar
-        for row, value in zip(r, got):
-            assert abs(value - oracle(s, tuple(row), 1.0)) <= 1e-10, row
+        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+            assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-10, row
 
     @pytest.mark.parametrize("gap", [9e-9, 1.1e-8, 3e-8, 1e-7, 1e-6])
     def test_siso_kernel_at_near_equal_distances(self, gap):
@@ -662,11 +649,11 @@ class TestArrayKernels:
         for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
             assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-10, row
 
-    @pytest.mark.parametrize("fading", ["exact", "gamma"])
-    def test_certain_coverage_at_vanishing_distance(self, fading):
+    @pytest.mark.parametrize("order", [4], ids=["exact"])  # the id as above
+    def test_certain_coverage_at_vanishing_distance(self, order):
         # servers so close that their power overflows, or the Laplace
         # argument underflows: the kernel is 1, not nan or an error
-        s = cluster_scenario(2, 4, 1, fading)
+        s = cluster_scenario(2, order, 1)
         r = np.array([
             [0.0, 1.0], [1e-120, 2e-120], [2e-103, 1.0], [1e-60, 2e-60], [1e-60, 5.0],
             [1e-90, 1e9],

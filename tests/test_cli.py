@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hetcov import cli
+from hetcov import cli, mcsim
 from hetcov.cli import (
     CSV_COLUMNS,
+    DEFAULT_GRIDS,
     CheckResult,
     SweepSpec,
     _scenario_for,
@@ -27,6 +28,9 @@ from hetcov.cli import (
     write_sidecar,
 )
 from hetcov.model import (
+    MODES,
+    NONCOOPERATIVE,
+    STRATEGIES,
     apply_strategy,
     dbm_to_watts,
     default_scenario,
@@ -71,6 +75,7 @@ class TestSweepSpec:
             {"trials": 0},
             {"workers": 0},
             {"metric": "throughput"},
+            {"master_seed": -1},
         ],
     )
     def test_invalid(self, bad):
@@ -168,6 +173,36 @@ class TestRunSweep:
         assert len(rows) == 2
         assert rows[0]["error"] != "" and rows[0]["result"] == ""
         assert rows[1]["error"] == "" and rows[1]["result"] != ""
+
+
+class TestOptimalBias:
+    """The paper's claim that a finite bias maximizes coverage, on the CLI's
+    default bias_ratio grid at 0 dB."""
+
+    def test_coverage_peaks_inside_the_grid(self):
+        grid = DEFAULT_GRIDS["bias_ratio"]
+        spec = SweepSpec(**spec_kwargs(
+            variable="bias_ratio", grid=grid, strategies=tuple(STRATEGIES), modes=MODES
+        ))
+        curves = {}
+        for row in run_sweep(spec, default_scenario()):
+            assert row["error"] == "", row
+            curves.setdefault((row["strategy"], row["mode"]), []).append(float(row["result"]))
+        assert len(curves) == 6
+        peak = {}
+        for key, cov in curves.items():
+            i = peak[key] = int(np.argmax(cov))
+            assert 0 < i < len(grid) - 1, (key, cov)
+            assert all(a < b for a, b in zip(cov[:i], cov[1 : i + 1])), (key, cov)
+            assert all(a > b for a, b in zip(cov[i:], cov[i + 1 :])), (key, cov)
+
+        # simulation agrees at SDMA's noncooperative optimum, in both modes
+        i = peak["SDMA", NONCOOPERATIVE]
+        scn = _scenario_for(default_scenario(), "SDMA", "bias_ratio", grid[i])
+        for mode, batch in mcsim.run_modes(scn, MODES, 4000, 0).items():
+            mc = mcsim.coverage_from_batch(batch, 1.0)
+            analytic = curves["SDMA", mode][i]
+            assert abs(analytic - mc.value) <= 0.03 + 2.0 * mc.ci_halfwidth, (mode, analytic, mc)
 
 
 class TestCsvAndSidecar:
@@ -302,6 +337,34 @@ class TestMain:
             ["coverage-sweep", "--out", "/tmp/x.csv", "--engines", "quantum"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["--trials", "0"], ["--trials", "-5"], ["--workers", "0"]]
+    )
+    def test_validate_bad_counts_exit_2(self, argv, capsys):
+        # a configuration error, not a traceback whose exit 1 reads as failed checks
+        assert cli.main(["validate", *argv]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--seed", "-1", "--out", str(out), "--trials", "10"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_exits_2(self, tmp_path, capsys):
+        cfg = scenario_to_config(default_scenario())
+        cfg["scenario"]["seed"] = "-1"
+        config = tmp_path / "seed.ini"
+        with open(config, "w") as f:
+            cfg.write(f)
+        out = tmp_path / "cov.csv"
+        code = cli.main(["coverage-sweep", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_exit_codes_follow_checks(self, monkeypatch, capsys):
         monkeypatch.setattr(

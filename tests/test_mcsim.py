@@ -449,3 +449,9 @@ class TestEmpiricalAssociation:
         pb = b[AssociationEvent.CLUSTER]
         se = math.hypot(pa.ci_halfwidth, pb.ci_halfwidth) / 1.96
         assert abs(pa.value - pb.value) <= 3.5 * se
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trial_count_validation(self, trials):
+        # as run_modes: a ValueError, not a ZeroDivisionError from the frequencies
+        with pytest.raises(ValueError, match="trials"):
+            empirical_association(default_scenario(), "noncooperative", trials, master_seed=1)

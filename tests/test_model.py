@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from hetcov.model import (
     ConfigError,
     MODES,
-    Numerics,
     Scenario,
     STRATEGIES,
     TierParams,
@@ -177,6 +176,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(macro=t, small=t, noise=-1e-9)
 
+    def test_seed_validation(self):
+        # a negative seed is no Philox key; seed 0 is the default
+        t = TierParams(density=0.01, power=1.0, antennas=1, users=1)
+        assert Scenario(macro=t, small=t, seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed"):
+            Scenario(macro=t, small=t, seed=-1)
+
     def test_common_pathloss_enforced(self):
         a = TierParams(density=0.01, power=1.0, antennas=1, users=1, pathloss=3.0)
         b = TierParams(density=0.04, power=1.0, antennas=1, users=1, pathloss=3.5)
@@ -185,10 +191,6 @@ class TestScenario:
 
     def test_pathloss_property(self):
         assert default_scenario().pathloss == 3.0
-
-    def test_numerics_validation(self):
-        with pytest.raises(ValueError):
-            Numerics(cluster_fading="bogus")
 
 
 class TestStrategies:
@@ -293,6 +295,12 @@ class TestConfigIO:
         path = tmp_path / "bad.ini"
         path.write_text(CONFIG_TEXT.replace("antennas = 4", "antennas = 4.5"))
         with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT.replace("seed = 42", "seed = -1"))
+        with pytest.raises(ConfigError, match="seed"):
             load_config(str(path))
 
     def test_inconsistent_tier_rejected(self, tmp_path):
