@@ -433,9 +433,12 @@ def main(argv=None) -> int:
         engines = _parse_csv_list(args.engines, "engines")
 
         if args.command == "validate":
-            for name in ("trials", "workers"):
-                if getattr(args, name) < 1:
-                    raise ConfigError(f"{name} must be positive, got {getattr(args, name)}")
+            if args.trials < 2:
+                raise ConfigError(
+                    f"trials must be at least 2 for a rate confidence interval, got {args.trials}"
+                )
+            if args.workers < 1:
+                raise ConfigError(f"workers must be positive, got {args.workers}")
             checks = validate(scenario, args.trials, args.seed, workers=args.workers)
             print(validate_report(checks))
             if args.out:

@@ -4,10 +4,14 @@ Each trial builds both base-station tiers around the user from the ordered
 arrival times of a Poisson process: the squared distances of a PPP of
 density lambda, in ascending order, are cumsum(Exp(1)) / (pi * lambda). A
 fixed number of arrivals per tier covers a disk; the BSs beyond the last
-arrival contribute their exact conditional mean interference. A trial is
-two steps: a mode-free draw of the network and of per-link Gamma fading,
-then, per mode, the serving side by the same biased-power rule the analytic
-engine integrates over, and the resulting association event and SINR.
+arrival contribute their exact conditional mean interference. That mean
+stands in for a random far field, the engine's one approximation, and the
+arrival counts are set so that its spread admits a coverage error of at most
+FAR_FIELD_ERROR (point_counts): 500 macro and 500 small BSs per trial in the
+default scenario. A trial is two steps: a mode-free draw of the network and
+of per-link Gamma fading, then, per mode, the serving side by the same
+biased-power rule the analytic engine integrates over, and the resulting
+association event and SINR.
 
 Determinism contract: trial i always consumes the stream
 ``Philox(master_seed).jumped(i)``, and results land in trial-indexed arrays,
@@ -45,25 +49,52 @@ EVENT_ORDER = (
 )
 EVENT_CODES = {event: code for code, event in enumerate(EVENT_ORDER)}
 
-# Point budget: a trial's arrivals cover the area holding TARGET_SMALL
-# expected small BSs, or MIN_EXPECTED expected macro BSs if that is larger.
-TARGET_SMALL = 5_000.0
-MIN_EXPECTED = 200.0
+# Coverage error the point budget admits. Past a tier's last listed BS, at
+# radius R, the engine replaces the tier's far field by its conditional mean
+# (tail_interference). By Campbell's theorem the far field's variance about
+# that mean is sigma^2(R) = 2 pi lambda p^2 psi (psi+1) R^(2-2 alpha) / (2 alpha-2).
+# point_counts lists the fewest BSs n for which sigma at the budget radius
+# R_n = sqrt(n / (pi lambda)) is at most FAR_FIELD_ERROR times the tier's mean
+# interference beyond its typical nearest distance 1 / sqrt(pi lambda). To
+# first order, a trial's coverage indicator then flips only if its SINR lies
+# within about that relative error of the threshold, so the share of trials
+# whose indicator differs from an unbounded list's, and with it the bias of
+# any MC coverage value, stays below FAR_FIELD_ERROR at every threshold.
+# TestFarFieldBudget checks this by prefix pairing at alpha 2.05 to 4. It is
+# a tenth of the 95% half-width of a 10^4-trial coverage estimate near 0.5.
+FAR_FIELD_ERROR = 1e-3
 # Floor on a unit-rate arrival time. An exponential draw can be exactly 0,
 # which would put a BS on the user; at this floor r^-alpha stays finite.
 _MIN_ARRIVAL = 2.0**-53
 
 
-def point_counts(scenario: Scenario) -> tuple[int, int]:
-    """Arrivals drawn per trial, (macro, small): ceil(lambda * A) per tier.
+def _far_field_count(alpha: float, psi: int) -> int:
+    """Fewest BSs of a tier whose far field meets FAR_FIELD_ERROR.
 
-    Written in the density ratio, so that the tier which sets the area A
-    gets its target count exactly. The small count never falls below the
-    cluster size, so every mode finds the serving distances it needs.
+    The ratio of sigma(R_n) to the tier's mean interference beyond its
+    typical nearest distance is scale-free,
+    c * n^(-(alpha-1)/2) with c = ((alpha-2) / (2 psi)) sqrt(psi (psi+1) / (alpha-1)),
+    so the count is the ceiling of (c / FAR_FIELD_ERROR)^(2 / (alpha-1)),
+    at least 1 however close alpha is to 2.
     """
-    ratio = scenario.small.density / scenario.macro.density
-    n_macro = math.ceil(max(TARGET_SMALL / ratio, MIN_EXPECTED))
-    n_small = math.ceil(max(TARGET_SMALL, MIN_EXPECTED * ratio))
+    c = (alpha - 2.0) / (2.0 * psi) * math.sqrt(psi * (psi + 1.0) / (alpha - 1.0))
+    return math.ceil((c / FAR_FIELD_ERROR) ** (2.0 / (alpha - 1.0)))
+
+
+def point_counts(scenario: Scenario) -> tuple[int, int]:
+    """Arrivals drawn per trial, (macro, small), from the far-field bound.
+
+    Each tier lists the fewest BSs whose far field admits a coverage error of
+    at most FAR_FIELD_ERROR. The count depends only on the path-loss exponent
+    and the tier's interferer fading order psi (its users), never on
+    densities, powers, trials or workers: 500 per tier in the default
+    scenario (alpha 3, psi 1, where n = 1 / (2 FAR_FIELD_ERROR)). The small
+    count never falls below the cluster size, so every mode finds the
+    serving distances it needs.
+    """
+    alpha = scenario.pathloss
+    n_macro = _far_field_count(alpha, scenario.macro.users)
+    n_small = _far_field_count(alpha, scenario.small.users)
     return n_macro, max(n_small, scenario.cluster_size)
 
 
@@ -115,7 +146,10 @@ def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
     2*pi*lambda*p*psi * int_R^inf r^(1-alpha) dr
     = 2*pi*lambda*p*psi * R^(2-alpha) / (alpha-2).
     Those BSs are many weak contributors whose sum self-averages, so the
-    mean stands in for it; without it, simulated SINRs are biased high.
+    mean stands in for it; without it, simulated SINRs are biased high. The
+    sum's spread about the mean has variance
+    2*pi*lambda*p^2*psi*(psi+1) * R^(2-2*alpha) / (2*alpha-2), which
+    point_counts holds to a coverage error of at most FAR_FIELD_ERROR.
     """
     alpha = scenario.pathloss
     total = 0.0
@@ -349,9 +383,14 @@ def coverage_from_batch(batch: TrialBatch, threshold: float) -> MetricResult:
 
 
 def rate_from_batch(batch: TrialBatch) -> MetricResult:
-    """Empirical mean spectral efficiency log2(1 + SINR), bit/s/Hz, 95% CI."""
-    rate = np.log2(1.0 + batch.sinr)
+    """Empirical mean spectral efficiency log2(1 + SINR), bit/s/Hz, 95% CI.
+
+    Raises ValueError for a one-trial batch, whose sample spread is undefined.
+    """
     n = batch.trials
+    if n < 2:
+        raise ValueError(f"a rate confidence interval needs at least 2 trials, got {n}")
+    rate = np.log2(1.0 + batch.sinr)
     half = 1.96 * float(rate.std(ddof=1)) / math.sqrt(n)
     return MetricResult(value=float(rate.mean()), method="mc", ci_halfwidth=half, trials=n)
 

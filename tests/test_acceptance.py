@@ -1,7 +1,8 @@
 """End-to-end acceptance checks.
 
 Ten cross-cutting agreements between the analytic engine, the Monte Carlo
-engine, and the model's structural guarantees. Each test prints one
+engine, and the model's structural guarantees, plus a standard-error gate
+beside criterion 05 on the same batches. Each test prints one
 ``[criterion NN] PASS/FAIL`` line directly to the terminal (bypassing
 capture) so a full run reads as a checklist; assertions carry the details.
 """
@@ -251,6 +252,31 @@ def test_criterion_05_coverage_engines_agree(mc_batches, analytic_coverage_table
         f"coverage engines on 18 cells: worst |analytic-mc| {worst:.4f} "
         f"(tol 0.03), engines {elapsed:.0f}s",
     )
+    assert ok, failures
+
+
+def test_criterion_05_coverage_within_four_standard_errors(
+    mc_batches, analytic_coverage_table, capsys
+):
+    # the same 18 cells and batches as criterion 05, gated in binomial
+    # standard errors of the analytic value instead of a flat 0.03
+    batches, _ = mc_batches
+    table, _ = analytic_coverage_table
+    failures = []
+    worst = 0.0
+    for (strategy, mode), batch in batches.items():
+        for tdb in THRESHOLDS_DB:
+            mc = mcsim.coverage_from_batch(batch, 10.0 ** (tdb / 10.0)).value
+            an = table[strategy, mode, tdb]
+            z = abs(an - mc) / math.sqrt(an * (1.0 - an) / batch.trials)
+            worst = max(worst, z)
+            if z > 4.0:
+                failures.append(
+                    f"{strategy}/{mode}/{tdb:+.0f}dB: analytic {an:.4f} vs mc {mc:.4f}, "
+                    f"|z| {z:.2f}"
+                )
+    ok = not failures
+    _report(capsys, 5, ok, f"coverage engines on 18 cells: worst |z| {worst:.2f} (gate 4.0)")
     assert ok, failures
 
 

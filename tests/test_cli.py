@@ -339,12 +339,15 @@ class TestMain:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["--trials", "0"], ["--trials", "-5"], ["--workers", "0"]]
+        "argv",
+        [["--trials", "0"], ["--trials", "-5"], ["--workers", "0"], ["--trials", "1"]],
     )
     def test_validate_bad_counts_exit_2(self, argv, capsys):
-        # a configuration error, not a traceback whose exit 1 reads as failed checks
+        # a configuration error, not a traceback or nan tolerances whose exit 1
+        # reads as failed checks; one trial has no rate confidence interval
         assert cli.main(["validate", *argv]) == 2
-        assert "must be positive" in capsys.readouterr().err
+        expected = "must be at least 2" if argv[0] == "--trials" else "must be positive"
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

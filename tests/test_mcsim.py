@@ -1,8 +1,9 @@
 """Monte Carlo engine: arrival-time geometry and its point budget, the tail
-interference beyond the last arrivals, single-trial SINR arithmetic, batch
-statistics, and determinism."""
+interference beyond the last arrivals and the coverage error it admits,
+single-trial SINR arithmetic, batch statistics, and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,10 +49,37 @@ def disk_tail(s: Scenario, macro_last: float, small_last: float) -> float:
     return total / (alpha - 2.0)
 
 
-def small_budget(monkeypatch, target_small: float, min_expected: float = 1.0) -> None:
-    """Shrink the per-trial point budget so geometry tests run many trials."""
-    monkeypatch.setattr(mcsim, "TARGET_SMALL", target_small)
-    monkeypatch.setattr(mcsim, "MIN_EXPECTED", min_expected)
+def small_budget(monkeypatch, count: int) -> None:
+    """Loosen the far-field error so that a tier with alpha 3 and psi 1 lists
+    ``count`` BSs (there sigma / mean = 1 / (2n)): geometry tests run many trials."""
+    monkeypatch.setattr(mcsim, "FAR_FIELD_ERROR", 1.0 / (2.0 * count))
+
+
+def fixed_counts(monkeypatch, n_macro: int, n_small: int) -> None:
+    """Pin the arrivals per tier, so that draw-order tests tell the tiers apart."""
+    monkeypatch.setattr(mcsim, "point_counts", lambda scenario: (n_macro, n_small))
+
+
+def with_pathloss(s: Scenario, alpha: float) -> Scenario:
+    return replace(
+        s, macro=replace(s.macro, pathloss=alpha), small=replace(s.small, pathloss=alpha)
+    )
+
+
+def far_field_ratio(tier: TierParams, n: int) -> float:
+    """sigma(R_n) over the tier's mean interference beyond 1 / sqrt(pi lambda),
+    each from its Campbell integral in the tier's own density and power."""
+    alpha, psi, lam, p = tier.pathloss, tier.users, tier.density, tier.power
+    r_n = math.sqrt(n / (math.pi * lam))
+    var, _ = integrate.quad(
+        lambda r: 2 * math.pi * lam * p**2 * psi * (psi + 1) * r ** (1 - 2 * alpha),
+        r_n, np.inf, epsabs=0.0, epsrel=1e-12,
+    )
+    mean, _ = integrate.quad(
+        lambda r: 2 * math.pi * lam * p * psi * r ** (1 - alpha),
+        1.0 / math.sqrt(math.pi * lam), np.inf, epsabs=0.0, epsrel=1e-12,
+    )
+    return math.sqrt(var) / mean
 
 
 class GammaQueue:
@@ -89,23 +117,43 @@ class ExpStub:
 
 
 class TestWindows:
-    """The simulated window is the disk holding a trial's arrivals; the point
-    budget sets its mean area A, and so the count of BSs drawn per tier."""
+    """The simulated window is the disk holding a trial's arrivals; the
+    far-field bound sets the count of BSs drawn per tier."""
 
     def test_default_window_targets_small_tier_count(self):
-        assert point_counts(default_scenario()) == (1250, 5000)
+        # alpha 3, psi 1: sigma(R_n) / mean = n^-1 / 2, so each tier lists
+        # 1 / (2 FAR_FIELD_ERROR) BSs
+        n = math.ceil(1.0 / (2.0 * mcsim.FAR_FIELD_ERROR))
+        assert point_counts(default_scenario()) == (n, n)
+        assert 2 * n <= 2500
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("users", [1, 8])
+    def test_count_is_the_fewest_meeting_the_bound(self, alpha, users):
+        # the closed-form inversion against the two Campbell integrals, in a
+        # tier whose density and power are far from the defaults'
+        tier = TierParams(density=3e-3, power=7.5, antennas=users, users=users, pathloss=alpha)
+        s = Scenario(macro=tier, small=replace(tier, density=0.2, power=0.05))
+        n_macro, n_small = point_counts(s)
+        assert n_macro == n_small > 1
+        assert far_field_ratio(tier, n_macro) <= mcsim.FAR_FIELD_ERROR * (1 + 1e-9)
+        assert far_field_ratio(tier, n_macro - 1) > mcsim.FAR_FIELD_ERROR
 
     def test_default_window_floors_macro_count(self):
-        s = Scenario(
-            macro=TierParams(density=1e-5, power=1.0, antennas=1, users=1),
-            small=TierParams(density=0.04, power=1.0, antennas=1, users=1),
+        # near alpha = 2 the far field's mean dwarfs its spread and the bound
+        # needs no listed BS; the macro tier still lists its nearest one, and
+        # the counts ignore the densities
+        s = with_pathloss(
+            Scenario(
+                macro=TierParams(density=1e-5, power=1.0, antennas=1, users=1),
+                small=TierParams(density=0.04, power=1.0, antennas=1, users=1),
+            ),
+            2.0001,
         )
-        n_macro, n_small = point_counts(s)
-        assert n_macro == 200
-        assert abs(n_small - 800_000) <= 1
+        assert point_counts(s) == (1, 1)
 
     def test_small_count_covers_the_cluster(self, monkeypatch):
-        small_budget(monkeypatch, 1.0)
+        small_budget(monkeypatch, 1)
         s = siso_scenario(cluster_size=8)
         assert point_counts(s) == (1, 8)
         net = sample_network(s, np.random.default_rng(0))
@@ -137,10 +185,51 @@ class TestFarField:
         assert tail_interference(s, far) < tail_interference(s, near)
 
 
+class TestFarFieldBudget:
+    """The coverage error the budget admits, by prefix pairing: per trial one
+    realization four times the budget's length and its fading, evaluated on
+    the full list and on the budget's prefix plus its tail mean. Both read
+    the same draws, so a flipped coverage indicator is the far field's doing.
+    The long list leaves out its own far field, at most half the budget's
+    spread (at alpha 2.05), so the measured flips understate the flips
+    against an unbounded list by at most about 12%."""
+
+    TRIALS = 4000
+    THRESHOLDS_DB = (-5.0, 0.0, 5.0)
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0])
+    def test_flip_fraction_below_stated_error(self, alpha):
+        s = with_pathloss(default_scenario(), alpha)
+        n_macro, n_small = point_counts(s)
+        orders = mcsim._serving_orders(s)
+        thresholds = 10.0 ** (np.array(self.THRESHOLDS_DB) / 10.0)
+        stream = np.random.Philox(key=0)
+        flips = np.zeros((len(MODES), len(thresholds)), dtype=int)
+        for i in range(self.TRIALS):
+            rng = np.random.Generator(stream.jumped(i))
+            full = mcsim._draw_trial(s, rng, orders, (4 * n_macro, 4 * n_small))
+            net = NetworkRealization(
+                macro=full.net.macro[:n_macro], small=full.net.small[:n_small]
+            )
+            prefix = full._replace(
+                net=net,
+                gain_macro=full.gain_macro[:n_macro],
+                gain_small=full.gain_small[:n_small],
+                faded_macro=full.faded_macro[:n_macro],
+                faded_small=full.faded_small[:n_small],
+                tail=tail_interference(s, net),
+            )
+            for j, mode in enumerate(MODES):
+                long_sinr = mcsim._evaluate_trial(s, mode, full)[1]
+                budget_sinr = mcsim._evaluate_trial(s, mode, prefix)[1]
+                flips[j] += (long_sinr > thresholds) != (budget_sinr > thresholds)
+        assert flips.max() / self.TRIALS < mcsim.FAR_FIELD_ERROR, flips
+
+
 class TestPointProcess:
     def test_poisson_count_mean(self, monkeypatch):
         # the arrivals inside a fixed disk of mean count 100 are Poisson(100)
-        small_budget(monkeypatch, 400.0)
+        small_budget(monkeypatch, 400)
         s = siso_scenario()
         rho = math.sqrt(100.0 / (math.pi * s.small.density))
         rng = np.random.default_rng(21)
@@ -166,7 +255,7 @@ class TestPointProcess:
 
     def test_nearest_small_distance_distribution(self, monkeypatch):
         # KS test of the nearest small-BS distance against 1 - exp(-lam*pi*r^2)
-        small_budget(monkeypatch, 20.0)
+        small_budget(monkeypatch, 20)
         s = default_scenario(cluster_size=1)
         rng = np.random.default_rng(22)
         nearest = np.array([sample_network(s, rng).small[0] for _ in range(20_000)])
@@ -177,7 +266,7 @@ class TestPointProcess:
     @pytest.mark.parametrize("k", [2, 3])
     def test_kth_small_distance_distribution(self, monkeypatch, k):
         # pi*lambda*r_k^2 of the k-th nearest small BS is Gamma(k, 1)
-        small_budget(monkeypatch, 20.0)
+        small_budget(monkeypatch, 20)
         s = default_scenario(cluster_size=k)
         rng = np.random.default_rng(23 + k)
         kth = np.array([sample_network(s, rng).small[k - 1] for _ in range(20_000)])
@@ -223,7 +312,7 @@ class TestSingleTrial:
     def test_draw_order(self, monkeypatch, mode):
         # macro arrivals, small arrivals, serving fading (macro, then the
         # cluster), interferer fading (macro, then small), in either mode
-        small_budget(monkeypatch, 8.0, 2.0)
+        fixed_counts(monkeypatch, 2, 8)
         log = []
         queue = GammaQueue([[1.0], [1.0, 1.0], [1.0] * 2, [1.0] * 8], calls=log)
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
@@ -306,6 +395,12 @@ class TestBatchStatistics:
         assert_allclose(res.value, 2.0, rtol=1e-12)
         assert res.ci_halfwidth == 0.0
 
+    def test_rate_from_one_trial_raises(self):
+        # one trial has no sample spread, so no half-width
+        batch = TrialBatch(events=np.zeros(1, dtype=np.int8), sinr=np.full(1, 3.0))
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            rate_from_batch(batch)
+
     def test_association_from_batch_counts(self):
         codes = np.array(
             [EVENT_CODES[AssociationEvent.MACRO]] * 3
@@ -351,12 +446,14 @@ class TestRunTrials:
         assert_allclose(total, 1.0, rtol=1e-12)
 
     def test_window_size_does_not_shift_coverage(self, monkeypatch):
-        # doubling the point budget doubles the window's mean area; the tail
-        # pedestal must absorb the truncation difference
+        # halving the far-field error at least doubles the point budget, and
+        # so the window's mean area; the tail pedestal must absorb the
+        # truncation difference
         s = default_scenario()
         a = coverage_from_batch(run_trials(s, "noncooperative", 3000, master_seed=5), 1.0)
-        monkeypatch.setattr(mcsim, "TARGET_SMALL", 2.0 * mcsim.TARGET_SMALL)
-        assert point_counts(s) == (2500, 10_000)
+        before = point_counts(s)
+        monkeypatch.setattr(mcsim, "FAR_FIELD_ERROR", 0.5 * mcsim.FAR_FIELD_ERROR)
+        assert all(n >= 2 * m for n, m in zip(point_counts(s), before))
         b = coverage_from_batch(run_trials(s, "noncooperative", 3000, master_seed=6), 1.0)
         assert abs(a.value - b.value) <= a.ci_halfwidth + b.ci_halfwidth
 
@@ -415,7 +512,7 @@ class TestRunModes:
             return real(shape, rng, size)
 
         monkeypatch.setattr(mcsim, "sample_gamma", spy)
-        small_budget(monkeypatch, 8.0, 2.0)
+        fixed_counts(monkeypatch, 2, 8)
         out = run_modes(siso_scenario(cluster_size=2), MODES, 5, master_seed=3)
         assert set(out) == set(MODES)
         # serving macro, serving cluster, macro and small interferers
