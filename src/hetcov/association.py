@@ -105,6 +105,25 @@ def select_tier(
     return AssociationEvent.CLUSTER if small_power > macro_power else AssociationEvent.MACRO_COOP
 
 
+def _small_side_wins(
+    scenario: Scenario, mode: str, macro_gain: np.ndarray, small_gains: np.ndarray
+) -> np.ndarray:
+    """select_tier's biased-power rule over rows of path gains r^(-alpha).
+
+    macro_gain holds the nearest macro BS's gain per row; small_gains the
+    small BSs' gains, nearest first, one row each and at least as many
+    columns as the mode consumes. True where the small side (the nearest
+    small BS, or the cluster) wins; ties go macro. Unchecked: the callers
+    validate the mode and draw positive distances.
+    """
+    macro_power = _biased_gain(scenario.macro) * macro_gain
+    if mode == NONCOOPERATIVE:
+        small = small_gains[:, 0]
+    else:
+        small = small_gains[:, : scenario.cluster_size].sum(axis=1)
+    return _biased_gain(scenario.small) * small > macro_power
+
+
 def exclusion_radius_mbs(scenario: Scenario, sbs_distances) -> float:
     """Nearest-macro distance beyond which the cluster wins the selection.
 

@@ -110,6 +110,10 @@ class SweepSpec:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if self.metric not in ("coverage", "rate"):
             raise ValueError(f"metric must be 'coverage' or 'rate', got {self.metric!r}")
+        if self.metric == "rate" and "mc" in self.engines and self.trials < 2:
+            raise ValueError(
+                f"trials must be at least 2 for a rate confidence interval, got {self.trials}"
+            )
 
 
 def _scenario_for(base: Scenario, strategy: str, variable: str, value: float) -> Scenario:

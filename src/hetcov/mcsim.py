@@ -13,11 +13,18 @@ of per-link Gamma fading, then, per mode, the serving side by the same
 biased-power rule the analytic engine integrates over, and the resulting
 association event and SINR.
 
+Trials run in blocks. Each trial of a block makes its draws into one row of
+the block's arrays; everything after the draws (distances, path gains,
+selection, desired power, interference, SINR) runs once per block on 2-D
+arrays, with each trial's arithmetic that of a one-trial evaluation, so no
+result depends on the block it fell in. BLOCK_BYTES bounds a block's memory.
+
 Determinism contract: trial i always consumes the stream
-``Philox(master_seed).jumped(i)``, and results land in trial-indexed arrays,
-so every statistic is bit-identical for any worker count. Every mode of
-trial i reads the same draws, so ``run_modes(..., MODES, ...)`` equals the
-per-mode ``run_trials`` byte for byte while drawing each trial once.
+``Philox(master_seed).jumped(i)``, selected by setting one reused Philox's
+counter (_TrialStreams), and results land in trial-indexed arrays, so every
+statistic is bit-identical for any worker count. Every mode of trial i reads
+the same draws, so ``run_modes(..., MODES, ...)`` equals the per-mode
+``run_trials`` byte for byte while drawing each trial once.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .association import AssociationEvent, _biased_gain, select_tier
+from .association import AssociationEvent, _small_side_wins
 from .model import (
     COOPERATIVE,
     MODES,
@@ -63,6 +70,16 @@ EVENT_CODES = {event: code for code, event in enumerate(EVENT_ORDER)}
 # TestFarFieldBudget checks this by prefix pairing at alpha 2.05 to 4. It is
 # a tenth of the 95% half-width of a 10^4-trial coverage estimate near 0.5.
 FAR_FIELD_ERROR = 1e-3
+# Memory budget of one block of trials, bytes. run_modes draws its trials
+# into blocks and evaluates a block at a time; a block's per-point arrays
+# are the arrival gaps (turned in place into distances), the path gains and
+# the interferer fading (turned in place into faded powers), 24 bytes per
+# listed BS. So a block holds BLOCK_BYTES / (24 (n_macro + n_small)) trials,
+# 10 in the default scenario, and each worker thread holds one block. On a
+# 2-core Xeon, the benchmark's MC pass ran 10-15% slower at half this budget
+# and no faster at twice it, where peak RSS grew by another megabyte.
+BLOCK_BYTES = 2**18
+_BYTES_PER_POINT = 24
 # Floor on a unit-rate arrival time. An exponential draw can be exactly 0,
 # which would put a BS on the user; at this floor r^-alpha stays finite.
 _MIN_ARRIVAL = 2.0**-53
@@ -98,9 +115,13 @@ def point_counts(scenario: Scenario) -> tuple[int, int]:
     return n_macro, max(n_small, scenario.cluster_size)
 
 
-def _arrival_distances(density: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Distances to the n nearest points of a PPP of the given density, ascending."""
-    t = np.cumsum(rng.standard_exponential(n))
+def _arrival_distances(density: float, gaps: np.ndarray) -> np.ndarray:
+    """Distances to a PPP's nearest points from unit-rate arrival gaps.
+
+    Works along the last axis, one trial per row, and in place: returns
+    ``gaps`` turned into distances, ascending per row.
+    """
+    t = np.cumsum(gaps, axis=-1, out=gaps)
     np.maximum(t, _MIN_ARRIVAL, out=t)
     t *= 1.0 / (math.pi * density)
     return np.sqrt(t, out=t)
@@ -129,13 +150,29 @@ def sample_network(
 ) -> NetworkRealization:
     """Draw both tiers' nearest BSs from their arrival times: macro, then small.
 
-    ``counts`` is the arrivals per tier, point_counts(scenario) when None.
+    The same draws, turned into distances by the same routine, as one trial
+    of a block makes first (_Block.draw). ``counts`` is the arrivals per
+    tier, point_counts(scenario) when None.
     """
     n_macro, n_small = point_counts(scenario) if counts is None else counts
     return NetworkRealization(
-        macro=_arrival_distances(scenario.macro.density, n_macro, rng),
-        small=_arrival_distances(scenario.small.density, n_small, rng),
+        macro=_arrival_distances(scenario.macro.density, rng.standard_exponential(n_macro)),
+        small=_arrival_distances(scenario.small.density, rng.standard_exponential(n_small)),
     )
+
+
+def _tail_mean(scenario: Scenario, macro_last: np.ndarray, small_last: np.ndarray) -> np.ndarray:
+    """tail_interference per trial, from each tier's last listed distance.
+
+    Raises each distance to 2 - alpha with Python's float power: numpy's
+    vectorized power differs from it in the last bit of about 5% of values.
+    """
+    alpha = scenario.pathloss
+    total = 0.0
+    for tier, last in ((scenario.macro, macro_last), (scenario.small, small_last)):
+        powers = np.array([r ** (2.0 - alpha) for r in last.tolist()])
+        total = total + tier.density * tier.power * tier.users * powers
+    return 2.0 * math.pi * total / (alpha - 2.0)
 
 
 def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
@@ -151,11 +188,7 @@ def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
     2*pi*lambda*p^2*psi*(psi+1) * R^(2-2*alpha) / (2*alpha-2), which
     point_counts holds to a coverage error of at most FAR_FIELD_ERROR.
     """
-    alpha = scenario.pathloss
-    total = 0.0
-    for tier, r in ((scenario.macro, net.macro), (scenario.small, net.small)):
-        total += tier.density * tier.power * tier.users * float(r[-1]) ** (2.0 - alpha)
-    return 2.0 * math.pi * total / (alpha - 2.0)
+    return float(_tail_mean(scenario, net.macro[-1:], net.small[-1:])[0])
 
 
 @dataclass(frozen=True)
@@ -167,17 +200,19 @@ class TrialOutcome:
     serving_distances: tuple[float, ...]  # m, ascending
 
 
-class _TrialDraws(NamedTuple):
-    """Everything one trial draws, before any mode picks a serving side."""
+class _Draws(NamedTuple):
+    """A block of trials' draws, one row per trial, before any mode picks a
+    serving side."""
 
-    net: NetworkRealization
-    h_macro: np.ndarray  # serving fading of the nearest macro BS, shape (1,)
-    h_small: np.ndarray  # serving fading of the K nearest small BSs
+    macro: np.ndarray  # m, ascending per row, (trials, n_macro)
+    small: np.ndarray  # m, ascending per row, (trials, n_small)
+    h_macro: np.ndarray  # serving fading of the nearest macro BS, (trials, 1)
+    h_small: np.ndarray  # serving fading of the K nearest small BSs, (trials, K)
     gain_macro: np.ndarray  # r^-alpha per listed macro BS
     gain_small: np.ndarray  # r^-alpha per listed small BS
     faded_macro: np.ndarray  # interferer fading times gain, per macro BS
     faded_small: np.ndarray  # interferer fading times gain, per small BS
-    tail: float  # tail_interference, watts
+    tail: np.ndarray  # tail_interference per trial, watts
 
 
 def _serving_orders(scenario: Scenario) -> tuple[int, int]:
@@ -188,75 +223,115 @@ def _serving_orders(scenario: Scenario) -> tuple[int, int]:
     )
 
 
-def _draw_trial(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    orders: tuple[int, int],
-    counts: tuple[int, int] | None = None,
-    net: NetworkRealization | None = None,
-) -> _TrialDraws:
-    """Draw one trial's network and fading; mode-free.
+class _Block:
+    """Buffers for the draws of up to ``rows`` trials, one row per trial.
 
-    The draw sequence is macro arrivals, small arrivals, serving fading
-    (the nearest macro BS, then the K nearest small BSs), then interferer
-    fading for every listed BS (macro, then small). ``orders`` are the
-    serving fading orders (_serving_orders); ``counts`` the arrivals per
-    tier (point_counts); ``net`` injects a fixed realization instead.
+    A worker allocates one block and refills it for each block of its
+    trials, so its memory is bounded by BLOCK_BYTES, not by the trial count.
     """
-    if net is None:
-        net = sample_network(scenario, rng, counts)
-    alpha = scenario.pathloss
-    h_macro = sample_gamma(orders[0], rng, size=1)
-    h_small = sample_gamma(orders[1], rng, size=scenario.cluster_size)
-    g_macro = sample_gamma(scenario.macro.users, rng, size=len(net.macro))
-    g_small = sample_gamma(scenario.small.users, rng, size=len(net.small))
-    gain_macro = net.macro ** (-alpha)
-    gain_small = net.small ** (-alpha)
-    return _TrialDraws(
-        net=net,
-        h_macro=h_macro,
-        h_small=h_small,
-        gain_macro=gain_macro,
-        gain_small=gain_small,
-        faded_macro=g_macro * gain_macro,
-        faded_small=g_small * gain_small,
-        tail=tail_interference(scenario, net),
-    )
 
+    def __init__(self, rows: int, counts: tuple[int, int], cluster_size: int):
+        n_macro, n_small = counts
+        self.macro = np.empty((rows, n_macro))  # arrival gaps, then distances
+        self.small = np.empty((rows, n_small))
+        self.h_macro = np.empty((rows, 1))
+        self.h_small = np.empty((rows, cluster_size))
+        self.g_macro = np.empty((rows, n_macro))  # fading, then faded powers
+        self.g_small = np.empty((rows, n_small))
 
-def _evaluate_trial(
-    scenario: Scenario, mode: str, draws: _TrialDraws
-) -> tuple[AssociationEvent, float, np.ndarray]:
-    """Association event, SINR and serving distances of one mode on a draw.
+    def draw(
+        self,
+        scenario: Scenario,
+        stream: Callable[[int], np.random.Generator],
+        trials: range,
+        orders: tuple[int, int],
+        net: NetworkRealization | None = None,
+    ) -> _Draws:
+        """Draw ``trials`` into the leading rows, then derive their gains.
 
-    Draws nothing, so every mode evaluated on the same draws sees the
-    same network and channels.
-    """
-    net = draws.net
-    k = scenario.cluster_size if mode == COOPERATIVE else 1
-    event = select_tier(scenario, mode, float(net.macro[0]), net.small[:k])
-
-    # Desired power: non-coherent sum of Gamma(delta)-faded serving links.
-    if event.macro_serving:
-        macro_served, small_served = 1, 0
-        serving = net.macro[:1]
-        desired = scenario.macro.power * float(draws.h_macro[0] * draws.gain_macro[0])
-    else:
-        macro_served = 0
-        small_served = k if event is AssociationEvent.CLUSTER else 1
-        serving = net.small[:small_served]
-        desired = scenario.small.power * float(
-            np.dot(draws.h_small[:small_served], draws.gain_small[:small_served])
+        ``stream(i)`` is trial i's generator, used before the next trial's
+        is asked for. Each trial draws, in this order: macro arrivals, small
+        arrivals, serving fading (the nearest macro BS, then the K nearest
+        small BSs), then interferer fading for every listed BS (macro, then
+        small). ``orders`` are the serving fading orders (_serving_orders).
+        ``net`` fixes the distances of every trial and skips the arrivals.
+        """
+        n = len(trials)
+        k = self.h_small.shape[1]
+        n_macro, n_small = self.macro.shape[1], self.small.shape[1]
+        g_macro, g_small = self.g_macro[:n], self.g_small[:n]
+        for j, i in enumerate(trials):
+            rng = stream(i)
+            if net is None:
+                self.macro[j] = rng.standard_exponential(n_macro)
+                self.small[j] = rng.standard_exponential(n_small)
+            self.h_macro[j] = sample_gamma(orders[0], rng, size=1)
+            self.h_small[j] = sample_gamma(orders[1], rng, size=k)
+            g_macro[j] = sample_gamma(scenario.macro.users, rng, size=n_macro)
+            g_small[j] = sample_gamma(scenario.small.users, rng, size=n_small)
+        if net is None:
+            macro = _arrival_distances(scenario.macro.density, self.macro[:n])
+            small = _arrival_distances(scenario.small.density, self.small[:n])
+        else:
+            self.macro[:n] = net.macro
+            self.small[:n] = net.small
+            macro, small = self.macro[:n], self.small[:n]
+        alpha = scenario.pathloss
+        gain_macro = macro ** (-alpha)
+        gain_small = small ** (-alpha)
+        return _Draws(
+            macro=macro,
+            small=small,
+            h_macro=self.h_macro[:n],
+            h_small=self.h_small[:n],
+            gain_macro=gain_macro,
+            gain_small=gain_small,
+            faded_macro=np.multiply(g_macro, gain_macro, out=g_macro),
+            faded_small=np.multiply(g_small, gain_small, out=g_small),
+            tail=_tail_mean(scenario, macro[:, -1], small[:, -1]),
         )
+
+
+def _event_codes(mode: str, small_wins: np.ndarray) -> np.ndarray:
+    """int8 EVENT_CODES of the mode's small-side and macro-side events."""
+    if mode == NONCOOPERATIVE:
+        small, macro = AssociationEvent.SMALL, AssociationEvent.MACRO
+    else:
+        small, macro = AssociationEvent.CLUSTER, AssociationEvent.MACRO_COOP
+    return np.where(small_wins, EVENT_CODES[small], EVENT_CODES[macro]).astype(np.int8)
+
+
+def _evaluate(scenario: Scenario, mode: str, d: _Draws) -> tuple[np.ndarray, np.ndarray]:
+    """Event codes and SINR of one mode on a block of draws, per trial.
+
+    Draws nothing, so every mode evaluated on the same draws sees the same
+    networks and channels. Each trial's arithmetic is that of a scalar
+    evaluation, operation for operation, so a trial's result does not
+    depend on its block.
+    """
+    k = scenario.cluster_size if mode == COOPERATIVE else 1
+    small_wins = _small_side_wins(scenario, mode, d.gain_macro[:, 0], d.gain_small)
+
+    # Desired power: non-coherent sum of Gamma(delta)-faded serving links,
+    # the nearest macro BS's or the k nearest small BSs'.
+    desired = np.where(
+        small_wins,
+        scenario.small.power * np.vecdot(d.h_small[:, :k], d.gain_small[:, :k]),
+        scenario.macro.power * (d.h_macro[:, 0] * d.gain_macro[:, 0]),
+    )
 
     # Interference: Gamma(psi)-faded power from every other listed BS, plus
     # the mean of the BSs beyond the last ones.
-    interference = (
-        scenario.macro.power * float(draws.faded_macro[macro_served:].sum())
-        + scenario.small.power * float(draws.faded_small[small_served:].sum())
-        + draws.tail
+    macro_rest = np.where(
+        small_wins, d.faded_macro.sum(axis=1), d.faded_macro[:, 1:].sum(axis=1)
     )
-    return event, desired / (interference + scenario.noise), serving
+    small_rest = np.where(
+        small_wins, d.faded_small[:, k:].sum(axis=1), d.faded_small.sum(axis=1)
+    )
+    interference = (
+        scenario.macro.power * macro_rest + scenario.small.power * small_rest + d.tail
+    )
+    return _event_codes(mode, small_wins), desired / (interference + scenario.noise)
 
 
 def _check_mode(mode: str) -> None:
@@ -272,18 +347,25 @@ def simulate_trial(
 ) -> TrialOutcome:
     """Run one association + fading trial for the user at the origin.
 
-    _draw_trial, then _evaluate_trial. The draw sequence is mode-independent
-    (see _draw_trial), so runs sharing a seed see identical networks and
+    A block of one trial: _Block.draw, then _evaluate. The draw sequence is
+    mode-independent, so runs sharing a seed see identical networks and
     channels across modes (common random numbers), and mode comparisons are
     paired rather than independent.
 
     ``net`` injects a fixed realization instead of sampling one.
     """
     _check_mode(mode)
-    draws = _draw_trial(scenario, rng, _serving_orders(scenario), net=net)
-    event, sinr, serving = _evaluate_trial(scenario, mode, draws)
+    counts = point_counts(scenario) if net is None else (len(net.macro), len(net.small))
+    block = _Block(1, counts, scenario.cluster_size)
+    draws = block.draw(scenario, lambda i: rng, range(1), _serving_orders(scenario), net)
+    codes, sinr = _evaluate(scenario, mode, draws)
+    event = EVENT_ORDER[codes[0]]
+    if event.macro_serving:
+        serving = draws.macro[0, :1]
+    else:
+        serving = draws.small[0, : scenario.cluster_size if event.cooperative else 1]
     return TrialOutcome(
-        event=event, sinr=sinr, serving_distances=tuple(float(r) for r in serving)
+        event=event, sinr=float(sinr[0]), serving_distances=tuple(serving.tolist())
     )
 
 
@@ -303,6 +385,34 @@ class TrialBatch:
         return len(self.events)
 
 
+class _TrialStreams:
+    """Trial i's generator, on the stream of Philox(key=master_seed).jumped(i).
+
+    Philox is counter-based: jumped(i) is the generator keyed by master_seed
+    whose 256-bit counter reads [0, 0, i, 0] and whose output buffer is
+    empty. Setting one reused Philox to that state selects stream i without
+    building a generator: a microsecond or two, where jumped takes some
+    thirty, as it first seeds a throwaway Philox from OS entropy. The
+    generator returned for trial i is valid until trial i + 1 is asked for.
+    For i < 2^64.
+    """
+
+    def __init__(self, master_seed: int):
+        self._bit_generator = np.random.Philox(key=master_seed)
+        self._state = self._bit_generator.state
+        self._rng = np.random.Generator(self._bit_generator)
+
+    def __call__(self, i: int) -> np.random.Generator:
+        self._state["state"]["counter"][2] = i
+        self._bit_generator.state = self._state
+        return self._rng
+
+
+def _block_trials(counts: tuple[int, int]) -> int:
+    """Trials per block: as many as BLOCK_BYTES holds, at least one."""
+    return max(1, BLOCK_BYTES // (_BYTES_PER_POINT * (counts[0] + counts[1])))
+
+
 def run_modes(
     scenario: Scenario,
     modes: tuple[str, ...],
@@ -312,11 +422,14 @@ def run_modes(
 ) -> dict[str, TrialBatch]:
     """Simulate ``trials`` trials once and evaluate each for every mode.
 
-    Trial i draws from ``Philox(master_seed).jumped(i)`` whatever the modes,
-    so ``run_modes(s, modes, ...)[mode]`` is byte-identical to
-    ``run_trials(s, mode, ...)``, and to itself for any ``workers``. The
-    workers are threads that share CPython's GIL, so more of them give no
-    speed-up.
+    Trial i draws from the stream of ``Philox(master_seed).jumped(i)``
+    whatever the modes, addressed by its counter (_TrialStreams). Trials
+    are drawn one by one into a block (_Block) and evaluated a block at a
+    time on 2-D arrays, with each trial's arithmetic that of a scalar
+    evaluation. So ``run_modes(s, modes, ...)[mode]`` is byte-identical to
+    ``run_trials(s, mode, ...)``, and to itself for any ``workers`` or
+    block size. Each worker thread owns its blocks and its Philox; the
+    threads share CPython's GIL, so more of them give little speed-up.
     """
     modes = tuple(dict.fromkeys(modes))
     if not modes:
@@ -327,22 +440,22 @@ def run_modes(
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    base = np.random.Philox(key=master_seed)
     orders = _serving_orders(scenario)
     counts = point_counts(scenario)
+    per_block = _block_trials(counts)
     columns = [
         (mode, np.empty(trials, dtype=np.int8), np.empty(trials, dtype=np.float64))
         for mode in modes
     ]
 
     def run_range(start: int, stop: int) -> None:
-        for i in range(start, stop):
-            rng = np.random.Generator(base.jumped(i))
-            draws = _draw_trial(scenario, rng, orders, counts)
+        stream = _TrialStreams(master_seed)
+        block = _Block(min(per_block, stop - start), counts, scenario.cluster_size)
+        for first in range(start, stop, per_block):
+            last = min(first + per_block, stop)
+            draws = block.draw(scenario, stream, range(first, last), orders)
             for mode, events, sinr in columns:
-                event, value, _ = _evaluate_trial(scenario, mode, draws)
-                events[i] = EVENT_CODES[event]
-                sinr[i] = value
+                events[first:last], sinr[first:last] = _evaluate(scenario, mode, draws)
 
     if workers == 1:
         run_range(0, trials)
@@ -368,8 +481,10 @@ def run_trials(
 ) -> TrialBatch:
     """Simulate ``trials`` trials of one mode: ``run_modes`` with that mode alone.
 
-    Every mode of trial i reads the same draws, so the batch equals the
-    matching entry of ``run_modes(scenario, MODES, ...)`` byte for byte.
+    Trial i reads the counter-addressed stream of
+    ``Philox(master_seed).jumped(i)``, and trials are evaluated a block at a
+    time. Every mode of trial i reads the same draws, so the batch equals
+    the matching entry of ``run_modes(scenario, MODES, ...)`` byte for byte.
     """
     return run_modes(scenario, (mode,), trials, master_seed, workers)[mode]
 
@@ -418,7 +533,8 @@ def _association_by_distance(
 
     Only the nearest macro distance and the K nearest small distances enter
     the selection, so they are drawn directly, from the same arrival-time
-    construction the trials use. Returns the int8 event code per trial.
+    construction the trials use, and judged by the trials' selection rule
+    (association._small_side_wins). Returns the int8 event code per trial.
     """
     k = scenario.cluster_size if mode == COOPERATIVE else 1
     lam_m = scenario.macro.density
@@ -428,24 +544,8 @@ def _association_by_distance(
     r_macro = np.sqrt(rng.standard_exponential(trials) / (math.pi * lam_m))
     arrivals = np.cumsum(rng.standard_exponential((trials, k)), axis=1)
     r_small = np.sqrt(arrivals / (math.pi * lam_s))
-
-    # Same biased-power rule select_tier applies, vectorized over trials.
-    macro_power = _biased_gain(scenario.macro) * r_macro ** (-alpha)
-    if mode == NONCOOPERATIVE:
-        small_power = _biased_gain(scenario.small) * r_small[:, 0] ** (-alpha)
-        win = small_power > macro_power
-        codes = np.where(
-            win, EVENT_CODES[AssociationEvent.SMALL], EVENT_CODES[AssociationEvent.MACRO]
-        )
-    else:
-        small_power = _biased_gain(scenario.small) * (r_small ** (-alpha)).sum(axis=1)
-        win = small_power > macro_power
-        codes = np.where(
-            win,
-            EVENT_CODES[AssociationEvent.CLUSTER],
-            EVENT_CODES[AssociationEvent.MACRO_COOP],
-        )
-    return codes.astype(np.int8)
+    wins = _small_side_wins(scenario, mode, r_macro ** (-alpha), r_small ** (-alpha))
+    return _event_codes(mode, wins)
 
 
 def empirical_association(

@@ -2,6 +2,7 @@
 evaluations that the engine's closed forms are checked against."""
 
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -26,8 +27,10 @@ from hetcov.association import (
     _spike_hints,
     assoc_prob_sbs_cluster,
     mbs_win_prob,
+    select_tier,
 )
-from hetcov.model import Scenario, TierParams, derive_tier, hat_ratios
+from hetcov.mcsim import _MIN_ARRIVAL, EVENT_CODES
+from hetcov.model import COOPERATIVE, Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.specfun import faa_coefficient, integer_partitions
 
 # Tail mass the oracles below drop when they cut a radial or cone integral.
@@ -670,3 +673,90 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
     val, err = _panel_integral(integrand, tau_max, num.coverage_epsabs, "reference", spike)
     assert err <= max(50.0 * num.coverage_epsabs, 1e-4), (val, err)
     return val / norm
+
+
+# ---------------------------------------------------------------------------
+# Scalar Monte Carlo oracle: one trial at a time, each drawn from its own
+# Generator(Philox(seed).jumped(i)) and judged by select_tier. The engine's
+# block evaluation must reproduce it byte for byte.
+
+
+class TrialDraws(NamedTuple):
+    """Everything one trial draws, before any mode picks a serving side."""
+
+    macro: np.ndarray  # m, ascending
+    small: np.ndarray  # m, ascending
+    h_macro: np.ndarray  # serving fading of the nearest macro BS, shape (1,)
+    h_small: np.ndarray  # serving fading of the K nearest small BSs
+    gain_macro: np.ndarray  # r^-alpha per listed macro BS
+    gain_small: np.ndarray  # r^-alpha per listed small BS
+    faded_macro: np.ndarray  # interferer fading times gain, per macro BS
+    faded_small: np.ndarray  # interferer fading times gain, per small BS
+    tail: float  # mean interference beyond the last listed BSs, watts
+
+
+def draw_trial_scalar(scenario: Scenario, rng: np.random.Generator, counts) -> TrialDraws:
+    """One trial's draws: macro arrivals, small arrivals, serving fading (the
+    nearest macro BS, then the K nearest small BSs), interferer fading for
+    every listed BS (macro, then small)."""
+    alpha = scenario.pathloss
+    distances = []
+    for tier, n in zip((scenario.macro, scenario.small), counts):
+        t = np.cumsum(rng.standard_exponential(n))
+        np.maximum(t, _MIN_ARRIVAL, out=t)
+        t *= 1.0 / (math.pi * tier.density)
+        distances.append(np.sqrt(t))
+    macro, small = distances
+    h_macro = rng.standard_gamma(derive_tier(scenario.macro).fading_order, 1)
+    h_small = rng.standard_gamma(derive_tier(scenario.small).fading_order, scenario.cluster_size)
+    g_macro = rng.standard_gamma(scenario.macro.users, len(macro))
+    g_small = rng.standard_gamma(scenario.small.users, len(small))
+    tail = 0.0
+    for tier, r in ((scenario.macro, macro), (scenario.small, small)):
+        tail += tier.density * tier.power * tier.users * float(r[-1]) ** (2.0 - alpha)
+    gain_macro = macro ** (-alpha)
+    gain_small = small ** (-alpha)
+    return TrialDraws(
+        macro=macro,
+        small=small,
+        h_macro=h_macro,
+        h_small=h_small,
+        gain_macro=gain_macro,
+        gain_small=gain_small,
+        faded_macro=g_macro * gain_macro,
+        faded_small=g_small * gain_small,
+        tail=2.0 * math.pi * tail / (alpha - 2.0),
+    )
+
+
+def evaluate_trial_scalar(scenario: Scenario, mode: str, draws: TrialDraws):
+    """Association event and SINR of one mode on a draw."""
+    k = scenario.cluster_size if mode == COOPERATIVE else 1
+    event = select_tier(scenario, mode, float(draws.macro[0]), draws.small[:k])
+    if event.macro_serving:
+        macro_served, small_served = 1, 0
+        desired = scenario.macro.power * float(draws.h_macro[0] * draws.gain_macro[0])
+    else:
+        macro_served = 0
+        small_served = k if event is AssociationEvent.CLUSTER else 1
+        desired = scenario.small.power * float(
+            np.dot(draws.h_small[:small_served], draws.gain_small[:small_served])
+        )
+    interference = (
+        scenario.macro.power * float(draws.faded_macro[macro_served:].sum())
+        + scenario.small.power * float(draws.faded_small[small_served:].sum())
+        + draws.tail
+    )
+    return event, desired / (interference + scenario.noise)
+
+
+def run_modes_scalar(scenario: Scenario, modes, trials: int, master_seed: int, counts) -> dict:
+    """(event codes, SINRs) per mode, one scalar trial at a time."""
+    base = np.random.Philox(key=master_seed)
+    out = {mode: (np.empty(trials, dtype=np.int8), np.empty(trials)) for mode in modes}
+    for i in range(trials):
+        draws = draw_trial_scalar(scenario, np.random.Generator(base.jumped(i)), counts)
+        for mode, (events, sinr) in out.items():
+            event, sinr[i] = evaluate_trial_scalar(scenario, mode, draws)
+            events[i] = EVENT_CODES[event]
+    return out

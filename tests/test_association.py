@@ -17,6 +17,7 @@ from hetcov.association import (
     IntegrationFailure,
     OrderedDistances,
     _cone_integral,
+    _small_side_wins,
     _gauss_kronrod,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
@@ -27,7 +28,7 @@ from hetcov.association import (
     select_tier,
     serving_distance_pdf,
 )
-from hetcov.model import Scenario, TierParams, default_scenario, hat_ratios
+from hetcov.model import MODES, NONCOOPERATIVE, Scenario, TierParams, default_scenario, hat_ratios
 
 # Reference-scenario association probabilities, frozen from the closed form
 # 1/(1 + advantage^(2/alpha)/density_ratio) and from two independent
@@ -91,6 +92,54 @@ class TestSelectTier:
             OrderedDistances((3.0, 2.0))
         with pytest.raises(ValueError):
             OrderedDistances((0.0, 2.0))
+
+
+class TestVectorizedSelection:
+    """_small_side_wins is select_tier's rule over rows of path gains, the
+    one rule that the MC trials and the distance sampler both apply."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_select_tier(self, mode, k):
+        # 10^4 geometries: 100 in each of 100 random scenarios
+        rng = np.random.default_rng(60 + 10 * k + MODES.index(mode))
+        small_event = AssociationEvent.SMALL if mode == NONCOOPERATIVE else AssociationEvent.CLUSTER
+        wins_seen = 0
+        for _ in range(100):
+            s = random_scenario(rng, cluster_sizes=(k,))
+            alpha = s.pathloss
+            r_m = rng.uniform(5.0, 300.0, size=100)
+            r_s = np.sort(rng.uniform(2.0, 300.0, size=(100, k)), axis=1)
+            wins = _small_side_wins(s, mode, r_m ** (-alpha), r_s ** (-alpha))
+            expected = [select_tier(s, mode, float(a), b) is small_event for a, b in zip(r_m, r_s)]
+            assert wins.tolist() == expected
+            wins_seen += int(wins.sum())
+        # both sides win often, so the agreement is not vacuous
+        assert 1000 < wins_seen < 9000
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_go_macro(self, mode, k):
+        # alpha 4 and distances of 2 m make every gain 2^-4 exactly; unit
+        # small power against a macro power of 1 (nearest small BS) or k (the
+        # cluster) ties the biased powers exactly
+        def tier(power, density):
+            return TierParams(
+                density=density, power=power, antennas=1, users=1, pathloss=4.0, bias=1.0
+            )
+
+        s = Scenario(
+            macro=tier(1.0 if mode == NONCOOPERATIVE else float(k), 0.01),
+            small=tier(1.0, 0.04),
+            cluster_size=k,
+        )
+        r_s = np.full(k, 2.0)
+        assert select_tier(s, mode, 2.0, r_s).macro_serving
+        assert not _small_side_wins(s, mode, np.array([2.0**-4]), (r_s**-4.0)[None, :])[0]
+        # the small side one ulp nearer wins under both
+        r_s[0] = np.nextafter(2.0, 0.0)
+        assert not select_tier(s, mode, 2.0, r_s).macro_serving
+        assert _small_side_wins(s, mode, np.array([2.0**-4]), (r_s**-4.0)[None, :])[0]
 
 
 class TestExclusionRadius:

@@ -76,11 +76,17 @@ class TestSweepSpec:
             {"workers": 0},
             {"metric": "throughput"},
             {"master_seed": -1},
+            {"metric": "rate", "engines": ("mc",), "trials": 1},
         ],
     )
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             SweepSpec(**spec_kwargs(**bad))
+
+    def test_one_trial_needs_no_rate_interval(self):
+        # only an MC rate has a sample spread to estimate
+        SweepSpec(**spec_kwargs(trials=1, engines=("mc",)))
+        SweepSpec(**spec_kwargs(trials=1, metric="rate"))
 
 
 class TestScenarioFor:
@@ -348,6 +354,14 @@ class TestMain:
         assert cli.main(["validate", *argv]) == 2
         expected = "must be at least 2" if argv[0] == "--trials" else "must be positive"
         assert expected in capsys.readouterr().err
+
+    def test_mc_rate_sweep_one_trial_exits_2(self, tmp_path, capsys):
+        # as validate --trials 1: a configuration error, not a CSV of error cells
+        out = tmp_path / "rate.csv"
+        argv = ["rate-sweep", "--engines", "mc", "--trials", "1", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):

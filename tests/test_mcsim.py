@@ -1,8 +1,10 @@
 """Monte Carlo engine: arrival-time geometry and its point budget, the tail
 interference beyond the last arrivals and the coverage error it admits,
-single-trial SINR arithmetic, batch statistics, and determinism."""
+single-trial SINR arithmetic, batch statistics, counter-addressed trial
+streams, and determinism across workers and block sizes."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from helpers import gamma_ccdf
+from helpers import gamma_ccdf, run_modes_scalar
 from hetcov import mcsim
 from hetcov.association import AssociationEvent, assoc_prob_sbs_single
 from hetcov.mcsim import (
@@ -201,28 +203,29 @@ class TestFarFieldBudget:
     def test_flip_fraction_below_stated_error(self, alpha):
         s = with_pathloss(default_scenario(), alpha)
         n_macro, n_small = point_counts(s)
+        long_counts = (4 * n_macro, 4 * n_small)
         orders = mcsim._serving_orders(s)
         thresholds = 10.0 ** (np.array(self.THRESHOLDS_DB) / 10.0)
-        stream = np.random.Philox(key=0)
+        stream = mcsim._TrialStreams(0)
+        per_block = mcsim._block_trials(long_counts)
+        block = mcsim._Block(per_block, long_counts, s.cluster_size)
         flips = np.zeros((len(MODES), len(thresholds)), dtype=int)
-        for i in range(self.TRIALS):
-            rng = np.random.Generator(stream.jumped(i))
-            full = mcsim._draw_trial(s, rng, orders, (4 * n_macro, 4 * n_small))
-            net = NetworkRealization(
-                macro=full.net.macro[:n_macro], small=full.net.small[:n_small]
-            )
+        for first in range(0, self.TRIALS, per_block):
+            rows = range(first, min(first + per_block, self.TRIALS))
+            full = block.draw(s, stream, rows, orders)
             prefix = full._replace(
-                net=net,
-                gain_macro=full.gain_macro[:n_macro],
-                gain_small=full.gain_small[:n_small],
-                faded_macro=full.faded_macro[:n_macro],
-                faded_small=full.faded_small[:n_small],
-                tail=tail_interference(s, net),
+                macro=full.macro[:, :n_macro],
+                small=full.small[:, :n_small],
+                gain_macro=full.gain_macro[:, :n_macro],
+                gain_small=full.gain_small[:, :n_small],
+                faded_macro=full.faded_macro[:, :n_macro],
+                faded_small=full.faded_small[:, :n_small],
+                tail=mcsim._tail_mean(s, full.macro[:, n_macro - 1], full.small[:, n_small - 1]),
             )
             for j, mode in enumerate(MODES):
-                long_sinr = mcsim._evaluate_trial(s, mode, full)[1]
-                budget_sinr = mcsim._evaluate_trial(s, mode, prefix)[1]
-                flips[j] += (long_sinr > thresholds) != (budget_sinr > thresholds)
+                long_sinr = mcsim._evaluate(s, mode, full)[1][:, None]
+                budget_sinr = mcsim._evaluate(s, mode, prefix)[1][:, None]
+                flips[j] += ((long_sinr > thresholds) != (budget_sinr > thresholds)).sum(axis=0)
         assert flips.max() / self.TRIALS < mcsim.FAR_FIELD_ERROR, flips
 
 
@@ -274,22 +277,24 @@ class TestPointProcess:
         assert ks.pvalue > 0.01
 
     def test_zero_arrival_never_reaches_select_tier(self, monkeypatch):
-        # every exponential draw exactly 0: all BSs would sit on the user
+        # every exponential draw exactly 0: all BSs would sit on the user,
+        # with infinite path gains in the selection rule
         seen = []
 
-        def spy(scenario, mode, mbs_distance, sbs_distances):
-            seen.append((mbs_distance, np.asarray(sbs_distances)))
-            return real(scenario, mode, mbs_distance, sbs_distances)
+        def spy(scenario, mode, macro_gain, small_gains):
+            seen.append((macro_gain.copy(), small_gains.copy()))
+            return real(scenario, mode, macro_gain, small_gains)
 
-        real = mcsim.select_tier
-        monkeypatch.setattr(mcsim, "select_tier", spy)
+        real = mcsim._small_side_wins
+        monkeypatch.setattr(mcsim, "_small_side_wins", spy)
         s = default_scenario()
         for mode in ("noncooperative", "cooperative"):
             out = simulate_trial(s, mode, ExpStub(value=0.0))
             assert math.isfinite(out.sinr) and out.sinr > 0.0
         assert len(seen) == 2
-        for mbs, sbs in seen:
-            assert mbs > 0.0 and np.all(sbs > 0.0)
+        for macro, small in seen:
+            for gains in (macro, small):
+                assert np.all(np.isfinite(gains)) and np.all(gains > 0.0)
 
 
 class TestSingleTrial:
@@ -415,12 +420,19 @@ class TestBatchStatistics:
 
 class TestRunTrials:
     def test_worker_count_does_not_change_results(self):
+        # more threads than cores, switching often: each owns its Philox and
+        # block, so no interleaving may leak into another's trials
         s = default_scenario()
         ref = run_trials(s, "cooperative", 300, master_seed=42, workers=1)
-        for workers in (4, 8):
-            alt = run_trials(s, "cooperative", 300, master_seed=42, workers=workers)
-            assert np.array_equal(ref.events, alt.events)
-            assert np.array_equal(ref.sinr, alt.sinr)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (4, 8):
+                alt = run_trials(s, "cooperative", 300, master_seed=42, workers=workers)
+                assert np.array_equal(ref.events, alt.events)
+                assert np.array_equal(ref.sinr, alt.sinr)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_validation(self):
         s = default_scenario()
@@ -482,26 +494,35 @@ class TestRunModes:
     @pytest.mark.parametrize("noise", [0.0, 1e-13])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
-    def test_matches_per_mode_runs(self, strategy, k, noise):
-        s = default_scenario(strategy=strategy, cluster_size=k, noise=noise)
-        trials, seed = 12, 7
-        base = np.random.Philox(key=seed)
-        for mode in MODES:
-            # one fresh stream per trial and mode: the draws are not shared
-            single = [
-                simulate_trial(s, mode, np.random.Generator(base.jumped(i)))
-                for i in range(trials)
-            ]
-            events = np.array([EVENT_CODES[o.event] for o in single], dtype=np.int8)
-            sinr = np.array([o.sinr for o in single])
-            ref = run_trials(s, mode, trials, master_seed=seed)
-            assert ref.events.tobytes() == events.tobytes()
-            assert ref.sinr.tobytes() == sinr.tobytes()
-            for workers in (1, 2):
-                both = run_modes(s, MODES, trials, master_seed=seed, workers=workers)
-                assert list(both) == list(MODES)
-                assert both[mode].events.tobytes() == ref.events.tobytes()
-                assert both[mode].sinr.tobytes() == ref.sinr.tobytes()
+    def test_matches_per_mode_runs(self, monkeypatch, strategy, k, noise):
+        # the scalar oracle draws each trial from its own jumped stream and
+        # evaluates it alone; alpha 2.05 and 4 list other counts of BSs, the
+        # trial count is no multiple of the block, and blocks of one trial,
+        # of three and of the default size see the same trials
+        seed = 7
+        default_bytes = mcsim.BLOCK_BYTES
+        for alpha in (3.0, 2.05, 4.0):
+            s = with_pathloss(
+                default_scenario(strategy=strategy, cluster_size=k, noise=noise), alpha
+            )
+            counts = point_counts(s)
+            per_block = mcsim._block_trials(counts)
+            trials = 2 * per_block + 3
+            expected = run_modes_scalar(s, MODES, trials, seed, counts)
+            for mode in MODES:
+                ref = run_trials(s, mode, trials, master_seed=seed)
+                assert ref.events.tobytes() == expected[mode][0].tobytes()
+                assert ref.sinr.tobytes() == expected[mode][1].tobytes()
+            trial_bytes = mcsim._BYTES_PER_POINT * sum(counts)
+            for block_bytes, rows in ((1, 1), (3 * trial_bytes, 3), (default_bytes, per_block)):
+                monkeypatch.setattr(mcsim, "BLOCK_BYTES", block_bytes)
+                assert mcsim._block_trials(counts) == rows
+                for workers in (1, 2, 3):
+                    both = run_modes(s, MODES, trials, master_seed=seed, workers=workers)
+                    assert list(both) == list(MODES)
+                    for mode in MODES:
+                        assert both[mode].events.tobytes() == expected[mode][0].tobytes()
+                        assert both[mode].sinr.tobytes() == expected[mode][1].tobytes()
 
     def test_one_draw_per_trial(self, monkeypatch):
         calls = []
@@ -526,6 +547,29 @@ class TestRunModes:
             run_modes(s, (), 10, master_seed=1)
         with pytest.raises(ValueError):
             run_trials(s, "hybrid", 10, master_seed=1)
+
+
+class TestTrialStreams:
+    """Trial i's stream is selected by setting a reused Philox's counter; it
+    must be the stream of Philox(key=seed).jumped(i), draw for draw. This
+    rests on numpy's Philox state layout, so a change there fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63 - 1])
+    def test_counter_addresses_the_jumped_stream(self, seed):
+        stream = mcsim._TrialStreams(seed)
+        # revisiting trial 1 after the others shows no draw leaks across
+        # trials; the odd uint32 count leaves half a 64-bit word buffered
+        for i in (0, 1, 4095, 2**40, 1):
+            ref = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+            rng = stream(i)
+            for draw in (
+                lambda g: g.standard_exponential(5),
+                lambda g: g.standard_gamma(1, 3),
+                lambda g: g.standard_gamma(4, 1001),
+                lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+                lambda g: g.standard_exponential(2),
+            ):
+                assert draw(rng).tobytes() == draw(ref).tobytes()
 
 
 class TestEmpiricalAssociation:
