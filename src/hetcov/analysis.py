@@ -478,12 +478,12 @@ def _tail_weights(ctx: LaplaceContext, order: int):
 
 
 def _single_server_kernel(
-    scenario: Scenario, event: AssociationEvent, r, threshold: float, rate=None
+    scenario: Scenario, event: AssociationEvent, r, threshold, rate=None
 ) -> np.ndarray:
     """Conditional coverage given a single serving BS, at each distance of
-    the 1-D array r. Given rate, each value is instead the kernel at
-    distance sqrt(u) r integrated over u with weight e^(-rate u), the
-    _scale_average of shape 1."""
+    the 1-D array r and its threshold (a float, or one per distance). Given
+    rate, each value is instead the kernel at distance sqrt(u) r integrated
+    over u with weight e^(-rate u), the _scale_average of shape 1."""
     r = np.asarray(r, dtype=float)
     tier = scenario.macro if event.macro_serving else scenario.small
     # laplace_context's single-server argument s = T * r^alpha / p_serve
@@ -586,9 +586,10 @@ def _erlang_mixture(gains, order: int) -> list:
     return out
 
 
-def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) -> np.ndarray:
+def _cluster_kernel(scenario: Scenario, distances, threshold, rate=None) -> np.ndarray:
     """Conditional coverage given the cluster serves from these distances,
-    one value per row of an (n, K) array of ascending distances.
+    one value per row of an (n, K) array of ascending distances and its
+    threshold (a float, or one per row).
 
     The non-coherent power sum of Gamma-faded links folds into an exact
     Erlang mixture (_erlang_mixture). Given an array rate, each value is
@@ -597,6 +598,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
     the fold's weights depend only on gain ratios.
     """
     r = np.asarray(distances, dtype=float)
+    threshold = np.zeros(len(r)) + threshold  # one per row
     k = scenario.cluster_size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         path_gain = r ** (-scenario.pathloss)
@@ -611,7 +613,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
     if not live.any():
         return weight
     order = derive_tier(scenario.small).fading_order
-    r, gains = r[live], scenario.small.power * path_gain[live]
+    r, gains, threshold = r[live], scenario.small.power * path_gain[live], threshold[live]
     d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
     if rate is not None:
         rate = rate[live]
@@ -622,7 +624,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
         series = [
             (
                 LaplaceContext(
-                    s=threshold / b, d_macro=d_macro[rows], d_small=d_small[rows],
+                    s=threshold[rows] / b, d_macro=d_macro[rows], d_small=d_small[rows],
                     scenario=scenario,
                 ),
                 np.cumsum(weights[:, ::-1], axis=1)[:, ::-1],
@@ -644,9 +646,10 @@ def _cluster_kernel(scenario: Scenario, distances, threshold: float, rate=None) 
 # Macro coverage under cooperation: exact scaled-cone route
 
 
-def _conditioned_weights(scenario: Scenario, threshold: float, rows) -> np.ndarray:
+def _conditioned_weights(scenario: Scenario, threshold, rows) -> np.ndarray:
     """Weights of the macro-served fields' terms 0..kmax, one row per cone
-    row (w_1..w_K, rho) of the K losing small BSs.
+    row (w_1..w_K, rho) of the K losing small BSs and its threshold (a
+    float, or one per row).
 
     The loser at w_i = t_i/t_K has y_i = T p_hat (rho/w_i)^(alpha/2) at
     every scale: it contributes the factor (1 + y_i)^(-psi_s) and adds
@@ -656,7 +659,10 @@ def _conditioned_weights(scenario: Scenario, threshold: float, rows) -> np.ndarr
     """
     sc = scenario
     kmax = derive_tier(sc.macro).fading_order - 1
-    y = threshold * hat_ratios(sc).power * (rows[:, -1:] / rows[:, :-1]) ** (sc.pathloss / 2.0)
+    y = (
+        np.asarray(threshold)[..., None] * hat_ratios(sc).power
+        * (rows[:, -1:] / rows[:, :-1]) ** (sc.pathloss / 2.0)
+    )
     u = y / (1.0 + y)
     # u_i^j for j = 1..kmax as cumulative products along the order axis
     repeated = np.broadcast_to(u[..., None], u.shape + (kmax,))
@@ -665,8 +671,9 @@ def _conditioned_weights(scenario: Scenario, threshold: float, rows) -> np.ndarr
     return np.exp(-sc.small.users * np.log1p(y).sum(axis=1))[:, None] * partial
 
 
-def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
-    """P[SINR > threshold and the macro side wins] under cooperation.
+def _coop_macro_joint(scenario: Scenario, threshold):
+    """P[SINR > threshold and the macro side wins] under cooperation, at a
+    float threshold or at each entry of a 1-D array of them.
 
     With t_K, the K-th small-tier arrival, as the scale, the losers' shape
     w_i = t_i/t_K and rho = (r_m/r_K)^2 = lhat*tau/t_K (tau = pi*lambda_m*r_m^2),
@@ -681,56 +688,74 @@ def _coop_macro_joint(scenario: Scenario, threshold: float) -> float:
     the budget bound to 1, split where y_i = 1 and at 10 and 100 times that
     z) sum the losers' weights into moments; one _scale_average of shape K+1
     and rate 1 + rho/lhat averages out t_K. rho runs on _panel_integral,
-    hinted where y_K = 1. The outer estimate plus the largest error of each
-    inner level is checked against the gate; K = 1 has no inner level.
+    hinted where y_K = 1. Each threshold's rows carry it through every level,
+    on its own pieces and knees; its outer estimate plus the largest error
+    of each of its inner levels is checked against the gate. K = 1 has no
+    inner level.
     """
     sc = scenario
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    thresholds = _thresholds(threshold)
     alpha, big_k = sc.pathloss, sc.cluster_size
     ratios = hat_ratios(sc)
     beta, lhat = ratios.macro_advantage, ratios.density
-    x_scale = (threshold * ratios.power) ** (2.0 / alpha)  # y_i = 1 at w_i = rho * x_scale
+    x_scale = (thresholds * ratios.power) ** (2.0 / alpha)  # y_i = 1 at w_i = rho * x_scale
     r_k = (math.pi * sc.small.density) ** -0.5
     epsabs = 0.5 * sc.numerics.coverage_epsabs
     what = "macro cooperative cone"
-    inner_err = [0.0] * big_k
+    inner_err = [np.zeros(len(thresholds)) for _ in range(big_k)]
 
-    def z_edges(i, outer):
+    def z_edges(i, outer, key):
         # rows (w_(i+1)..w_K, rho); some w_1 < ... < w_i fit the budget
         # sum_(j<=i) w_j^(-alpha/2) <= b only above w_i = (b/i)^(-2/alpha)
         rho, w_next = outer[:, -1], outer[:, 0]
         budget = beta * rho ** (-alpha / 2.0) - (outer[:, :-1] ** (-alpha / 2.0)).sum(axis=1)
         with np.errstate(divide="ignore"):
             lo = np.minimum((np.maximum(budget, 0.0) / i) ** (-2.0 / alpha) / w_next, 1.0)
-        knee = rho * x_scale / w_next  # y_i = 1
+        knee = rho * x_scale[key] / w_next  # y_i = 1
         hints = [np.clip(f * knee, lo, 1.0) for f in (1.0, 10.0, 100.0)]
         return np.column_stack([lo, *hints, np.ones_like(lo)])
 
     level = _cone_levels(
-        lambda rows: _conditioned_weights(sc, threshold, rows), z_edges, epsabs, what, inner_err
+        lambda rows, key: _conditioned_weights(sc, thresholds[key], rows),
+        z_edges, epsabs, what, inner_err,
     )
 
-    def over_rho(rho):
-        moments = level(big_k - 1, np.column_stack([np.ones_like(rho), rho]))
+    def over_rho(rho, key):
+        moments = level(big_k - 1, np.column_stack([np.ones_like(rho), rho]), key)
         r_m = r_k * np.sqrt(rho)
         ctx = LaplaceContext(
-            s=threshold * r_m ** alpha / sc.macro.power, d_macro=r_m, d_small=r_k, scenario=sc
+            s=thresholds[key] * r_m ** alpha / sc.macro.power, d_macro=r_m, d_small=r_k,
+            scenario=sc,
         )
         return _scale_average([(ctx, moments)], big_k + 1, 1.0 + rho / lhat) / lhat
 
     rho_max = (beta / big_k) ** (2.0 / alpha)
     val, err = _panel_integral(over_rho, rho_max, epsabs, what, 1.0 / x_scale)
-    _check_quadrature(val, err + sum(inner_err), epsabs, what)
-    return val
+    _check_quadrature(val, err + sum(inner_err), epsabs, what, thresholds)
+    return val if np.ndim(threshold) else float(val[0])
 
 
 # ---------------------------------------------------------------------------
 # Conditional and overall coverage
 
 
-def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold: float) -> float:
-    """P[SINR > threshold | association event].
+def _thresholds(threshold) -> np.ndarray:
+    """The thresholds of a coverage call as a 1-D array, one entry for a
+    float. Raises ValueError unless each is finite and positive."""
+    t = np.asarray(threshold, dtype=float)
+    if t.ndim > 1 or t.size == 0:
+        raise ValueError(f"threshold must be a float or a nonempty 1-D array, got {threshold!r}")
+    t = t.reshape(-1)
+    if not all(0.0 < x < math.inf for x in t.tolist()):  # False for NaN too
+        if not np.isfinite(t).all():
+            raise ValueError(f"threshold must be finite, got {threshold!r}")
+        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    return t
+
+
+def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold):
+    """P[SINR > threshold | association event], a float at a float
+    threshold, or one value per entry of a 1-D array of thresholds.
 
     Averages the fixed-geometry coverage kernel over the serving-distance
     density of the event. Each event splits its serving geometry into a
@@ -743,41 +768,47 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold:
     events are one scale average, and the cooperative events integrate it
     over the shape coordinates. Every event takes this one route at every
     noise level.
+
+    All thresholds are evaluated together: each kernel row carries its
+    threshold, and each threshold's integrals keep their own pieces, spike
+    hints and error gates, so a value does not depend on the thresholds
+    evaluated beside it. A float is the batch of one. Raises ValueError
+    unless every threshold is finite and positive.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    t = _thresholds(threshold)
     alpha = scenario.pathloss
-    beta = hat_ratios(scenario).macro_advantage
     lam_m, lam_s = scenario.macro.density, scenario.small.density
 
     if event is AssociationEvent.CLUSTER:
         # the kernel at the distances of t_K = 1 with rate 1 + c eta(z, 1)
         # integrates out t_K at shape z; coverage concentrates at arrival
         # coordinates of order T^(-2/alpha)
-        def kernel(t, rate):
-            return _cluster_kernel(scenario, np.sqrt(t / (math.pi * lam_s)), threshold, rate=rate)
+        def kernel(rows, rate, key):
+            return _cluster_kernel(scenario, np.sqrt(rows / (math.pi * lam_s)), t[key], rate=rate)
 
         raw = _shape_integral(
             scenario, kernel, scenario.numerics.coverage_epsabs * 0.5, "cluster shape integral",
-            threshold ** (-2.0 / alpha),
+            t ** (-2.0 / alpha), at=t,
         )
-        return min(max(raw / assoc_prob_sbs_cluster(scenario), 0.0), 1.0)
-
-    if event is AssociationEvent.MACRO_COOP:
-        joint = _coop_macro_joint(scenario, threshold)
-        return min(max(joint / (1.0 - assoc_prob_sbs_cluster(scenario)), 0.0), 1.0)
-
-    # one server; tau = 1 at r = mix^(-1/2)
-    if event.macro_serving:
-        mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+        p = raw / assoc_prob_sbs_cluster(scenario)
+    elif event is AssociationEvent.MACRO_COOP:
+        p = _coop_macro_joint(scenario, t) / (1.0 - assoc_prob_sbs_cluster(scenario))
     else:
-        mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
-    p = _single_server_kernel(scenario, event, [mix ** -0.5], threshold, rate=1.0)[0]
-    return min(max(float(p), 0.0), 1.0)
+        # one server; tau = 1 at r = mix^(-1/2)
+        beta = hat_ratios(scenario).macro_advantage
+        if event.macro_serving:
+            mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+        else:
+            mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+        p = _single_server_kernel(scenario, event, np.full(len(t), mix ** -0.5), t, rate=1.0)
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    return p if np.ndim(threshold) else float(p[0])
 
 
-def coverage_overall(mode: str, scenario: Scenario, threshold: float) -> float:
-    """P[SINR > threshold], mixing the mode's two events by their weights."""
+def coverage_overall(mode: str, scenario: Scenario, threshold):
+    """P[SINR > threshold], mixing the mode's two events by their weights:
+    a float at a float threshold, or one value per entry of a 1-D array of
+    thresholds, all evaluated together (coverage_conditional)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == NONCOOPERATIVE:
@@ -803,9 +834,12 @@ def mean_rate(mode: str, scenario: Scenario, coverage_fn=None) -> float:
     like T^(-2/alpha), i.e. exp(-2v/alpha) in v. The integrand is smooth and
     monotone, so fixed composite Gauss-Legendre panels converge fast while
     keeping the (expensive) coverage evaluations bounded; the truncated tail
-    is restored from the algebraic decay law. coverage_fn(threshold) can be
-    injected for testing; the default is this mode's overall coverage at
-    tolerances matched to the rate error budget.
+    is restored from the algebraic decay law. Probes at v = 4, 7, ... fix
+    the truncation one threshold at a time; then one call evaluates all 40
+    nodes. coverage_fn maps a float threshold to a float and a 1-D array of
+    thresholds to an array (a float return broadcasts); it can be injected
+    for testing. The default is this mode's overall coverage at tolerances
+    matched to the rate error budget.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -834,13 +868,13 @@ def mean_rate(mode: str, scenario: Scenario, coverage_fn=None) -> float:
 
     # Two panels, denser where the integrand bends; 20-node GL per panel.
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    total = 0.0
     split = min(3.0, 0.5 * v_max)
-    for lo, hi in ((0.0, split), (split, v_max)):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        total += half * sum(
-            w * coverage_fn(math.expm1(mid + half * x)) for x, w in zip(nodes, weights)
-        )
+    panels = [(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in ((0.0, split), (split, v_max))]
+    v = np.concatenate([mid + half * nodes for mid, half in panels])
+    cov = np.broadcast_to(coverage_fn(np.expm1(v)), v.shape).reshape(len(panels), -1)
+    total = 0.0
+    for (_, half), values in zip(panels, cov):
+        total += half * sum(w * c for w, c in zip(weights, values))
     # Residual mass of the exp(-2v/alpha) tail beyond v_max.
     total += tail_cov * alpha / 2.0
     return max(total, 0.0) / math.log(2.0)

@@ -157,26 +157,41 @@ def _cone_coeff(scenario: Scenario) -> float:
     return h.macro_advantage ** (2.0 / scenario.pathloss) / h.density
 
 
-def _spike_hints(scale: float | None, upper: float) -> list | None:
-    """Break-point hints bracketing an integrand feature of width ~scale.
+# Multiples of the spike scale where _panel_edges places its hints.
+_HINT_FACTORS = np.array([0.1, 1.0, 10.0, 100.0])
+
+
+def _panel_edges(upper, spike):
+    """Panel edges over (0, upper), split at break-point hints bracketing an
+    integrand feature of width ~spike, per entry of upper and spike (floats
+    or 1-D arrays, broadcast): shape + (6,), or + (2,) for spike=None.
 
     Deep-tail thresholds concentrate all coverage mass in a region far
     narrower than the integration range; adaptive quadrature's initial grid
-    can step straight over it. Hinting a few decades around the feature
-    forces panel boundaries there. scale=None means no feature to hint.
+    can step straight over it. Hints at 0.1, 1, 10 and 100 times spike force
+    panel boundaries there. A hint past upper moves to upper, and one of a
+    zero spike sits at 0: either leaves an empty panel, which _gauss_kronrod
+    skips, so every entry keeps its own panels whatever the other entries'
+    hints.
     """
-    if scale is None:
-        return None
-    pts = [scale * f for f in (0.1, 1.0, 10.0, 100.0) if 0.0 < scale * f < upper]
-    return pts or None
+    upper = np.asarray(upper, dtype=float)
+    if spike is None:
+        return np.stack([np.zeros_like(upper), upper], axis=-1)
+    edges = np.empty(np.broadcast(upper, spike).shape + (6,))
+    edges[..., 0] = 0.0
+    np.minimum(np.multiply.outer(spike, _HINT_FACTORS), upper[..., None], out=edges[..., 1:5])
+    edges[..., 5] = upper
+    return edges
 
 
-# Points per integrand call, and outer nodes per inner-level batch of a cone
-# integral: the first round of an inner level brings 21 nodes for each of up
-# to three pieces per outer node, about 6.6k nodes for the 105 outer nodes
-# of the first outer round, and one batch's intermediates must not set the
-# process's peak memory.
+# Points per integrand call, and outer rows per inner-level call of a cone
+# integral. Each outer row brings 21 nodes for each of up to four pieces of
+# its inner level, so 128 rows make at most ~10.8k inner nodes: the 105
+# outer nodes of one threshold's first outer round fit one call, and a batch
+# of thresholds makes calls of that size, so that one call's intermediates
+# do not set the process's peak memory.
 _CHUNK = 4096
+_LEVEL_ROWS = 128
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 21 Kronrod nodes on
 # [-1, 1] and their weights, mirrored from the nonnegative half, and the
@@ -206,6 +221,7 @@ _GK_NODES = np.r_[_GK_HALF, -_GK_HALF[-2::-1]]
 _K21 = np.r_[_K21_HALF, _K21_HALF[-2::-1]]
 _G10 = np.zeros(21)
 _G10[1:10:2], _G10[11::2] = _G10_HALF, _G10_HALF[::-1]
+_K21_G10 = _K21 - _G10
 # Most pieces one interval may be cut into (QUADPACK's `limit`).
 _MAX_PIECES = 200
 
@@ -218,10 +234,17 @@ def _chunked(f, *arrays, size: int = _CHUNK) -> np.ndarray:
     return np.concatenate([f(*(a[i:i + size] for a in arrays)) for i in range(0, n, size)])
 
 
-def _check_quadrature(val, err, epsabs: float, what: str):
-    """Raise unless the error estimate of a cone integral meets its gate."""
-    if err > max(epsabs * 100.0, 1e-6):
-        raise IntegrationFailure(f"{what} did not converge: estimate {val}, error {err}")
+def _check_quadrature(val, err, epsabs: float, what: str, at=None):
+    """Raise unless the error estimate of a cone integral meets its gate, for
+    every entry of val and err (floats or arrays). `at` names the entries in
+    the message: the thresholds of a batch of coverage integrals."""
+    bad = np.flatnonzero(np.asarray(err) > max(epsabs * 100.0, 1e-6))
+    if bad.size:
+        val, err = np.broadcast_arrays(val, err)
+        names = [""] * val.size if at is None else [f" at threshold {t}" for t in np.ravel(at)]
+        raise IntegrationFailure(f"{what} did not converge" + "; ".join(
+            f"{names[i]}: estimate {val.flat[i]}, error {err.flat[i]}" for i in bad
+        ))
 
 
 def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
@@ -249,21 +272,29 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
     while owner.size:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         fx = f(mid[:, None] + half[:, None] * _GK_NODES, *(x[owner, None] for x in args))
-        if not np.all(np.isfinite(fx)):
+        if not np.isfinite(fx).all():
             raise IntegrationFailure(f"{what}: non-finite integrand value")
-        fx = np.moveaxis(fx, 1, -1)  # nodes last, after any trailing axes
-        kronrod = half.reshape((-1,) + (1,) * (fx.ndim - 2)) * (fx @ _K21)
-        piece_err = half * np.abs(fx @ (_K21 - _G10)).reshape(len(half), -1).max(axis=1)
+        if fx.ndim == 2:  # one value per node
+            kronrod, piece_err = half * (fx @ _K21), half * np.abs(fx @ _K21_G10)
+        else:  # vectors: nodes last, after the trailing axes
+            fx = np.moveaxis(fx, 1, -1)
+            kronrod = half.reshape((-1,) + (1,) * (fx.ndim - 2)) * (fx @ _K21)
+            piece_err = half * np.abs(fx @ _K21_G10).reshape(len(half), -1).max(axis=1)
         if val.shape[1:] != kronrod.shape[1:]:  # the first round fixes the trailing axes
             val = np.zeros((n,) + kronrod.shape[1:])
         # the summed test ends an interval whose error is set by an integrable
         # endpoint singularity: there a piece's error falls slower than its share
         total_err = err + np.bincount(owner, piece_err, minlength=n)
         done = (piece_err <= share) | (total_err[owner] <= epsabs)
-        gained = np.zeros_like(val)  # summed per interval first, as bincount would
-        np.add.at(gained, owner[done], kronrod[done])
-        val += gained
+        if val.ndim == 1:
+            val += np.bincount(owner[done], kronrod[done], minlength=n)
+        else:
+            gained = np.zeros_like(val)  # summed per interval first, as bincount would
+            np.add.at(gained, owner[done], kronrod[done])
+            val += gained
         err += np.bincount(owner[done], piece_err[done], minlength=n)
+        if done.all():
+            break
         split = ~done
         owner, lo, mid, hi, share = (x[split] for x in (owner, lo, mid, hi, share))
         pieces += np.bincount(owner, minlength=n)
@@ -279,43 +310,58 @@ def _gauss_kronrod(f, a, b, epsabs: float, what: str, args=()):
     return val.reshape(shape + val.shape[1:]), err.reshape(shape)
 
 
-def _panel_integral(f, upper: float, epsabs: float, what: str, spike=None):
+def _panel_integral(f, upper, epsabs: float, what: str, spike=None):
     """(integral, error estimate) of f over (0, upper) by adaptive
-    Gauss-Kronrod on panels split at the spike hints; f maps a 1-D array of
-    nodes, at most _CHUNK of them per call, to their values."""
-    edges = np.array([0.0, *(_spike_hints(spike, upper) or ()), upper])
-    val, err = _gauss_kronrod(
-        lambda x: _chunked(f, x.ravel()).reshape(x.shape),
-        edges[:-1], edges[1:], epsabs, what,
-    )
-    return float(val.sum()), float(err.sum())
+    Gauss-Kronrod on panels split at the spike hints (_panel_edges), one pair
+    per entry of upper and spike (floats or 1-D arrays, broadcast). f(x, key)
+    maps a 1-D array of nodes, at most _CHUNK of them per call, and the
+    index of each node's entry, to their values."""
+    edges = _panel_edges(upper, spike)
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    key = np.arange(lo.size // lo.shape[-1]).repeat(lo.shape[-1]).reshape(lo.shape)
+
+    def over_panels(x, key):
+        return _chunked(f, x.ravel(), key.repeat(x.shape[-1], axis=-1).ravel()).reshape(x.shape)
+
+    val, err = _gauss_kronrod(over_panels, lo, hi, epsabs, what, args=(key,))
+    return val.sum(axis=-1), err.sum(axis=-1)
 
 
 def _cone_levels(f, z_edges, epsabs: float, what: str, inner_err: list):
-    """level(i, outer): the integral of f over t_1..t_i given the rows
-    `outer` of (t_(i+1), ...). Level i runs z_i = t_i/t_(i+1) over the
-    pieces between the edges z_edges(i, outer), one row per outer row, as
-    one batched _gauss_kronrod call, and carries the Jacobian t_(i+1). f
-    maps an (n, m) array of rows to n values or n rows of values, at most
-    _CHUNK rows per call. inner_err[i] keeps the largest error of level i."""
+    """level(i, outer, key): the integral of f over t_1..t_i given the rows
+    `outer` of (t_(i+1), ...) and the entry `key` of each row. Level i runs
+    z_i = t_i/t_(i+1) over the pieces between the edges
+    z_edges(i, outer, key), one row per outer row, as one batched
+    _gauss_kronrod call per _LEVEL_ROWS outer rows, and carries the Jacobian
+    t_(i+1). f(rows, key) maps
+    an (n, m) array of rows and their entries to n values or n rows of
+    values, at most _CHUNK rows per call. inner_err[i][e] keeps the largest
+    error of level i over the rows of entry e, so that an entry's gate does
+    not depend on the entries integrated beside it."""
 
-    def level(i, outer):
+    def level(i, outer, key):
         if i == 0:
-            return f(outer)
+            return f(outer, key)
+        return _chunked(lambda o, k: one_level(i, o, k), outer, key, size=_LEVEL_ROWS)
+
+    def one_level(i, outer, key):
         t_next = outer[:, 0]
-        edges = z_edges(i, outer)
+        edges = z_edges(i, outer, key)
 
         def over_z(z, row):
             tail = np.broadcast_to(outer[row], z.shape + outer.shape[1:])
             rows = np.concatenate([(z * t_next[row])[..., None], tail], axis=-1)
-            values = _chunked(lambda r: level(i - 1, r), rows.reshape(-1, rows.shape[-1]))
+            values = _chunked(
+                lambda r, k: level(i - 1, r, k),
+                rows.reshape(-1, rows.shape[-1]), key[row].repeat(z.shape[-1], axis=-1).ravel(),
+            )
             return values.reshape(z.shape + values.shape[1:])
 
         val, err = _gauss_kronrod(
             over_z, edges[:, :-1], edges[:, 1:], epsabs, f"{what} (inner)",
             args=(np.arange(len(t_next))[:, None],),
         )
-        inner_err[i] = max(inner_err[i], float(err.sum(axis=-1).max()))
+        np.maximum.at(inner_err[i], key, err.sum(axis=-1))
         val = val.sum(axis=1)
         return t_next.reshape((-1,) + (1,) * (val.ndim - 1)) * val
 
@@ -323,70 +369,81 @@ def _cone_levels(f, z_edges, epsabs: float, what: str, inner_err: list):
 
 
 def _cone_integral(
-    k: int, f, upper: float, epsabs: float, what: str, spike=None, rate: float = 1.0
+    k: int, f, upper, epsabs: float, what: str, spike=None, rate: float = 1.0
 ):
     """(integral, error estimate) of E[f(t_1..t_k)] over the first k arrival
     times of a unit-rate Poisson process: f(t) * exp(-t_k) over the ordered
     cone 0 < t_1 < ... < t_k < upper. A rate other than 1 weights by
-    exp(-rate * t_k) instead; rate = 0 integrates f alone. f maps an (n, k)
-    array of ascending rows to n values, at most _CHUNK rows per call.
+    exp(-rate * t_k) instead; rate = 0 integrates f alone. f(t, key) maps an
+    (n, k) array of ascending rows and the entry of each row to n values, at
+    most _CHUNK rows per call.
 
-    t_k runs outermost on the panels of _panel_integral. Each inner level
-    i = k-1..1 runs z_i = t_i/t_(i+1) over (0, 1), split at z = spike/t_(i+1)
-    and 10*spike/t_(i+1) (_cone_levels). The error is the outer estimate
-    plus the largest error of each inner level: the weights an inner level's
-    result is integrated against over the rest of the cone integrate to at
-    most 1. spike hints the arrival coordinate where f concentrates (a
-    coverage kernel at a deep-tail threshold is a narrow peak the first
-    round would miss).
+    upper and spike are floats or 1-D arrays, broadcast: one integral per
+    entry, each on its own pieces and with its own error estimate, as if
+    integrated alone. t_k runs outermost on the panels of _panel_integral.
+    Each inner level i = k-1..1 runs z_i = t_i/t_(i+1) over (0, 1), split at
+    z = spike/t_(i+1) and 10*spike/t_(i+1) (_cone_levels). The error is the
+    outer estimate plus the largest error of each inner level: the weights
+    an inner level's result is integrated against over the rest of the cone
+    integrate to at most 1. spike hints the arrival coordinate where f
+    concentrates (a coverage kernel at a deep-tail threshold is a narrow
+    peak the first round would miss).
     """
-    inner_err = [0.0] * k
+    shape = np.broadcast(upper, 0.0 if spike is None else spike).shape
+    inner_err = [np.zeros(math.prod(shape)) for _ in range(k)]
+    spikes = None if spike is None else np.broadcast_to(spike, shape).ravel()
 
-    def z_edges(i, outer):
+    def z_edges(i, outer, key):
         t_next = outer[:, 0]
         z_hints = np.empty((len(t_next), 0))
         if spike is not None:
+            s = spikes[key]
             with np.errstate(divide="ignore"):
                 z_hints = np.sort([
-                    np.minimum(spike / t_next, 1.0),
-                    np.where(spike < t_next, np.minimum(10.0 * spike / t_next, 0.5), 1.0),
+                    np.minimum(s / t_next, 1.0),
+                    np.where(s < t_next, np.minimum(10.0 * s / t_next, 0.5), 1.0),
                 ], axis=0).T
         return np.column_stack([np.zeros_like(t_next), z_hints, np.ones_like(t_next)])
 
     level = _cone_levels(f, z_edges, epsabs, what, inner_err)
     val, err = _panel_integral(
-        lambda t_k: np.exp(-rate * t_k) * level(k - 1, t_k[:, None]), upper, epsabs, what, spike
+        lambda t_k, key: np.exp(-rate * t_k) * level(k - 1, t_k[:, None], key),
+        upper, epsabs, what, spike,
     )
-    return val, err + sum(inner_err)
+    return val, err + sum(inner_err).reshape(shape)
 
 
-def _shape_integral(scenario: Scenario, f, epsabs: float, what: str, spike=None) -> float:
-    """Unit-weight integral of f(t, rate) over the shape
+def _shape_integral(scenario: Scenario, f, epsabs: float, what: str, spike=None, at=None):
+    """Unit-weight integral of f(t, rate, key) over the shape
     z = (t_1..t_(K-1))/t_K of the K nearest arrivals, 0 < z_1 < ... < 1.
 
     With t_K as the scale, the cone weight e^(-t_K - c eta(t)) dt is
     t_K^(K-1) e^(-t_K (1 + c eta(z, 1))) dt_K dz, so f takes an (n, K) array
-    of rows t = (z, 1) and the rates 1 + c*eta(t) at them. One _cone_integral
-    over the K-1 shape coordinates, its error estimate checked against the
-    gate; K = 1 has no shape and gives f at t = (1,). spike hints the shape
-    coordinate where f concentrates. assoc_prob_sbs_cluster and
-    mbs_win_prob are the association integrals on it; the cluster coverage
-    of the analysis module is the third.
+    of rows t = (z, 1), the rates 1 + c*eta(t) at them and each row's entry.
+    One _cone_integral over the K-1 shape coordinates, each entry's error
+    estimate checked against the gate; K = 1 has no shape and gives f at
+    t = (1,). spike hints the shape coordinate where f concentrates: a float
+    gives one integral, a 1-D array one per entry, named in a failure
+    message by `at`. assoc_prob_sbs_cluster and mbs_win_prob are the
+    association integrals on it; the cluster coverage of the analysis module
+    is the third.
     """
     k, alpha = scenario.cluster_size, scenario.pathloss
     c = _cone_coeff(scenario)
 
-    def over_shape(z):
+    def over_shape(z, key):
         t = np.column_stack([z, np.ones(len(z))])
         with np.errstate(divide="ignore"):
             eta = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
-        return f(t, 1.0 + c * eta)
+        return f(t, 1.0 + c * eta, key)
 
     if k == 1:
-        return float(over_shape(np.empty((1, 0)))[0])
-    val, err = _cone_integral(k - 1, over_shape, 1.0, epsabs, what, spike, rate=0.0)
-    _check_quadrature(val, err, epsabs, what)
-    return val
+        n = np.size(spike)
+        val = over_shape(np.empty((n, 0)), np.arange(n)).reshape(np.shape(spike))
+    else:
+        val, err = _cone_integral(k - 1, over_shape, 1.0, epsabs, what, spike, rate=0.0)
+        _check_quadrature(val, err, epsabs, what, at)
+    return val if val.ndim else float(val)
 
 
 @lru_cache(maxsize=32)
@@ -400,7 +457,7 @@ def assoc_prob_sbs_cluster(scenario: Scenario) -> float:
     """
     k = scenario.cluster_size
 
-    def integrand(t, rate):
+    def integrand(t, rate, key):
         return math.factorial(k - 1) * rate ** -k
 
     epsabs = scenario.numerics.quad_epsabs
@@ -454,7 +511,7 @@ def mbs_win_prob(scenario: Scenario, mbs_distance: float) -> float:
     beta = hat_ratios(scenario).macro_advantage
     lo = beta ** (-2.0 / alpha) * scenario.small.density * math.pi * mbs_distance ** 2
 
-    def gamma_tail(t, rate):
+    def gamma_tail(t, rate, key):
         with np.errstate(divide="ignore", over="ignore"):
             x = lo * (t ** (-alpha / 2.0)).sum(axis=1) ** (2.0 / alpha)
         # x = inf where z_1 underflows; past x ~ 745 every term is 0 anyway,

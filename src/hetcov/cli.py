@@ -85,6 +85,8 @@ class SweepSpec:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ValueError(f"grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"grid must be strictly increasing, got {self.grid}")
         if not self.strategies:
@@ -108,6 +110,15 @@ class SweepSpec:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
+        if not math.isfinite(self.threshold_db):
+            raise ValueError(f"threshold_db must be finite, got {self.threshold_db}")
+        for db in self.grid if self.variable == "threshold_db" else (self.threshold_db,):
+            try:
+                linear = 10.0 ** (db / 10.0)
+            except OverflowError:
+                linear = math.inf
+            if not 0.0 < linear < math.inf:
+                raise ValueError(f"threshold {db} dB is not a positive finite float")
         if self.metric not in ("coverage", "rate"):
             raise ValueError(f"metric must be 'coverage' or 'rate', got {self.metric!r}")
         if self.metric == "rate" and "mc" in self.engines and self.trials < 2:

@@ -490,7 +490,12 @@ def run_trials(
 
 
 def coverage_from_batch(batch: TrialBatch, threshold: float) -> MetricResult:
-    """Empirical P[SINR > threshold] with a 95% binomial CI halfwidth."""
+    """Empirical P[SINR > threshold] with a 95% binomial CI halfwidth.
+
+    Raises ValueError for a NaN or infinite threshold.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     n = batch.trials
     p = float(np.count_nonzero(batch.sinr > threshold)) / n
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 NONCOOPERATIVE = "noncooperative"
 COOPERATIVE = "cooperative"
@@ -170,8 +171,12 @@ class TierRatios:
     macro_advantage: float
 
 
+@lru_cache(maxsize=32)
 def hat_ratios(s: Scenario) -> TierRatios:
-    """Compute the tier ratios that the association and coverage math uses."""
+    """Compute the tier ratios that the association and coverage math uses.
+
+    Cached per scenario: every coverage call reads them several times, and
+    the result is immutable."""
     dm, ds = derive_tier(s.macro), derive_tier(s.small)
     power = s.small.power / s.macro.power
     fading = ds.fading_order / dm.fading_order

@@ -24,7 +24,6 @@ from hetcov.association import (
     _cone_coeff,
     _cone_integral,
     _panel_integral,
-    _spike_hints,
     assoc_prob_sbs_cluster,
     mbs_win_prob,
     select_tier,
@@ -35,6 +34,16 @@ from hetcov.specfun import faa_coefficient, integer_partitions
 
 # Tail mass the oracles below drop when they cut a radial or cone integral.
 TAIL_MASS = 1e-8
+
+
+def spike_hints(scale, upper: float) -> list | None:
+    """QUADPACK break points at 0.1, 1, 10 and 100 times scale inside
+    (0, upper), the hints the engine's _panel_edges places; None if none."""
+    if scale is None:
+        return None
+    pts = [scale * f for f in (0.1, 1.0, 10.0, 100.0) if 0.0 < scale * f < upper]
+    return pts or None
+
 
 EVENTS_BY_MODE = {
     "noncooperative": (AssociationEvent.MACRO, AssociationEvent.SMALL),
@@ -295,7 +304,7 @@ def single_coverage_quad(event, scenario: Scenario, threshold: float) -> float:
             scenario, event, math.sqrt(tau / mix), threshold
         ),
         0.0, tau_max, epsabs=scenario.numerics.coverage_epsabs, limit=200,
-        points=_spike_hints(threshold ** (-2.0 / alpha), tau_max),
+        points=spike_hints(threshold ** (-2.0 / alpha), tau_max),
     )
     assert err <= 1e-4, (val, err)
     return val
@@ -471,7 +480,7 @@ def cluster_integral_quad(scenario: Scenario, h=None, epsabs=None, spike=None) -
 
     tmax = -math.log(TAIL_MASS) + 5.0
     val, err = integrate.quad(
-        integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=_spike_hints(spike, tmax)
+        integrand, 0.0, tmax, epsabs=epsabs, limit=200, points=spike_hints(spike, tmax)
     )
     assert err <= max(epsabs * 100.0, 1e-6), (val, err)
     return val
@@ -530,7 +539,7 @@ def cluster_integral_cone(scenario: Scenario, h=None, epsabs=None, spike=None) -
     alpha = scenario.pathloss
     c = _cone_coeff(scenario)
 
-    def values(t):
+    def values(t, key):
         with np.errstate(divide="ignore", over="ignore"):
             eta_term = (t ** (-alpha / 2.0)).sum(axis=1) ** (-2.0 / alpha)
         w = np.exp(-c * eta_term)
@@ -662,7 +671,7 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
     else:
         mix, norm = math.pi * lam_m, 1.0 - assoc_prob_sbs_cluster(scenario)
 
-    def integrand(tau):
+    def integrand(tau, key):
         r = np.sqrt(tau / mix)
         weight = np.exp(-tau)
         if event is AssociationEvent.MACRO_COOP:

@@ -872,6 +872,75 @@ class TestCoverageOverall:
             assert all(b <= a for a, b in zip(vals, vals[1:])), (mode, vals)
 
 
+class TestThresholdArrays:
+    """coverage_overall and coverage_conditional at a 1-D array of thresholds."""
+
+    # -20..40 dB: the spike hints T^(-2/alpha) of the entries differ by decades
+    THRESHOLDS = 10.0 ** (np.array([-20.0, -7.0, 0.0, 3.0, 12.0, 25.0, 40.0]) / 10.0)
+    CELLS = (
+        [(strategy, k, 0.0) for strategy in STRATEGIES for k in (1, 2, 3)]
+        + [(strategy, k, 1e-15) for strategy in STRATEGIES for k in (1, 2)]
+        + [("SISO", 3, 1e-15)]
+    )
+
+    @pytest.mark.parametrize("strategy, k, noise", CELLS)
+    def test_batch_equals_scalar_calls(self, strategy, k, noise):
+        s = replace(default_scenario(strategy, cluster_size=k), noise=noise)
+        for mode in MODES:
+            batch = coverage_overall(mode, s, self.THRESHOLDS)
+            assert batch.shape == self.THRESHOLDS.shape
+            one = [coverage_overall(mode, s, t) for t in self.THRESHOLDS]
+            assert_allclose(batch, one, rtol=0.0, atol=1e-13, err_msg=mode)
+
+    @pytest.mark.parametrize("event", list(AssociationEvent))
+    def test_conditional_float_is_the_batch_of_one(self, event):
+        s = default_scenario()
+        got = coverage_conditional(event, s, 2.0)
+        assert type(got) is float
+        assert got == coverage_conditional(event, s, np.array([2.0]))[0]
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, [1.0, math.nan], [math.inf, 2.0]]
+    )
+    def test_non_finite_thresholds_raise(self, bad):
+        s = default_scenario()
+        for mode in MODES:
+            with pytest.raises(ValueError, match="finite"):
+                coverage_overall(mode, s, bad)
+        for event in AssociationEvent:
+            with pytest.raises(ValueError, match="finite"):
+                coverage_conditional(event, s, bad)
+
+    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, 0.0], [1.0, -2.0]])
+    def test_empty_nested_or_nonpositive_arrays_raise(self, bad):
+        with pytest.raises(ValueError):
+            coverage_overall("cooperative", default_scenario(), bad)
+
+    def test_macro_cone_gate_names_the_failing_threshold(self, monkeypatch):
+        # the outer estimate of the second threshold alone is past the gate
+        def loose_second(f, upper, epsabs, what, spike=None, panels=analysis._panel_integral):
+            val, err = panels(f, upper, epsabs, what, spike)
+            return val, err + np.array([0.0, 1e-3, 0.0])
+
+        monkeypatch.setattr(analysis, "_panel_integral", loose_second)
+        with pytest.raises(IntegrationFailure, match="macro cooperative cone") as info:
+            _coop_macro_joint(default_scenario(), np.array([0.5, 2.0, 8.0]))
+        assert "at threshold 2.0" in str(info.value)
+        assert "0.5" not in str(info.value) and "8.0" not in str(info.value)
+
+    def test_cluster_gate_names_the_failing_threshold(self, monkeypatch):
+        def loose_first(k, f, upper, epsabs, what, spike=None, rate=1.0,
+                        cone=association._cone_integral):
+            val, err = cone(k, f, upper, epsabs, what, spike, rate)
+            return val, err + np.array([1e-3, 0.0])
+
+        monkeypatch.setattr(association, "_cone_integral", loose_first)
+        with pytest.raises(IntegrationFailure, match="cluster shape integral") as info:
+            coverage_conditional(AssociationEvent.CLUSTER, default_scenario(), [4.0, 0.25])
+        assert "at threshold 4.0" in str(info.value)
+        assert "0.25" not in str(info.value)
+
+
 class TestMeanRate:
     def test_zero_coverage_gives_zero_rate(self):
         assert mean_rate("noncooperative", default_scenario(), coverage_fn=lambda t: 0.0) == 0.0
@@ -880,7 +949,7 @@ class TestMeanRate:
         # P[SINR > T] = e^-T  =>  E[ln(1+SINR)] = e * E1(1)
         expected = math.e * special.exp1(1.0) / math.log(2.0)
         got = mean_rate(
-            "noncooperative", default_scenario(), coverage_fn=lambda t: math.exp(-t)
+            "noncooperative", default_scenario(), coverage_fn=lambda t: np.exp(-t)
         )
         assert_allclose(got, expected, rtol=1e-6)
 
@@ -891,3 +960,33 @@ class TestMeanRate:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             mean_rate("fullduplex", default_scenario())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_coverage_call_for_all_nodes(self, mode, monkeypatch):
+        # the v_max probes take one threshold each; then one call takes
+        # every Gauss-Legendre node
+        calls = []
+
+        def counting(mode, scenario, threshold, real=analysis.coverage_overall):
+            calls.append(np.size(threshold))
+            return real(mode, scenario, threshold)
+
+        monkeypatch.setattr(analysis, "coverage_overall", counting)
+        mean_rate(mode, default_scenario())
+        probes = calls[:-1]
+        assert probes and all(n == 1 for n in probes), calls
+        assert calls[-1] == 40, calls
+        assert len(calls) <= len(probes) + 1
+
+    def test_batch_matches_scalar_coverage_calls(self):
+        # the same rule with one coverage_overall call per node
+        s = default_scenario()
+        relaxed = replace(
+            s, numerics=replace(s.numerics, coverage_epsabs=1e-4, quad_epsabs=1e-8)
+        )
+        for mode in MODES:
+            def one_at_a_time(t, mode=mode):
+                return np.array([coverage_overall(mode, relaxed, x) for x in np.ravel(t)])
+
+            expected = mean_rate(mode, s, coverage_fn=one_at_a_time)
+            assert abs(mean_rate(mode, s) - expected) <= 1e-12, mode

@@ -19,6 +19,7 @@ from hetcov.association import (
     _cone_integral,
     _small_side_wins,
     _gauss_kronrod,
+    _panel_edges,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     association_probabilities,
@@ -282,7 +283,9 @@ class TestClusterAssociation:
     def test_k1_unresolved_integrand_raises(self):
         # the one-level cone rule's error estimate is checked, as deeper ones are
         with pytest.raises(IntegrationFailure):
-            _cone_integral(1, lambda t: np.sin(1e6 * t[:, 0]) ** 2, 30.0, 1e-10, "unresolved")
+            _cone_integral(
+                1, lambda t, key: np.sin(1e6 * t[:, 0]) ** 2, 30.0, 1e-10, "unresolved"
+            )
 
     def test_shape_integral_matches_full_cone(self):
         # integrating the scale t_K out in closed form leaves the shape only;
@@ -364,12 +367,42 @@ class TestConeIntegral:
         upper, epsabs = 40.0, 1e-10
         # every f below is at most t_k, whose mass beyond upper is k*Q(k+1, upper)
         tail = k * special.gammaincc(k + 1, upper)
-        cases = [(lambda t: np.ones(len(t)), 1.0), (lambda t: np.exp(-2.5 * t[:, 0]), 1.0 / 3.5)]
-        cases += [(lambda t, i=i: t[:, i - 1], float(i)) for i in range(1, k + 1)]
+        cases = [
+            (lambda t, key: np.ones(len(t)), 1.0),
+            (lambda t, key: np.exp(-2.5 * t[:, 0]), 1.0 / 3.5),
+        ]
+        cases += [(lambda t, key, i=i: t[:, i - 1], float(i)) for i in range(1, k + 1)]
         for f, exact in cases:
             val, err = _cone_integral(k, f, upper, epsabs, "moment", spike)
             assert abs(val - exact) <= tail + epsabs
             assert err <= 100.0 * epsabs
+
+    def test_entries_keep_their_own_pieces_and_errors(self):
+        # two entries integrated together give what each gives alone; the
+        # rough entry's inner levels err about 1.4 times as much as the
+        # smooth one's, so a maximum shared across entries would show
+        def f(t, key):
+            return np.where(key == 0, np.exp(-2.5 * t[:, 0]), np.sin(20.0 * t[:, 0]) ** 2)
+
+        upper, spike = np.array([40.0, 30.0]), np.array([0.5, 3.0])
+        val, err = _cone_integral(2, f, upper, 1e-10, "entries", spike)
+        for e in (0, 1):
+            one_val, one_err = _cone_integral(
+                2, lambda t, key: f(t, np.full(len(t), e)), upper[e], 1e-10, "one", spike[e]
+            )
+            assert_allclose(val[e], one_val, rtol=1e-14, atol=0.0)
+            assert_allclose(err[e], one_err, rtol=1e-12, atol=0.0)
+
+    def test_panel_edges_pad_with_empty_panels(self):
+        # hints past upper move to upper: every row keeps its own panels,
+        # and the empty ones pad the rows to one width
+        edges = _panel_edges(np.array([1.0, 1.0, 50.0]), np.array([0.05, 2.0, 0.05]))
+        assert_allclose(edges, [
+            [0.0, 0.005, 0.05, 0.5, 1.0, 1.0],
+            [0.0, 0.2, 1.0, 1.0, 1.0, 1.0],
+            [0.0, 0.005, 0.05, 0.5, 5.0, 50.0],
+        ])
+        assert _panel_edges(3.0, None).tolist() == [0.0, 3.0]
 
 
 class TestMbsWinProb:
@@ -438,7 +471,7 @@ class TestMbsWinProb:
         # and RuntimeWarnings are errors under the test settings
         rows = np.array([[0.0] * (k - 1) + [1.0], [1e-300] + [0.5] * (k - 2) + [1.0]])
         monkeypatch.setattr(
-            association, "_shape_integral", lambda scenario, f, *args: f(rows, None)
+            association, "_shape_integral", lambda scenario, f, *args: f(rows, None, None)
         )
         assert mbs_win_prob(default_scenario(cluster_size=k), 1.0).tolist() == [0.0, 0.0]
 

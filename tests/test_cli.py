@@ -77,6 +77,15 @@ class TestSweepSpec:
             {"metric": "throughput"},
             {"master_seed": -1},
             {"metric": "rate", "engines": ("mc",), "trials": 1},
+            {"grid": (math.nan,)},
+            {"grid": (0.0, math.inf)},
+            {"grid": (-math.inf, 0.0)},
+            {"threshold_db": math.nan},
+            {"variable": "bias_ratio", "grid": (1.0,), "threshold_db": math.inf},
+            {"grid": (0.0, 4000.0)},
+            {"variable": "bias_ratio", "grid": (1.0,), "threshold_db": 4000.0},
+            {"variable": "bias_ratio", "grid": (1.0, math.nan)},
+            {"grid": (-4000.0, 0.0)},
         ],
     )
     def test_invalid(self, bad):
@@ -361,6 +370,26 @@ class TestMain:
         argv = ["rate-sweep", "--engines", "mc", "--trials", "1", "--out", str(out)]
         assert cli.main(argv) == 2
         assert "must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coverage-sweep", "--grid=nan", "--engines", "analytic,mc", "--trials", "50"],
+            ["coverage-sweep", "--grid=-5,inf", "--engines", "analytic"],
+            ["bias-sweep", "--threshold-db", "nan", "--engines", "analytic"],
+            ["coverage-sweep", "--grid=4000", "--engines", "analytic"],
+            ["coverage-sweep", "--grid=-4000,0", "--engines", "analytic,mc", "--trials", "50"],
+        ],
+        ids=["nan-grid", "inf-grid", "nan-threshold-db", "overflowing-grid", "underflowing-grid"],
+    )
+    def test_non_finite_threshold_exits_2(self, tmp_path, capsys, argv):
+        # a NaN threshold used to write coverage 1 (analytic), 0 (MC) and an
+        # IndexError cell, and exit 0; 4000 dB overflowed in run_sweep, and
+        # -4000 dB, a zero threshold, wrote MC coverage 1 beside an error cell
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--strategies", "SISO", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])

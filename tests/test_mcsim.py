@@ -366,12 +366,12 @@ class TestSingleTrial:
         net = NetworkRealization(macro=np.array([40.0, 1e15]), small=np.array([1e15]))
         rng = np.random.default_rng(77)
         scale = 1.0 * 40.0 ** (-3.0) / 1e-9
-        draws = np.array(
-            [
-                simulate_trial(s, "noncooperative", rng, net=net).sinr
-                for _ in range(35_000)
-            ]
-        ) / scale
+        # one block of trials on one generator: the same variates, in the
+        # same order, as one simulate_trial call per trial
+        trials = 35_000
+        block = mcsim._Block(trials, (len(net.macro), len(net.small)), s.cluster_size)
+        fixed = block.draw(s, lambda i: rng, range(trials), mcsim._serving_orders(s), net=net)
+        draws = mcsim._evaluate(s, "noncooperative", fixed)[1] / scale
         assert abs(draws.mean() - 8.0) < 0.1
         for u in (4.0, 8.0, 12.0):
             empirical = float(np.mean(draws > u))
@@ -393,6 +393,12 @@ class TestBatchStatistics:
         assert res.value == 0.5
         assert res.trials == 4
         assert res.method == "mc"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coverage_from_batch_rejects_non_finite_threshold(self, bad):
+        batch = TrialBatch(events=np.zeros(2, dtype=np.int8), sinr=np.array([0.5, 2.0]))
+        with pytest.raises(ValueError, match="finite"):
+            coverage_from_batch(batch, bad)
 
     def test_rate_from_batch(self):
         batch = TrialBatch(events=np.zeros(3, dtype=np.int8), sinr=np.full(3, 3.0))
