@@ -143,10 +143,12 @@ def laplace_context(sctx: ServingContext, scenario: Scenario, threshold: float) 
     Single-server events use s = T * r^alpha / p_serve; the cluster event
     uses the summed-gain argument s = T / (p_s * sum r_i^(-alpha)), the
     least of its per-link arguments T / (p_s r_i^(-alpha)); _cluster_kernel
-    reads s = 0 there as certain coverage.
+    reads s = 0 there as certain coverage. Raises ValueError unless the
+    threshold is finite and positive.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:  # False for NaN too
+        what = "positive" if math.isfinite(threshold) else "finite"
+        raise ValueError(f"threshold must be {what}, got {threshold!r}")
     alpha = scenario.pathloss
     if sctx.event is AssociationEvent.CLUSTER:
         gain = scenario.small.power * sum(r ** (-alpha) for r in sctx.distances)

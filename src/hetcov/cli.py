@@ -384,15 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=10_000, help="MC trials per cell (default 10000)"
     )
     common.add_argument(
-        "--engines", default="analytic,mc", help="comma list from {analytic,mc} (default both)"
-    )
-    common.add_argument(
         "--workers", type=int, default=1,
         help="worker threads; output is byte-identical for any count, and CPython's GIL "
         "gives no speed-up (default 1)",
     )
 
     sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument(
+        "--engines", default="analytic,mc", help="comma list from {analytic,mc} (default both)"
+    )
     sweep.add_argument(
         "--grid",
         help="comma list of grid values; use --grid=-5,0,5 for negatives"
@@ -445,7 +445,6 @@ def main(argv=None) -> int:
             scenario = replace(scenario, seed=args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        engines = _parse_csv_list(args.engines, "engines")
 
         if args.command == "validate":
             if args.trials < 2:
@@ -482,7 +481,7 @@ def main(argv=None) -> int:
                 grid=grid,
                 strategies=_parse_csv_list(args.strategies, "strategies"),
                 modes=_parse_csv_list(args.modes, "modes"),
-                engines=engines,
+                engines=_parse_csv_list(args.engines, "engines"),
                 trials=args.trials,
                 master_seed=args.seed,
                 workers=args.workers,

@@ -13,11 +13,13 @@ of per-link Gamma fading, then, per mode, the serving side by the same
 biased-power rule the analytic engine integrates over, and the resulting
 association event and SINR.
 
-Trials run in blocks. Each trial of a block makes its draws into one row of
-the block's arrays; everything after the draws (distances, path gains,
-selection, desired power, interference, SINR) runs once per block on 2-D
-arrays, with each trial's arithmetic that of a one-trial evaluation, so no
-result depends on the block it fell in. BLOCK_BYTES bounds a block's memory.
+Trials run only in blocks, through run_modes (run_trials is one mode of
+it): there is no one-trial API. Each trial of a block makes its draws into
+one row of the block's arrays (_Block.draw); everything after the draws
+(distances, path gains, selection, desired power, interference, SINR) runs
+once per block on 2-D arrays (_evaluate), with each trial's arithmetic that
+of a scalar evaluation of the trial alone, so no result depends on the
+block it fell in. BLOCK_BYTES bounds a block's memory.
 
 Determinism contract: trial i always consumes the stream
 ``Philox(master_seed).jumped(i)``, selected by setting one reused Philox's
@@ -58,7 +60,7 @@ EVENT_CODES = {event: code for code, event in enumerate(EVENT_ORDER)}
 
 # Coverage error the point budget admits. Past a tier's last listed BS, at
 # radius R, the engine replaces the tier's far field by its conditional mean
-# (tail_interference). By Campbell's theorem the far field's variance about
+# (_tail_mean). By Campbell's theorem the far field's variance about
 # that mean is sigma^2(R) = 2 pi lambda p^2 psi (psi+1) R^(2-2 alpha) / (2 alpha-2).
 # point_counts lists the fewest BSs n for which sigma at the budget radius
 # R_n = sqrt(n / (pi lambda)) is at most FAR_FIELD_ERROR times the tier's mean
@@ -127,56 +129,9 @@ def _arrival_distances(density: float, gaps: np.ndarray) -> np.ndarray:
     return np.sqrt(t, out=t)
 
 
-@dataclass(frozen=True)
-class NetworkRealization:
-    """Distances from the user to each tier's nearest BSs, ascending per tier.
-
-    Every BS of a tier beyond its last listed distance is treated as the
-    Poisson process outside that disk (see tail_interference).
-    """
-
-    macro: np.ndarray  # m, sorted ascending
-    small: np.ndarray  # m, sorted ascending
-
-    def __post_init__(self):
-        if len(self.macro) < 1 or len(self.small) < 1:
-            raise ValueError("both tiers must be nonempty")
-
-
-def sample_network(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    counts: tuple[int, int] | None = None,
-) -> NetworkRealization:
-    """Draw both tiers' nearest BSs from their arrival times: macro, then small.
-
-    The same draws, turned into distances by the same routine, as one trial
-    of a block makes first (_Block.draw). ``counts`` is the arrivals per
-    tier, point_counts(scenario) when None.
-    """
-    n_macro, n_small = point_counts(scenario) if counts is None else counts
-    return NetworkRealization(
-        macro=_arrival_distances(scenario.macro.density, rng.standard_exponential(n_macro)),
-        small=_arrival_distances(scenario.small.density, rng.standard_exponential(n_small)),
-    )
-
-
 def _tail_mean(scenario: Scenario, macro_last: np.ndarray, small_last: np.ndarray) -> np.ndarray:
-    """tail_interference per trial, from each tier's last listed distance.
-
-    Raises each distance to 2 - alpha with Python's float power: numpy's
-    vectorized power differs from it in the last bit of about 5% of values.
-    """
-    alpha = scenario.pathloss
-    total = 0.0
-    for tier, last in ((scenario.macro, macro_last), (scenario.small, small_last)):
-        powers = np.array([r ** (2.0 - alpha) for r in last.tolist()])
-        total = total + tier.density * tier.power * tier.users * powers
-    return 2.0 * math.pi * total / (alpha - 2.0)
-
-
-def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
-    """Mean interference from the BSs beyond each tier's last distance, watts.
+    """Mean interference from the BSs beyond each tier's last listed
+    distance, watts, per trial.
 
     Given a tier's last arrival at R, the rest of the tier is a PPP outside
     the disk of radius R, so its interference has the exact conditional mean
@@ -187,17 +142,16 @@ def tail_interference(scenario: Scenario, net: NetworkRealization) -> float:
     sum's spread about the mean has variance
     2*pi*lambda*p^2*psi*(psi+1) * R^(2-2*alpha) / (2*alpha-2), which
     point_counts holds to a coverage error of at most FAR_FIELD_ERROR.
+
+    Raises each distance to 2 - alpha with Python's float power: numpy's
+    vectorized power differs from it in the last bit of about 5% of values.
     """
-    return float(_tail_mean(scenario, net.macro[-1:], net.small[-1:])[0])
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated trial: who served, from where, and at what SINR."""
-
-    event: AssociationEvent
-    sinr: float
-    serving_distances: tuple[float, ...]  # m, ascending
+    alpha = scenario.pathloss
+    total = 0.0
+    for tier, last in ((scenario.macro, macro_last), (scenario.small, small_last)):
+        powers = np.array([r ** (2.0 - alpha) for r in last.tolist()])
+        total = total + tier.density * tier.power * tier.users * powers
+    return 2.0 * math.pi * total / (alpha - 2.0)
 
 
 class _Draws(NamedTuple):
@@ -212,7 +166,7 @@ class _Draws(NamedTuple):
     gain_small: np.ndarray  # r^-alpha per listed small BS
     faded_macro: np.ndarray  # interferer fading times gain, per macro BS
     faded_small: np.ndarray  # interferer fading times gain, per small BS
-    tail: np.ndarray  # tail_interference per trial, watts
+    tail: np.ndarray  # _tail_mean per trial, watts
 
 
 def _serving_orders(scenario: Scenario) -> tuple[int, int]:
@@ -245,7 +199,6 @@ class _Block:
         stream: Callable[[int], np.random.Generator],
         trials: range,
         orders: tuple[int, int],
-        net: NetworkRealization | None = None,
     ) -> _Draws:
         """Draw ``trials`` into the leading rows, then derive their gains.
 
@@ -254,7 +207,8 @@ class _Block:
         arrivals, serving fading (the nearest macro BS, then the K nearest
         small BSs), then interferer fading for every listed BS (macro, then
         small). ``orders`` are the serving fading orders (_serving_orders).
-        ``net`` fixes the distances of every trial and skips the arrivals.
+        Every distance comes from its trial's arrivals: fixed distances r are
+        drawn by a stream whose exponential draws are diff(pi * lambda * r^2).
         """
         n = len(trials)
         k = self.h_small.shape[1]
@@ -262,20 +216,14 @@ class _Block:
         g_macro, g_small = self.g_macro[:n], self.g_small[:n]
         for j, i in enumerate(trials):
             rng = stream(i)
-            if net is None:
-                self.macro[j] = rng.standard_exponential(n_macro)
-                self.small[j] = rng.standard_exponential(n_small)
+            self.macro[j] = rng.standard_exponential(n_macro)
+            self.small[j] = rng.standard_exponential(n_small)
             self.h_macro[j] = sample_gamma(orders[0], rng, size=1)
             self.h_small[j] = sample_gamma(orders[1], rng, size=k)
             g_macro[j] = sample_gamma(scenario.macro.users, rng, size=n_macro)
             g_small[j] = sample_gamma(scenario.small.users, rng, size=n_small)
-        if net is None:
-            macro = _arrival_distances(scenario.macro.density, self.macro[:n])
-            small = _arrival_distances(scenario.small.density, self.small[:n])
-        else:
-            self.macro[:n] = net.macro
-            self.small[:n] = net.small
-            macro, small = self.macro[:n], self.small[:n]
+        macro = _arrival_distances(scenario.macro.density, self.macro[:n])
+        small = _arrival_distances(scenario.small.density, self.small[:n])
         alpha = scenario.pathloss
         gain_macro = macro ** (-alpha)
         gain_small = small ** (-alpha)
@@ -332,41 +280,6 @@ def _evaluate(scenario: Scenario, mode: str, d: _Draws) -> tuple[np.ndarray, np.
         scenario.macro.power * macro_rest + scenario.small.power * small_rest + d.tail
     )
     return _event_codes(mode, small_wins), desired / (interference + scenario.noise)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def simulate_trial(
-    scenario: Scenario,
-    mode: str,
-    rng: np.random.Generator,
-    net: NetworkRealization | None = None,
-) -> TrialOutcome:
-    """Run one association + fading trial for the user at the origin.
-
-    A block of one trial: _Block.draw, then _evaluate. The draw sequence is
-    mode-independent, so runs sharing a seed see identical networks and
-    channels across modes (common random numbers), and mode comparisons are
-    paired rather than independent.
-
-    ``net`` injects a fixed realization instead of sampling one.
-    """
-    _check_mode(mode)
-    counts = point_counts(scenario) if net is None else (len(net.macro), len(net.small))
-    block = _Block(1, counts, scenario.cluster_size)
-    draws = block.draw(scenario, lambda i: rng, range(1), _serving_orders(scenario), net)
-    codes, sinr = _evaluate(scenario, mode, draws)
-    event = EVENT_ORDER[codes[0]]
-    if event.macro_serving:
-        serving = draws.macro[0, :1]
-    else:
-        serving = draws.small[0, : scenario.cluster_size if event.cooperative else 1]
-    return TrialOutcome(
-        event=event, sinr=float(sinr[0]), serving_distances=tuple(serving.tolist())
-    )
 
 
 @dataclass(frozen=True)
@@ -435,7 +348,8 @@ def run_modes(
     if not modes:
         raise ValueError("modes must be nonempty")
     for mode in modes:
-        _check_mode(mode)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:
@@ -479,13 +393,9 @@ def run_trials(
     master_seed: int,
     workers: int = 1,
 ) -> TrialBatch:
-    """Simulate ``trials`` trials of one mode: ``run_modes`` with that mode alone.
-
-    Trial i reads the counter-addressed stream of
-    ``Philox(master_seed).jumped(i)``, and trials are evaluated a block at a
-    time. Every mode of trial i reads the same draws, so the batch equals
-    the matching entry of ``run_modes(scenario, MODES, ...)`` byte for byte.
-    """
+    """Simulate ``trials`` trials of one mode: ``run_modes`` with that mode
+    alone, so the batch equals that mode's entry of ``run_modes(scenario,
+    MODES, ...)`` byte for byte."""
     return run_modes(scenario, (mode,), trials, master_seed, workers)[mode]
 
 
@@ -524,11 +434,6 @@ def _event_frequencies(codes: np.ndarray, method: str) -> dict[AssociationEvent,
         half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / n)
         out[event] = MetricResult(value=p, method=method, ci_halfwidth=half, trials=n)
     return out
-
-
-def association_from_batch(batch: TrialBatch) -> dict[AssociationEvent, MetricResult]:
-    """Empirical association frequency per event, 95% binomial CIs."""
-    return _event_frequencies(batch.events, "mc")
 
 
 def _association_by_distance(

@@ -120,6 +120,17 @@ class TestLaplaceTransform:
             laplace_interference(ctx), laplace_interference_radial(ctx), rtol=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [(math.nan, "finite"), (math.inf, "finite"), (0.0, "positive"), (-1.0, "positive")],
+    )
+    def test_context_rejects_bad_threshold(self, threshold, message):
+        # as coverage_conditional: a NaN would give s = nan and an inf L = 0
+        s = default_scenario()
+        sctx = serving_context(AssociationEvent.MACRO, s, (5.0,))
+        with pytest.raises(ValueError, match=f"threshold must be {message}"):
+            laplace_context(sctx, s, threshold)
+
     @pytest.mark.parametrize("psi", [1, 4, 8])
     @pytest.mark.parametrize("alpha", [2.05, 2.2, 3.0, 4.5, 6.0])
     def test_radial_oracle_on_the_domain_edges(self, alpha, psi):

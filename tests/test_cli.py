@@ -353,6 +353,14 @@ class TestMain:
         )
         assert code == 2
 
+    def test_validate_rejects_engines(self, capsys):
+        # validate always runs both engines: --engines is a sweep option, and
+        # on validate a usage error, not a flag that is silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--engines", "quantum", "--trials", "200"])
+        assert exc.value.code == 2
+        assert "--engines" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [["--trials", "0"], ["--trials", "-5"], ["--workers", "0"], ["--trials", "1"]],

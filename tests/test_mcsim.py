@@ -1,7 +1,9 @@
 """Monte Carlo engine: arrival-time geometry and its point budget, the tail
 interference beyond the last arrivals and the coverage error it admits,
 single-trial SINR arithmetic, batch statistics, counter-addressed trial
-streams, and determinism across workers and block sizes."""
+streams, and determinism across workers and block sizes. Every trial runs
+through the engine's block path, _Block.draw then _evaluate; a fixed
+geometry is drawn from a stream stub whose arrival gaps rebuild it."""
 
 import math
 import sys
@@ -17,18 +19,14 @@ from hetcov import mcsim
 from hetcov.association import AssociationEvent, assoc_prob_sbs_single
 from hetcov.mcsim import (
     EVENT_CODES,
-    NetworkRealization,
+    EVENT_ORDER,
     TrialBatch,
-    association_from_batch,
     coverage_from_batch,
     empirical_association,
     point_counts,
     rate_from_batch,
     run_modes,
     run_trials,
-    sample_network,
-    simulate_trial,
-    tail_interference,
 )
 from hetcov.model import MODES, Scenario, TierParams, default_scenario
 
@@ -99,23 +97,55 @@ class GammaQueue:
         return out
 
 
-class ExpStub:
-    """Generator stand-in that logs the size of every exponential draw and
-    answers it with ``value`` (a real draw when None); Gamma draws are real."""
+class ArrivalStub:
+    """Generator stand-in whose exponential draws are the arrival gaps
+    diff(pi * lambda * r^2) of fixed distances, macro then small per trial,
+    so _Block.draw rebuilds those distances; it logs the size of each.
+    Gamma draws come from ``rng``."""
 
-    def __init__(self, value=None, log=None):
-        self.rng = np.random.default_rng(0)
-        self.value = value
+    def __init__(self, s: Scenario, macro, small, rng=None, log=None):
+        self.gaps = [
+            np.diff(math.pi * tier.density * np.square(np.asarray(r, dtype=float)), prepend=0.0)
+            for tier, r in ((s.macro, macro), (s.small, small))
+        ]
+        self.rng = rng
         self.log = [] if log is None else log
+        self.draws = 0
 
     def standard_exponential(self, size):
         self.log.append(("exp", size))
-        if self.value is None:
-            return self.rng.standard_exponential(size)
-        return np.full(size, self.value)
+        gaps = self.gaps[self.draws % 2]
+        self.draws += 1
+        assert size == len(gaps), f"expected {len(gaps)} arrivals, asked for {size}"
+        return gaps
 
     def standard_gamma(self, shape, size=None):
         return self.rng.standard_gamma(shape, size)
+
+
+def draw_fixed(s: Scenario, macro, small, trials=1, rng=None, log=None):
+    """``trials`` trials at fixed distances in one block: _Block.draw on an
+    ArrivalStub, the fading from ``rng`` (or a patched sample_gamma)."""
+    stub = ArrivalStub(s, macro, small, rng, log)
+    block = mcsim._Block(trials, (len(macro), len(small)), s.cluster_size)
+    return block.draw(s, lambda i: stub, range(trials), mcsim._serving_orders(s))
+
+
+def fixed_trial(s: Scenario, mode: str, macro, small):
+    """Association event and SINR of one trial at fixed distances."""
+    codes, sinr = mcsim._evaluate(s, mode, draw_fixed(s, macro, small))
+    return EVENT_ORDER[codes[0]], float(sinr[0])
+
+
+def block_draws(s: Scenario, stream, trials: int):
+    """The _Draws of trials 0 .. trials - 1, a block at a time, as run_modes
+    draws them. The next step refills the block, so use each one first."""
+    counts = point_counts(s)
+    per_block = mcsim._block_trials(counts)
+    block = mcsim._Block(per_block, counts, s.cluster_size)
+    orders = mcsim._serving_orders(s)
+    for first in range(0, trials, per_block):
+        yield block.draw(s, stream, range(first, min(first + per_block, trials)), orders)
 
 
 class TestWindows:
@@ -158,8 +188,9 @@ class TestWindows:
         small_budget(monkeypatch, 1)
         s = siso_scenario(cluster_size=8)
         assert point_counts(s) == (1, 8)
-        net = sample_network(s, np.random.default_rng(0))
-        assert len(net.small) == 8
+        rng = np.random.default_rng(0)
+        (draws,) = block_draws(s, lambda i: rng, 1)
+        assert draws.small.shape == draws.h_small.shape == (1, 8)
 
 
 class TestFarField:
@@ -176,15 +207,14 @@ class TestFarField:
             macro=TierParams(density=0.01, power=2.0, antennas=2, users=2, pathloss=alpha),
             small=TierParams(density=0.04, power=0.5, antennas=4, users=3, pathloss=alpha),
         )
-        net = NetworkRealization(macro=np.array([20.0, 137.0]), small=np.array([5.0, 61.0]))
         expected = beyond(s.macro, 137.0) + beyond(s.small, 61.0)
-        assert_allclose(tail_interference(s, net), expected, rtol=1e-9)
+        tail = mcsim._tail_mean(s, np.array([137.0]), np.array([61.0]))
+        assert_allclose(tail[0], expected, rtol=1e-9)
 
     def test_decays_with_window_size(self):
         s = default_scenario()
-        near = NetworkRealization(macro=np.array([100.0]), small=np.array([100.0]))
-        far = NetworkRealization(macro=np.array([200.0]), small=np.array([200.0]))
-        assert tail_interference(s, far) < tail_interference(s, near)
+        near, far = mcsim._tail_mean(s, np.array([100.0, 200.0]), np.array([100.0, 200.0]))
+        assert far < near
 
 
 class TestFarFieldBudget:
@@ -236,23 +266,29 @@ class TestPointProcess:
         s = siso_scenario()
         rho = math.sqrt(100.0 / (math.pi * s.small.density))
         rng = np.random.default_rng(21)
-        counts = np.array(
-            [np.count_nonzero(sample_network(s, rng).small <= rho) for _ in range(5000)]
+        counts = np.concatenate(
+            [np.count_nonzero(d.small <= rho, axis=1) for d in block_draws(s, lambda i: rng, 5000)]
         )
         assert abs(counts.mean() - 100.0) < 1.0
         assert abs(counts.var() - 100.0) < 10.0
 
     def test_deterministic_for_fixed_stream(self):
         s = default_scenario()
-        a = sample_network(s, np.random.Generator(np.random.Philox(key=9)))
-        b = sample_network(s, np.random.Generator(np.random.Philox(key=9)))
-        assert np.array_equal(a.macro, b.macro)
-        assert np.array_equal(a.small, b.small)
+        a, b = (
+            mcsim._Block(3, point_counts(s), s.cluster_size).draw(
+                s, mcsim._TrialStreams(9), range(3), mcsim._serving_orders(s)
+            )
+            for _ in range(2)
+        )
+        for field, x, y in zip(a._fields, a, b):
+            assert np.array_equal(x, y), field
 
-    def test_sample_network_sorted_and_positive(self):
-        net = sample_network(default_scenario(), np.random.default_rng(5))
-        assert (len(net.macro), len(net.small)) == point_counts(default_scenario())
-        for tier in (net.macro, net.small):
+    def test_arrival_distances_sorted_and_positive(self):
+        s = default_scenario()
+        rng = np.random.default_rng(5)
+        (draws,) = block_draws(s, lambda i: rng, 1)
+        assert (draws.macro.shape[1], draws.small.shape[1]) == point_counts(s)
+        for tier in (draws.macro[0], draws.small[0]):
             assert tier[0] > 0.0
             assert np.all(np.diff(tier) >= 0.0)
 
@@ -261,7 +297,9 @@ class TestPointProcess:
         small_budget(monkeypatch, 20)
         s = default_scenario(cluster_size=1)
         rng = np.random.default_rng(22)
-        nearest = np.array([sample_network(s, rng).small[0] for _ in range(20_000)])
+        nearest = np.concatenate(
+            [d.small[:, 0].copy() for d in block_draws(s, lambda i: rng, 20_000)]
+        )
         lam = s.small.density
         ks = stats.kstest(nearest, lambda r: 1.0 - np.exp(-lam * math.pi * r**2))
         assert ks.pvalue > 0.01
@@ -272,7 +310,9 @@ class TestPointProcess:
         small_budget(monkeypatch, 20)
         s = default_scenario(cluster_size=k)
         rng = np.random.default_rng(23 + k)
-        kth = np.array([sample_network(s, rng).small[k - 1] for _ in range(20_000)])
+        kth = np.concatenate(
+            [d.small[:, k - 1].copy() for d in block_draws(s, lambda i: rng, 20_000)]
+        )
         ks = stats.kstest(math.pi * s.small.density * kth**2, stats.gamma(a=k).cdf)
         assert ks.pvalue > 0.01
 
@@ -288,9 +328,11 @@ class TestPointProcess:
         real = mcsim._small_side_wins
         monkeypatch.setattr(mcsim, "_small_side_wins", spy)
         s = default_scenario()
+        n_macro, n_small = point_counts(s)
+        draws = draw_fixed(s, np.zeros(n_macro), np.zeros(n_small), rng=np.random.default_rng(0))
         for mode in ("noncooperative", "cooperative"):
-            out = simulate_trial(s, mode, ExpStub(value=0.0))
-            assert math.isfinite(out.sinr) and out.sinr > 0.0
+            sinr = mcsim._evaluate(s, mode, draws)[1][0]
+            assert math.isfinite(sinr) and sinr > 0.0
         assert len(seen) == 2
         for macro, small in seen:
             for gains in (macro, small):
@@ -304,24 +346,24 @@ class TestSingleTrial:
         queue = GammaQueue([[2.0], [7.0], [9.0], [1.0]])
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
         s = siso_scenario()
-        net = NetworkRealization(macro=np.array([100.0]), small=np.array([200.0]))
-        out = simulate_trial(s, "noncooperative", np.random.default_rng(0), net=net)
-        assert out.event is AssociationEvent.MACRO
-        assert out.serving_distances == (100.0,)
+        event, sinr = fixed_trial(s, "noncooperative", [100.0], [200.0])
+        assert event is AssociationEvent.MACRO
         expected = (1.0 * 2.0 * 100.0**-3) / (0.1 * 1.0 * 200.0**-3 + disk_tail(s, 100.0, 200.0))
-        assert_allclose(out.sinr, expected, rtol=1e-12)
+        assert_allclose(sinr, expected, rtol=1e-12)
         # draw-order contract: desired macro, desired small, interferers
         assert queue.calls == [(1, 1), (1, 1), (1, 1), (1, 1)]
 
     @pytest.mark.parametrize("mode", ["noncooperative", "cooperative"])
     def test_draw_order(self, monkeypatch, mode):
         # macro arrivals, small arrivals, serving fading (macro, then the
-        # cluster), interferer fading (macro, then small), in either mode
-        fixed_counts(monkeypatch, 2, 8)
+        # cluster), interferer fading (macro, then small); evaluating either
+        # mode draws nothing more
         log = []
         queue = GammaQueue([[1.0], [1.0, 1.0], [1.0] * 2, [1.0] * 8], calls=log)
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
-        simulate_trial(siso_scenario(cluster_size=2), mode, ExpStub(log=log))
+        s = siso_scenario(cluster_size=2)
+        draws = draw_fixed(s, [1.0, 2.0], np.arange(1.0, 9.0), log=log)
+        mcsim._evaluate(s, mode, draws)
         assert log == [("exp", 2), ("exp", 8), (1, 1), (1, 2), (1, 2), (1, 8)]
 
     def test_noise_only_sinr(self, monkeypatch):
@@ -331,11 +373,10 @@ class TestSingleTrial:
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
         noise = 1.0 * 1.0 * 10.0 ** (-3.0)
         s = siso_scenario(noise=noise)
-        net = NetworkRealization(macro=np.array([10.0, 1e15]), small=np.array([1e15]))
-        out = simulate_trial(s, "noncooperative", np.random.default_rng(0), net=net)
+        _, sinr = fixed_trial(s, "noncooperative", [10.0, 1e15], [1e15])
         interference = 1.0 * 1e15**-3 + 0.1 * 1e15**-3 + disk_tail(s, 1e15, 1e15)
-        assert_allclose(out.sinr, noise / (interference + noise), rtol=1e-12)
-        assert_allclose(out.sinr, 1.0, rtol=1e-12)
+        assert_allclose(sinr, noise / (interference + noise), rtol=1e-12)
+        assert_allclose(sinr, 1.0, rtol=1e-12)
 
     def test_cluster_sums_desired_power(self, monkeypatch):
         # two serving small BSs at 50 m, h = 3 each, p_s = 0.1, noise 1e-6:
@@ -343,17 +384,17 @@ class TestSingleTrial:
         queue = GammaQueue([[9.9], [3.0, 3.0], [1.0], [5.0, 5.0, 5.0]])
         monkeypatch.setattr(mcsim, "sample_gamma", queue)
         s = siso_scenario(cluster_size=2, noise=1e-6)
-        net = NetworkRealization(macro=np.array([1e9]), small=np.array([50.0, 50.0, 1e15]))
-        out = simulate_trial(s, "cooperative", np.random.default_rng(0), net=net)
-        assert out.event is AssociationEvent.CLUSTER
-        assert out.serving_distances == (50.0, 50.0)
+        event, sinr = fixed_trial(s, "cooperative", [1e9], [50.0, 50.0, 1e15])
+        assert event is AssociationEvent.CLUSTER
         interference = 1.0 * 1e9**-3 + 0.1 * 5.0 * 1e15**-3 + disk_tail(s, 1e9, 1e15)
-        assert_allclose(out.sinr, 4.8e-6 / (interference + 1e-6), rtol=1e-12)
+        assert_allclose(sinr, 4.8e-6 / (interference + 1e-6), rtol=1e-12)
         assert queue.calls == [(1, 1), (1, 2), (1, 1), (1, 3)]
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            simulate_trial(siso_scenario(), "hybrid", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_trials(siso_scenario(), "hybrid", 1, master_seed=0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_modes(siso_scenario(), ("hybrid",), 1, master_seed=0)
 
     def test_fixed_geometry_fading_distribution(self):
         # noise-dominated single macro link with an 8-antenna beamformer:
@@ -363,14 +404,10 @@ class TestSingleTrial:
             small=TierParams(density=0.04, power=0.1, antennas=4, users=1),
             noise=1e-9,
         )
-        net = NetworkRealization(macro=np.array([40.0, 1e15]), small=np.array([1e15]))
         rng = np.random.default_rng(77)
         scale = 1.0 * 40.0 ** (-3.0) / 1e-9
-        # one block of trials on one generator: the same variates, in the
-        # same order, as one simulate_trial call per trial
-        trials = 35_000
-        block = mcsim._Block(trials, (len(net.macro), len(net.small)), s.cluster_size)
-        fixed = block.draw(s, lambda i: rng, range(trials), mcsim._serving_orders(s), net=net)
+        # one block of trials whose fading all comes from one generator
+        fixed = draw_fixed(s, [40.0, 1e15], [1e15], trials=35_000, rng=rng)
         draws = mcsim._evaluate(s, "noncooperative", fixed)[1] / scale
         assert abs(draws.mean() - 8.0) < 0.1
         for u in (4.0, 8.0, 12.0):
@@ -412,13 +449,13 @@ class TestBatchStatistics:
         with pytest.raises(ValueError, match="at least 2 trials"):
             rate_from_batch(batch)
 
-    def test_association_from_batch_counts(self):
+    def test_event_frequencies_counts(self):
         codes = np.array(
             [EVENT_CODES[AssociationEvent.MACRO]] * 3
             + [EVENT_CODES[AssociationEvent.SMALL]] * 1,
             dtype=np.int8,
         )
-        out = association_from_batch(TrialBatch(events=codes, sinr=np.ones(4)))
+        out = mcsim._event_frequencies(codes, "mc")
         assert out[AssociationEvent.MACRO].value == 0.75
         assert out[AssociationEvent.SMALL].value == 0.25
         assert out[AssociationEvent.CLUSTER].value == 0.0
@@ -455,7 +492,7 @@ class TestRunTrials:
     def test_association_matches_analytic(self):
         s = default_scenario()
         batch = run_trials(s, "noncooperative", 2500, master_seed=8)
-        freq = association_from_batch(batch)
+        freq = mcsim._event_frequencies(batch.events, "mc")
         expected = assoc_prob_sbs_single(s)
         res = freq[AssociationEvent.SMALL]
         assert abs(res.value - expected) <= 4.0 * res.ci_halfwidth / 1.96
@@ -545,6 +582,15 @@ class TestRunModes:
         # serving macro, serving cluster, macro and small interferers
         assert calls == [1, 2, 2, 8] * 5
 
+    def test_more_workers_than_trials(self):
+        # 8 workers on 3 trials: five of the eight worker ranges are empty
+        s = default_scenario(cluster_size=2)
+        ref = run_modes(s, MODES, 3, master_seed=4, workers=1)
+        out = run_modes(s, MODES, 3, master_seed=4, workers=8)
+        for mode in MODES:
+            assert out[mode].events.tobytes() == ref[mode].events.tobytes()
+            assert out[mode].sinr.tobytes() == ref[mode].sinr.tobytes()
+
     def test_validation(self):
         s = default_scenario()
         with pytest.raises(ValueError):
@@ -591,7 +637,8 @@ class TestEmpiricalAssociation:
     def test_trials_agree_with_distance_method(self):
         s = default_scenario()
         a = empirical_association(s, "cooperative", 50_000, master_seed=13)
-        b = association_from_batch(run_trials(s, "cooperative", 1500, master_seed=13))
+        batch = run_trials(s, "cooperative", 1500, master_seed=13)
+        b = mcsim._event_frequencies(batch.events, "mc")
         pa = a[AssociationEvent.CLUSTER]
         pb = b[AssociationEvent.CLUSTER]
         se = math.hypot(pa.ci_halfwidth, pb.ci_halfwidth) / 1.96
