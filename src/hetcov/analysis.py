@@ -7,7 +7,9 @@ sum_{k<delta} (-s)^k/k! * d^k/ds^k [e^(-sN) L_I(s)] averaged over the
 serving distance. Each term is e^(-sN) L_I(s) times the k-th Taylor
 coefficient of exp(sum_j y_j x^j / j), where y_j = (-s)^j g^(j)(s)/(j-1)!
 are the scaled log-Laplace derivatives, g = -sN + log L_I. Every y_j is
-non-negative, so one positive-term recurrence builds every series.
+non-negative, so one positive-term recurrence builds every series. One
+incomplete-Beta ladder per tier gives every y_j of the interference, and
+log L_I follows from y_1 by integrating the exponent by parts (_log_laplace).
 
 The serving geometry splits into a scale coordinate (tau = pi*mix*r^2 for
 one server, the farthest small-cell arrival t_K under cooperation) and
@@ -171,71 +173,98 @@ def _frozen(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _beta_tier_weights(psi: int, alpha: float):
-    """Constants of `_beta_tier_sum` over i = 1..psi: the Beta parameters
-    (q_i, p_i) = (i-2/alpha, psi-i+2/alpha), for i < psi the log-coefficients
-    log(W_1 + ... + W_i) - log(q_i * B(q_i, p_i)) of the unrolled recurrence,
-    and the total weight sum_i W_i, with W_i = C(psi,i) * B(p_i, q_i).
+def _tail_constants(psi: int, nmax: int, alpha: float):
+    """Orders n = 1..nmax: Beta parameters a_n = n - 2/alpha, the scales
+    B(a_n, b)/alpha with b = psi + 2/alpha, those times the weights
+    (psi)_n/(n-1)! of the n-th scaled log-Laplace derivative y_n (they grow
+    like n^psi, so fit a float at any order), and for n < nmax the
+    log-coefficients -log(a_n B(a_n, b)) = log(Gamma(a_n+b)/(Gamma(a_n+1) Gamma(b)))
+    of the downward step of DLMF 8.17(iv),
+    I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b))."""
+    n = np.arange(1, nmax + 1)
+    a, b = n - 2.0 / alpha, psi + 2.0 / alpha
+    log_coeff = -np.log(a[:-1]) - special.betaln(a[:-1], b)
+    scale = special.beta(a, b) / alpha
+    weights = np.cumprod((psi + n - 1.0) / np.maximum(n - 1.0, 1.0))
+    return _frozen(a, scale, weights * scale, log_coeff)
 
-    1/(q_i B(q_i, p_i)) = Gamma(psi)/(Gamma(q_i+1) Gamma(p_i)) is the
-    coefficient of the downward step of DLMF 8.17(iv),
-    I_x(q_i, p_i) = I_x(q_i+1, p_i-1) + x^(q_i) (1-x)^(p_i-1) / (q_i B(q_i, p_i)).
+
+def _beta_ladder(u0, psi: int, nmax: int, alpha: float) -> np.ndarray:
+    """I_u0(a_n, b) for n = 1..nmax >= 1, a_n = n - 2/alpha, b = psi + 2/alpha,
+    along a new last axis (one row per entry of an array u0).
+
+    One betainc call gives the top order nmax; the downward recurrence of
+    DLMF 8.17(iv), I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b)),
+    gives every lower order by adding one non-negative term per step.
     """
-    i = np.arange(1, psi + 1)
-    q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
-    cum_weights = np.cumsum(special.comb(psi, i, exact=False) * special.beta(p, q))
-    log_coeff = np.log(cum_weights[:-1] / q[:-1]) - special.betaln(q[:-1], p[:-1])
-    return (*_frozen(q, p, log_coeff), float(cum_weights[-1]))
-
-
-def _beta_tier_sum(psi: int, alpha: float, w):
-    """sum_{i=1..psi} C(psi,i) * B'(psi-i+2/alpha, i-2/alpha, w): one tier's
-    Beta-form factor, with w = (1 + s*p*d^(-alpha))^(-1) at exclusion d,
-    for a float w or elementwise over an array of them.
-
-    B'(p, q, w) = B(p, q) * I_x(q, p), x = 1 - w, is the complementary
-    incomplete Beta over [w, 1]. As (q_i+1, p_i-1) = (q_(i+1), p_(i+1)), the
-    downward recurrence of DLMF 8.17(iv),
-    I_x(q_i, p_i) = I_x(q_(i+1), p_(i+1)) + x^(q_i) (1-x)^(p_(i+1)) / (q_i B(q_i, p_i)),
-    reaches every order from one betainc call at the top order i = psi.
-    Each step adds a non-negative term, so nothing cancels; in the weighted
-    sum, step i carries the weight W_1 + ... + W_i of every order it feeds.
-    """
-    q, p, log_coeff, total_weight = _beta_tier_weights(psi, alpha)
-    x = 1.0 - np.asarray(w, dtype=float)
-    top = total_weight * special.betainc(q[-1], p[-1], x)
-    if psi == 1:  # no order below the top
+    a, _, _, log_coeff = _tail_constants(psi, nmax, alpha)
+    b = psi + 2.0 / alpha
+    top = special.betainc(a[-1], b, u0)[..., None]
+    if nmax == 1:  # no order below the top
         return top
-    x = x[..., None]
-    steps = special.xlogy(q[:-1], x)
-    steps += special.xlog1py(p[1:], -x)
+    u0 = u0[..., None]
+    steps = special.xlogy(a[:-1], u0)
+    steps += special.xlog1py(b, -u0)
     steps += log_coeff
-    return top + np.exp(steps, out=steps).sum(axis=-1)
+    orders = np.concatenate([np.exp(steps, out=steps), top], axis=-1)
+    # I_n = I_nmax + steps n..nmax-1, accumulated from the top order down
+    np.cumsum(orders[..., ::-1], axis=-1, out=orders[..., ::-1])
+    return orders
 
 
-def _log_laplace_beta(ctx: LaplaceContext):
-    """log L_I(s) via the complementary-incomplete-Beta closed form.
+def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
+    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax.
 
-    Each tier contributes -(2*pi/alpha) * lambda * (s*p)^(2/alpha) times its
-    Beta-form factor.
+    Dimensionless core of every n-th log-Laplace derivative. With
+    x = v^-alpha and u = x/(1+x) it is the incomplete Beta
+    (1/alpha) * B(a_n, b) * I_{u0}(a_n, b), a_n = n - 2/alpha > 0,
+    b = psi + 2/alpha, u0 = 1/(1 + v0^alpha), every order from one
+    _beta_ladder. An array of v0 gives one row of orders per entry.
     """
-    s = ctx.s
-    if np.ndim(s) == 0 and s == 0.0:
-        return 0.0
+    v0 = np.asarray(v0, dtype=float)
+    if nmax == 0:
+        return np.zeros(v0.shape + (0,))
+    # u0 = x0/(1+x0) with x0 = v0^-alpha above v0 = 1, 1/(1+v0^alpha) below:
+    # neither power overflows
+    x0 = np.maximum(v0, 1.0) ** (-alpha)
+    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
+    return _tail_constants(psi, nmax, alpha)[1] * _beta_ladder(u0, psi, nmax, alpha)
+
+
+def _log_laplace(ctx: LaplaceContext, nmax: int):
+    """(log L_I(s), y_1..y_nmax) of the interference: a float and one row, or
+    one entry and one row per entry of an array context, with
+    y_n = (-s)^n/(n-1)! * d^n/ds^n log L_I(s) >= 0.
+
+    A tier with u0 = s p/(s p + d^alpha) adds y_n = 2*pi*lambda*(s p)^(2/alpha)
+    * (psi)_n/(n-1)! * B(a_n, b)/alpha * I_u0(a_n, b), all orders from one
+    _beta_ladder at the top order max(nmax, 1). Integrating its exponent
+    2*pi*lambda * int_d^inf (1 - (1 + s p u^-alpha)^-psi) u du by parts gives
+    its log L_I = pi*lambda*d^2 (1 - (1 - u0)^psi) - (alpha/2) y_1; 0 at s = 0.
+    """
     alpha = ctx.scenario.pathloss
-    total = 0.0
+    top = max(nmax, 1)
+    log_l = y = 0.0
     for lam, p, psi, d in ctx.tiers():
-        if lam == 0.0:
-            continue
-        d_alpha = np.power(d, alpha)
-        w = d_alpha / (d_alpha + s * p)  # (1 + s*p*d^(-alpha))^(-1), 0 at d = 0
-        total = total + lam * (s * p) ** (2.0 / alpha) * _beta_tier_sum(psi, alpha, w)
-    return -(2.0 * math.pi / alpha) * total
+        sp = ctx.s * p
+        reach = sp + np.power(d, alpha)
+        u0 = sp / np.where(reach > 0.0, reach, 1.0)  # 1 at d = 0, 0 at s = 0
+        y_tier = (
+            (2.0 * math.pi * lam * np.power(sp, 2.0 / alpha))[..., None]
+            * _tail_constants(psi, top, alpha)[2] * _beta_ladder(u0, psi, top, alpha)
+        )
+        # 1 - (1 - u0)^psi; the clamp keeps log1p finite at u0 = 1 (d = 0)
+        kept = -np.expm1(psi * np.log1p(-np.minimum(u0, 1.0 - 2.0**-53)))
+        log_l = log_l + math.pi * lam * np.square(d) * kept - 0.5 * alpha * y_tier[..., 0]
+        y = y + y_tier
+    return log_l, y[..., :nmax]
 
 
-def laplace_interference(ctx: LaplaceContext) -> float:
-    """Laplace transform of total interference power at the given exclusions."""
-    return math.exp(_log_laplace_beta(ctx))
+def laplace_interference(ctx: LaplaceContext):
+    """Laplace transform of total interference power at the given exclusions:
+    a float for a float context, one value per entry of an array context."""
+    value = np.exp(_log_laplace(ctx, 1)[0])
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def laplace_interference_radial(ctx: LaplaceContext) -> float:
@@ -254,8 +283,12 @@ def laplace_interference_radial(ctx: LaplaceContext) -> float:
     Each integrand is scaled into (0, 1] and runs on the adaptive
     Gauss-Kronrod rule of the association module. The exponent's summed error
     estimate must stay within _RADIAL_RTOL of it, or IntegrationFailure is
-    raised. Slower than the Beta form; used for cross-validation.
+    raised. It takes one geometry: an array context raises ValueError.
+    Slower than the incomplete-Beta form of laplace_interference; used for
+    cross-validation.
     """
+    if any(np.ndim(x) for x in (ctx.s, ctx.d_macro, ctx.d_small)):
+        raise ValueError("laplace_interference_radial takes one geometry, not an array context")
     s = ctx.s
     if s == 0.0:
         return 1.0
@@ -287,80 +320,6 @@ def laplace_interference_radial(ctx: LaplaceContext) -> float:
     if not err <= _RADIAL_RTOL * exponent:
         raise IntegrationFailure(f"{what} did not converge: exponent {exponent}, error {err}")
     return math.exp(-exponent)
-
-
-@lru_cache(maxsize=256)
-def _tail_constants(psi: int, nmax: int, alpha: float):
-    """Orders n = 1..nmax: Beta parameters a_n = n - 2/alpha, the scales
-    B(a_n, b)/alpha with b = psi + 2/alpha, the weights (psi)_n/(n-1)! of
-    the n-th scaled log-Laplace derivative y_n (they grow like n^psi, so fit
-    a float at any order), and for n < nmax the
-    log-coefficients -log(a_n B(a_n, b)) = log(Gamma(a_n+b)/(Gamma(a_n+1) Gamma(b)))
-    of the downward step of DLMF 8.17(iv),
-    I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b))."""
-    n = np.arange(1, nmax + 1)
-    a, b = n - 2.0 / alpha, psi + 2.0 / alpha
-    log_coeff = -np.log(a[:-1]) - special.betaln(a[:-1], b)
-    weights = np.cumprod((psi + n - 1.0) / np.maximum(n - 1.0, 1.0))
-    return _frozen(a, special.beta(a, b) / alpha, weights, log_coeff)
-
-
-def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
-    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax.
-
-    Dimensionless core of every n-th log-Laplace derivative. With
-    x = v^-alpha and u = x/(1+x) it is the incomplete Beta
-    (1/alpha) * B(a_n, b) * I_{u0}(a_n, b), a_n = n - 2/alpha > 0,
-    b = psi + 2/alpha, u0 = 1/(1 + v0^alpha). One betainc call gives the
-    top order nmax; the downward recurrence of DLMF 8.17(iv),
-    I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b)),
-    gives every lower order by adding one non-negative term per step. An
-    array of v0 gives one row of orders per entry.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    if nmax == 0:
-        return np.zeros(v0.shape + (0,))
-    a, scale, _, log_coeff = _tail_constants(psi, nmax, alpha)
-    b = psi + 2.0 / alpha
-    # u0 = x0/(1+x0) with x0 = v0^-alpha above v0 = 1, 1/(1+v0^alpha) below:
-    # neither power overflows
-    x0 = np.maximum(v0, 1.0) ** (-alpha)
-    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))[..., None]
-    steps = special.xlogy(a[:-1], u0)
-    steps += special.xlog1py(b, -u0)
-    steps += log_coeff
-    orders = np.concatenate([np.exp(steps, out=steps), special.betainc(a[-1], b, u0)], axis=-1)
-    # I_n = I_nmax + steps n..nmax-1, accumulated from the top order down
-    np.cumsum(orders[..., ::-1], axis=-1, out=orders[..., ::-1])
-    return scale * orders
-
-
-def _log_derivatives(ctx: LaplaceContext, nmax: int) -> np.ndarray:
-    """y_n = (-s)^n g^(n)(s)/(n-1)! for n = 1..nmax, g(s) = -sN + log L_I(s),
-    along the last axis (one row per entry of an array context).
-
-    Every y_n is non-negative: the noise adds sN to y_1, and each tier adds
-    (psi)_n/(n-1)! * 2*pi*lambda * (s*p)^(2/alpha) times its radial tail
-    integral at v0 = d / (s*p)^(1/alpha).
-    """
-    s = ctx.s
-    if np.less_equal(s, 0.0).any():
-        raise ValueError("log-Laplace derivatives need s > 0")
-    out = np.zeros(np.shape(s) + (nmax,))
-    if nmax == 0:
-        return out
-    alpha = ctx.scenario.pathloss
-    out[..., 0] = s * ctx.scenario.noise
-    for lam, p, psi, d in ctx.tiers():
-        if lam == 0.0:
-            continue
-        v0 = d / (s * p) ** (1.0 / alpha)
-        weights = _tail_constants(psi, nmax, alpha)[2]
-        out += (
-            np.asarray(2.0 * math.pi * lam * (s * p) ** (2.0 / alpha))[..., None]
-            * weights * _radial_tail_integral(v0, psi, nmax, alpha)
-        )
-    return out
 
 
 def _taylor_terms(y, n: int, shape: float = math.inf, first=1.0) -> np.ndarray:
@@ -395,10 +354,12 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
     G(x) = sum_j y_j x^j / j over the scaled log-derivatives y_j, so term k
     is e^(-sN) L_I(s) times the k-th Taylor coefficient of exp(G).
     """
-    base = np.exp(-ctx.s * ctx.scenario.noise + _log_laplace_beta(ctx))
+    log_l, y = _log_laplace(ctx, order - 1)
+    kappa = ctx.s * ctx.scenario.noise
+    base = np.exp(log_l - kappa)
     if not base.any():
         return np.zeros(np.shape(base) + (order,))
-    y = _log_derivatives(ctx, order - 1) if order > 1 else ()
+    y[..., :1] += np.asarray(kappa)[..., None]  # the noise's y_1
     return base[..., None] * _taylor_terms(y, order)
 
 
@@ -427,10 +388,8 @@ def _scale_average(poles, shape: int, rate) -> np.ndarray:
     scenario = poles[0][0].scenario
     series = []
     for ctx, w in poles:
-        kappa = ctx.s * scenario.noise
-        y = _log_derivatives(ctx, w.shape[1] - 1)
-        y[:, :1] -= kappa[:, None]  # the interference's y_1; the noise scales apart
-        series.append((rate - _log_laplace_beta(ctx), y, kappa, w))
+        log_l, y = _log_laplace(ctx, w.shape[1] - 1)  # the noise scales apart
+        series.append((rate - log_l, y, ctx.s * scenario.noise, w))
     if scenario.noise == 0.0:
         return sum(
             math.factorial(shape - 1) * d ** -shape

@@ -12,7 +12,7 @@ from hetcov.analysis import (
     LaplaceContext,
     _cluster_kernel,
     _laplace_series,
-    _log_derivatives,
+    _log_laplace,
     _single_server_kernel,
     _tail_weights,
     laplace_context,
@@ -105,8 +105,10 @@ def comp_inc_beta(p: float, q: float, x: float, rtol: float = 1e-10) -> float:
     Requires q > 0 and x in [0, 1]; x = 0 additionally requires p > 0 or
     the integral diverges at the origin. For p > 0 the value comes from the
     regularized incomplete Beta (integrating from the t=1 end avoids
-    cancellation); p <= 0 falls back to adaptive quadrature. It equals the
-    B'(p, q, w) of the engine's Beta-form tier factor.
+    cancellation); p <= 0 falls back to adaptive quadrature. It is the
+    B'(p, q, w) of the term-sum form of a tier's log L_I,
+    -(2*pi/alpha) lambda (s p)^(2/alpha) sum_i C(psi,i) B'(psi-i+2/alpha, i-2/alpha, w)
+    with w = (1 + s p d^-alpha)^-1, which the tests check the engine against.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
@@ -218,7 +220,25 @@ def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
     scaled log-derivatives."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return float(_log_derivatives(ctx, n)[-1]) * math.factorial(n - 1) / (-ctx.s) ** n
+    y_n = float(_log_laplace(ctx, n)[1][-1]) + (ctx.s * ctx.scenario.noise if n == 1 else 0.0)
+    return y_n * math.factorial(n - 1) / (-ctx.s) ** n
+
+
+def log_laplace_mp(ctx: LaplaceContext, dps: int = 60) -> float:
+    """log L_I(s) = -pi sum_tiers lambda d^2 [2F1(psi, -2/alpha; 1-2/alpha; -s p d^-alpha) - 1]
+    in mpmath at dps digits, for a float context with both exclusions d > 0.
+
+    The bracket falls like (d/(s p)^(1/alpha))^-alpha, so it keeps its
+    digits only at a working precision far past double.
+    """
+    with mpmath.workdps(dps):
+        alpha = mpmath.mpf(ctx.scenario.pathloss)
+        total = mpmath.mpf(0)
+        for lam, p, psi, d in ctx.tiers():
+            d = mpmath.mpf(d)
+            z = -mpmath.mpf(ctx.s) * mpmath.mpf(p) / d**alpha
+            total += lam * d**2 * (mpmath.hyp2f1(psi, -2 / alpha, 1 - 2 / alpha, z) - 1)
+        return float(-mpmath.pi * total)
 
 
 def log_laplace_derivative_quad(ctx: LaplaceContext, n: int) -> float:

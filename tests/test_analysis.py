@@ -27,6 +27,7 @@ from helpers import (
     laplace_derivative,
     log_laplace_derivative,
     log_laplace_derivative_quad,
+    log_laplace_mp,
     radial_tail_direct,
     radial_tail_quad,
     random_laplace_context,
@@ -37,12 +38,13 @@ from helpers import (
 from hetcov.analysis import (
     IntegrationFailure,
     LaplaceContext,
-    _beta_tier_sum,
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
-    _log_derivatives,
+    _laplace_series,
+    _log_laplace,
     _radial_tail_integral,
+    _scale_average,
     _single_server_kernel,
     _tail_weights,
     _taylor_terms,
@@ -81,6 +83,17 @@ def random_cluster_distances(rng, n: int, k: int) -> np.ndarray:
         r[:m, 1] = r[:m, 0] * (1.0 + rng.uniform(0.0, 0.2, m))
         r[m : 2 * m, 1] = r[m : 2 * m, 0] * (1.0 + 10.0 ** rng.uniform(-9.0, -1.0, m))
     return np.sort(r, axis=1)
+
+
+def edge_scenario(alpha: float, psi: int) -> Scenario:
+    """Default scenario with pathloss alpha and psi users (interference
+    fading order) on both tiers."""
+    base = default_scenario()
+    tiers = {
+        name: replace(getattr(base, name), antennas=psi, users=psi, pathloss=alpha)
+        for name in ("macro", "small")
+    }
+    return replace(base, **tiers)
 
 
 def near_silent_scenario(noise: float = 0.0) -> Scenario:
@@ -136,12 +149,7 @@ class TestLaplaceTransform:
     def test_radial_oracle_on_the_domain_edges(self, alpha, psi):
         # alpha near 2 and far above it, no exclusion (d = 0) and far
         # exclusions, arguments over six decades; RuntimeWarnings are errors
-        base = default_scenario()
-        tiers = {
-            name: replace(getattr(base, name), antennas=psi, users=psi, pathloss=alpha)
-            for name in ("macro", "small")
-        }
-        scn = replace(base, **tiers)
+        scn = edge_scenario(alpha, psi)
         for d in (0.0, 0.5, 3.0, 30.0):
             for s in (1e-3, 1.0, 1e3):
                 ctx = LaplaceContext(s=s, d_macro=d, d_small=d, scenario=scn)
@@ -149,6 +157,40 @@ class TestLaplaceTransform:
                     laplace_interference_radial(ctx), laplace_interference(ctx), rtol=1e-9,
                     err_msg=f"d={d}, s={s}",
                 )
+
+    @pytest.mark.parametrize("psi", [1, 4, 8, 16])
+    @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.5, 6.0])
+    def test_log_transform_matches_hypergeometric_oracle(self, alpha, psi):
+        # each tier's v0 = d/(s p)^(1/alpha) from a nearly empty exclusion to
+        # one whose exponent is ~v0^(2-alpha); a form through 1 - w, with
+        # w = (1 + v0^-alpha)^-1, loses every digit at the far end
+        scn = edge_scenario(alpha, psi)
+        for v0 in (1e-3, 1.0, 10.0, 1e2, 1e3, 1e4):
+            ctx = LaplaceContext(
+                s=1.0, d_macro=v0 * scn.macro.power ** (1.0 / alpha),
+                d_small=v0 * scn.small.power ** (1.0 / alpha), scenario=scn,
+            )
+            assert_allclose(
+                _log_laplace(ctx, 1)[0], log_laplace_mp(ctx), rtol=1e-12, err_msg=f"v0={v0}"
+            )
+
+    def test_array_context_gives_one_value_per_entry(self):
+        # s = 0 is certain coverage, also with no exclusion (d = 0)
+        scn = default_scenario()
+        ctx = LaplaceContext(
+            s=np.array([0.0, 1.0, 2.0]), d_macro=np.array([0.0, 5.0, 3.0]),
+            d_small=np.array([0.0, 0.0, 2.0]), scenario=scn,
+        )
+        got = laplace_interference(ctx)
+        assert got.shape == (3,) and got[0] == 1.0
+        for k in range(3):
+            single = laplace_interference(LaplaceContext(
+                s=float(ctx.s[k]), d_macro=float(ctx.d_macro[k]), d_small=float(ctx.d_small[k]),
+                scenario=scn,
+            ))
+            assert type(single) is float and single == got[k]
+        with pytest.raises(ValueError, match="one geometry"):
+            laplace_interference_radial(ctx)
 
     def test_radial_oracle_is_gated(self, monkeypatch):
         ctx = LaplaceContext(s=1.0, d_macro=3.0, d_small=1.0, scenario=default_scenario())
@@ -245,9 +287,9 @@ class TestLaplaceDerivatives:
             laplace_derivative(ctx, -1)
 
     def test_vectorized_orders_match_scalar_and_quadrature(self):
-        # _log_derivatives holds (-s)^j g^(j)/(j-1)! >= 0 for every order at
-        # once; each entry must give the single-order function, and that the
-        # quadrature form
+        # _log_laplace's y plus sN on y_1 holds (-s)^j g^(j)/(j-1)! >= 0 for
+        # every order at once; each entry must give the single-order function,
+        # and that the quadrature form
         rng = np.random.default_rng(14)
         for noise in (0.0, 1e-3):
             for _ in range(10):
@@ -255,7 +297,8 @@ class TestLaplaceDerivatives:
                     rng, random_scenario(rng, noise_choices=(noise,))
                 )
                 nmax = int(rng.integers(1, 9))
-                scaled = _log_derivatives(ctx, nmax)
+                scaled = _log_laplace(ctx, nmax)[1]
+                scaled[0] += ctx.s * ctx.scenario.noise
                 assert np.all(scaled >= 0.0)
                 for j in range(1, nmax + 1):
                     single = log_laplace_derivative(ctx, j)
@@ -270,20 +313,35 @@ class TestDownwardBetaRecurrence:
 
     @pytest.mark.parametrize("alpha", [2.05, 6.0])
     def test_tier_sum_matches_term_sum(self, alpha):
+        # log L_I, from y_1 by parts, against the term sum over both tiers,
+        # -(2 pi/alpha) lambda (s p)^(2/alpha) sum_k C(psi,k) B'(psi-k+2/alpha, k-2/alpha, w)
+        # at w = d^alpha/(d^alpha + s p). Unit powers and s = 1 - w at
+        # d^alpha = w make d^alpha + s p = 1, so the engine's u0 = s p is the
+        # 1 - w that comp_inc_beta forms, exactly
         rng = np.random.default_rng(17)
-        ws = [*rng.uniform(size=12), 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]
+        d = np.array([*rng.uniform(size=12), 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]) ** (1.0 / alpha)
+        ws = np.power(d, alpha)
+        base = edge_scenario(alpha, 1)
         for psi in range(1, 17):
+            tiers = {
+                name: replace(getattr(base, name), power=1.0, antennas=psi, users=psi)
+                for name in ("macro", "small")
+            }
+            ctx = LaplaceContext(s=1.0 - ws, d_macro=d, d_small=d, scenario=replace(base, **tiers))
+            got = _log_laplace(ctx, 1)[0]
+            assert np.all(np.isfinite(got)) and np.all(got <= 0.0)
+            lam = ctx.scenario.macro.density + ctx.scenario.small.density
             i = np.arange(1, psi + 1)
             q, p = i - 2.0 / alpha, psi - i + 2.0 / alpha
-            got = _beta_tier_sum(psi, alpha, np.array(ws))
-            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
-            for w, value in zip(ws, got):
-                want = sum(
-                    math.comb(psi, k) * comp_inc_beta(pk, qk, w)
-                    for k, pk, qk in zip(i.tolist(), p.tolist(), q.tolist())
+            for k, (w, value) in enumerate(zip(ws.tolist(), got)):
+                term_sum = sum(
+                    math.comb(psi, j) * comp_inc_beta(pj, qj, w)
+                    for j, pj, qj in zip(i.tolist(), p.tolist(), q.tolist())
                 )
+                want = -2.0 * math.pi / alpha * lam * (1.0 - w) ** (2.0 / alpha) * term_sum
                 assert_allclose(value, want, rtol=1e-13, err_msg=f"psi={psi}, w={w}")
-                assert_allclose(_beta_tier_sum(psi, alpha, w), value, rtol=1e-15)
+                single = replace(ctx, s=1.0 - w, d_macro=float(d[k]), d_small=float(d[k]))
+                assert_allclose(_log_laplace(single, 1)[0], value, rtol=1e-15)
 
     def test_radial_tail_matches_all_orders_betainc(self):
         rng = np.random.default_rng(18)
@@ -305,7 +363,9 @@ class TestDownwardBetaRecurrence:
         assert _radial_tail_integral(np.ones((4, 2)), 3, 0, 4.0).shape == (4, 2, 0)
 
     def test_one_betainc_call_per_invocation(self, monkeypatch):
-        # one call at the top order, for a whole array of rows
+        # one call per tier at the top order, for a whole array of rows: one
+        # for the radial tail, two per Laplace series and per scale-average
+        # pole, and none inside the noisy scale integral
         calls = []
         betainc = special.betainc
 
@@ -314,11 +374,19 @@ class TestDownwardBetaRecurrence:
             return betainc(a, b, x)
 
         monkeypatch.setattr(analysis.special, "betainc", counting)
-        w = np.linspace(0.0, 1.0, 50)
-        _beta_tier_sum(8, 3.7, w)
+        _radial_tail_integral(np.linspace(0.1, 10.0, 50), 8, 12, 3.7)
         assert calls == [()]
-        _radial_tail_integral(1.0 / w[1:], 8, 12, 3.7)
-        assert calls == [(), ()]
+        for noise in (0.0, 1e-15):
+            calls.clear()
+            ctx = LaplaceContext(
+                s=np.linspace(0.1, 5.0, 50), d_macro=np.linspace(2.0, 9.0, 50), d_small=1.5,
+                scenario=replace(default_scenario(), noise=noise),
+            )
+            _laplace_series(ctx, 8)
+            assert calls == [()] * 2
+            poles = [(ctx, np.ones((50, 4))), (replace(ctx, s=2.0 * ctx.s), np.ones((50, 4)))]
+            _scale_average(poles, 2, np.ones(50))
+            assert calls == [()] * 6
 
 
 class TestRadialTailClosedForm:
