@@ -390,6 +390,12 @@ class TestSingleTrial:
         assert_allclose(sinr, 4.8e-6 / (interference + 1e-6), rtol=1e-12)
         assert queue.calls == [(1, 1), (1, 2), (1, 1), (1, 3)]
 
+    def test_mode_validation(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_trials(siso_scenario(), "hybrid", 1, master_seed=0)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            run_modes(siso_scenario(), ("hybrid",), 1, master_seed=0)
+
     def test_fixed_geometry_fading_distribution(self):
         # noise-dominated single macro link with an 8-antenna beamformer:
         # SINR / scale must be Gamma(8, 1); check mean and CCDF points
