@@ -22,7 +22,7 @@ closed form: the series becomes the coefficients of (1 - B(x)/D)^(-m), from
 the same recurrence, and the single-server events are finite sums. With
 noise, the same average runs as one adaptive integral over the whole scale
 range. The cooperative events integrate the average over the shape
-coordinates on the one adaptive Gauss-Kronrod rule of the association
+coordinates on the one adaptive Gauss-Kronrod rule of the quadrature
 module, so every event has one route at every noise level.
 """
 
@@ -37,13 +37,8 @@ from scipy import special
 
 from .association import (
     AssociationEvent,
-    IntegrationFailure,
     OrderedDistances,
-    _check_quadrature,
     _cluster_exclusion,
-    _cone_levels,
-    _gauss_kronrod,
-    _panel_integral,
     _shape_integral,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
@@ -56,6 +51,7 @@ from .model import (
     derive_tier,
     hat_ratios,
 )
+from .quadrature import IntegrationFailure, _gauss_kronrod, _nested_integral
 
 _FOLD_DIGITS = 4.0    # split weights of the cluster fold stay near 10^_FOLD_DIGITS
 _RADIAL_EPSABS = 1e-13  # per integral of laplace_interference_radial, integrands in (0, 1]
@@ -212,25 +208,6 @@ def _beta_ladder(u0, psi: int, nmax: int, alpha: float) -> np.ndarray:
     return orders
 
 
-def _radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
-    """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax.
-
-    Dimensionless core of every n-th log-Laplace derivative. With
-    x = v^-alpha and u = x/(1+x) it is the incomplete Beta
-    (1/alpha) * B(a_n, b) * I_{u0}(a_n, b), a_n = n - 2/alpha > 0,
-    b = psi + 2/alpha, u0 = 1/(1 + v0^alpha), every order from one
-    _beta_ladder. An array of v0 gives one row of orders per entry.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    if nmax == 0:
-        return np.zeros(v0.shape + (0,))
-    # u0 = x0/(1+x0) with x0 = v0^-alpha above v0 = 1, 1/(1+v0^alpha) below:
-    # neither power overflows
-    x0 = np.maximum(v0, 1.0) ** (-alpha)
-    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
-    return _tail_constants(psi, nmax, alpha)[1] * _beta_ladder(u0, psi, nmax, alpha)
-
-
 def _log_laplace(ctx: LaplaceContext, nmax: int):
     """(log L_I(s), y_1..y_nmax) of the interference: a float and one row, or
     one entry and one row per entry of an array context, with
@@ -281,7 +258,7 @@ def laplace_interference_radial(ctx: LaplaceContext) -> float:
     - tail, 1 < t < t0: t = y^(-alpha/2) maps it onto y in ((d/scale)^2, 1)
       with the integrand (alpha/2)(1-(1+t)^-psi); d = 0 is t0 = inf.
     Each integrand is scaled into (0, 1] and runs on the adaptive
-    Gauss-Kronrod rule of the association module. The exponent's summed error
+    Gauss-Kronrod rule of the quadrature module. The exponent's summed error
     estimate must stay within _RADIAL_RTOL of it, or IntegrationFailure is
     raised. It takes one geometry: an array context raises ValueError.
     Slower than the incomplete-Beta form of laplace_interference; used for
@@ -310,13 +287,13 @@ def laplace_interference_radial(ctx: LaplaceContext) -> float:
         return 1.0 - (w / (1.0 + w)) ** psi
 
     what = "radial Laplace oracle"
-    inner_val, inner_err = _gauss_kronrod(inner, 0.0, 1.0, _RADIAL_EPSABS, what, args=(psi, top))
-    tail_val, tail_err = _gauss_kronrod(
+    inner_val, inner_est = _gauss_kronrod(inner, 0.0, 1.0, _RADIAL_EPSABS, what, args=(psi, top))
+    tail_val, tail_est = _gauss_kronrod(
         tail, np.minimum(v0, 1.0) ** 2, 1.0, _RADIAL_EPSABS, what, args=(psi,)
     )
     weight = 2.0 * math.pi * lam * scale2 / alpha
     exponent = float(weight @ (m * psi * top * inner_val + half_alpha * tail_val))
-    err = float(weight @ (m * psi * top * inner_err + half_alpha * tail_err))
+    err = float(weight @ (m * psi * top * inner_est + half_alpha * tail_est))
     if not err <= _RADIAL_RTOL * exponent:
         raise IntegrationFailure(f"{what} did not converge: exponent {exponent}, error {err}")
     return math.exp(-exponent)
@@ -363,7 +340,7 @@ def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
     return base[..., None] * _taylor_terms(y, order)
 
 
-def _scale_average(poles, shape: int, rate) -> np.ndarray:
+def _scale_average(poles, shape: int, rate, at=None) -> np.ndarray:
     """Weighted Laplace series integrated over a scale tau with weight
     tau^(m-1) e^(-rate tau), m = shape, one value per row: the sum over
     poles (ctx, w) of sum_k w[:, k] times term k of the _laplace_series at
@@ -382,8 +359,9 @@ def _scale_average(poles, shape: int, rate) -> np.ndarray:
     D' tau of shape up to m + width - 1). Its integrand, the Gamma(m, rate)
     density times the series over their value sum_poles w[:, 0] at tau = 0,
     is bounded, so one absolute tolerance, a tenth of coverage_epsabs, holds
-    for every row, or IntegrationFailure is raised. Each series starts from
-    its weight, so no term overflows at large tau.
+    for every row, or IntegrationFailure is raised, naming the rows'
+    thresholds `at`. Each series starts from its weight, so no term
+    overflows at large tau.
     """
     scenario = poles[0][0].scenario
     series = []
@@ -420,9 +398,11 @@ def _scale_average(poles, shape: int, rate) -> np.ndarray:
             total = total + (w[row] * _taylor_terms(y_tau, w.shape[1], first=first)).sum(axis=-1)
         return total
 
+    # _gauss_kronrod returns no interval error above its epsabs, so a gate
+    # here could never fire; the estimate is dropped until a bound carries it
     val, _ = _gauss_kronrod(
         integrand, 0.0, np.ones(n), 0.1 * scenario.numerics.coverage_epsabs, "scale average",
-        args=(np.arange(n),),
+        args=(np.arange(n),), at=at,
     )
     return val * gamma_norm * at_zero
 
@@ -459,7 +439,8 @@ def _single_server_kernel(
     if rate is None:
         out[live] = _tail_weights(ctx, order)
     else:
-        out[live] = _scale_average([(ctx, np.ones((len(ctx.s), order)))], 1, rate)
+        at = np.full(r.shape, threshold)[live]
+        out[live] = _scale_average([(ctx, np.ones((len(ctx.s), order)))], 1, rate, at)
     return out
 
 
@@ -597,7 +578,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold, rate=None) -> np.n
                 (cum * _laplace_series(ctx, cum.shape[1])).sum(axis=1) for ctx, cum in series
             )
         else:
-            total[rows] = _scale_average(series, k, rate[rows])
+            total[rows] = _scale_average(series, k, rate[rows], threshold[rows])
     out = weight.copy()
     out[live] = np.clip(total, 0.0, weight[live])  # rounding only
     return out
@@ -645,14 +626,13 @@ def _coop_macro_joint(scenario: Scenario, threshold):
     fields are the geometry at t_K = 1, macro beyond r_m = sqrt(rho/(pi*lambda_s))
     and small beyond r_K = (pi*lambda_s)^(-1/2), scaled by sqrt(t_K).
 
-    Per node of rho, the inner levels z_i = w_i/w_(i+1) (_cone_levels, from
-    the budget bound to 1, split where y_i = 1 and at 10 and 100 times that
-    z) sum the losers' weights into moments; one _scale_average of shape K+1
-    and rate 1 + rho/lhat averages out t_K. rho runs on _panel_integral,
-    hinted where y_K = 1. Each threshold's rows carry it through every level,
-    on its own pieces and knees; its outer estimate plus the largest error
-    of each of its inner levels is checked against the gate. K = 1 has no
-    inner level.
+    One _nested_integral: rho runs outermost, hinted where y_K = 1. Per
+    node of rho, the inner levels z_i = w_i/w_(i+1), from the budget bound
+    to 1 and split where y_i = 1 and at 10 and 100 times that z, sum the
+    losers' weights into moments; one _scale_average of shape K+1 and rate
+    1 + rho/lhat averages out t_K. Each threshold's rows carry it through
+    every level, on its own pieces and knees, and its error meets its own
+    gate. K = 1 has no inner level.
     """
     sc = scenario
     thresholds = _thresholds(threshold)
@@ -661,9 +641,6 @@ def _coop_macro_joint(scenario: Scenario, threshold):
     beta, lhat = ratios.macro_advantage, ratios.density
     x_scale = (thresholds * ratios.power) ** (2.0 / alpha)  # y_i = 1 at w_i = rho * x_scale
     r_k = (math.pi * sc.small.density) ** -0.5
-    epsabs = 0.5 * sc.numerics.coverage_epsabs
-    what = "macro cooperative cone"
-    inner_err = [np.zeros(len(thresholds)) for _ in range(big_k)]
 
     def z_edges(i, outer, key):
         # rows (w_(i+1)..w_K, rho); some w_1 < ... < w_i fit the budget
@@ -676,23 +653,19 @@ def _coop_macro_joint(scenario: Scenario, threshold):
         hints = [np.clip(f * knee, lo, 1.0) for f in (1.0, 10.0, 100.0)]
         return np.column_stack([lo, *hints, np.ones_like(lo)])
 
-    level = _cone_levels(
-        lambda rows, key: _conditioned_weights(sc, thresholds[key], rows),
-        z_edges, epsabs, what, inner_err,
-    )
-
-    def over_rho(rho, key):
-        moments = level(big_k - 1, np.column_stack([np.ones_like(rho), rho]), key)
-        r_m = r_k * np.sqrt(rho)
+    def over_rho(rho, key, inner):
+        moments = inner(np.column_stack([np.ones_like(rho), rho]), key)
+        r_m, at = r_k * np.sqrt(rho), thresholds[key]
         ctx = LaplaceContext(
-            s=thresholds[key] * r_m ** alpha / sc.macro.power, d_macro=r_m, d_small=r_k,
-            scenario=sc,
+            s=at * r_m ** alpha / sc.macro.power, d_macro=r_m, d_small=r_k, scenario=sc
         )
-        return _scale_average([(ctx, moments)], big_k + 1, 1.0 + rho / lhat) / lhat
+        return _scale_average([(ctx, moments)], big_k + 1, 1.0 + rho / lhat, at) / lhat
 
-    rho_max = (beta / big_k) ** (2.0 / alpha)
-    val, err = _panel_integral(over_rho, rho_max, epsabs, what, 1.0 / x_scale)
-    _check_quadrature(val, err + sum(inner_err), epsabs, what, thresholds)
+    val = _nested_integral(
+        big_k - 1, lambda rows, key: _conditioned_weights(sc, thresholds[key], rows), z_edges,
+        over_rho, (beta / big_k) ** (2.0 / alpha), 0.5 * sc.numerics.coverage_epsabs,
+        "macro cooperative cone", 1.0 / x_scale, thresholds,
+    )[0]
     return val if np.ndim(threshold) else float(val[0])
 
 

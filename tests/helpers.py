@@ -10,26 +10,26 @@ from scipy import integrate, special
 
 from hetcov.analysis import (
     LaplaceContext,
+    _beta_ladder,
     _cluster_kernel,
     _laplace_series,
     _log_laplace,
     _single_server_kernel,
+    _tail_constants,
     _tail_weights,
     laplace_context,
     serving_context,
 )
 from hetcov.association import (
     AssociationEvent,
-    _check_quadrature,
     _cone_coeff,
-    _cone_integral,
-    _panel_integral,
     assoc_prob_sbs_cluster,
     mbs_win_prob,
     select_tier,
 )
 from hetcov.mcsim import _MIN_ARRIVAL, EVENT_CODES
 from hetcov.model import COOPERATIVE, Scenario, TierParams, derive_tier, hat_ratios
+from hetcov.quadrature import _cone_integral, _panel_integral
 from hetcov.specfun import faa_coefficient, integer_partitions
 
 # Tail mass the oracles below drop when they cut a radial or cone integral.
@@ -167,15 +167,30 @@ def beta_tier_sum_direct(psi: int, alpha: float, w):
     return special.betainc(q, p, 1.0 - np.asarray(w, dtype=float)[..., None]) @ weights
 
 
+def tail_u0(v0, alpha: float) -> np.ndarray:
+    """u0 = 1/(1 + v0^alpha) per entry of v0, as x0/(1+x0) with x0 = v0^-alpha
+    above v0 = 1 so that neither power overflows."""
+    v0 = np.asarray(v0, dtype=float)
+    x0 = np.maximum(v0, 1.0) ** (-alpha)
+    return np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
+
+
 def radial_tail_direct(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
     """int_{v0}^inf v^(1-n*alpha) (1 + v^-alpha)^-(psi+n) dv for n = 1..nmax
     as (1/alpha) * B(a, b) * I_u0(a, b), a = n - 2/alpha, b = psi + 2/alpha,
     u0 = 1/(1 + v0^alpha), with one betainc call over every order."""
     a, b = np.arange(1, nmax + 1) - 2.0 / alpha, psi + 2.0 / alpha
-    v0 = np.asarray(v0, dtype=float)
-    x0 = np.maximum(v0, 1.0) ** (-alpha)
-    u0 = np.where(v0 > 1.0, x0 / (1.0 + x0), 1.0 / (1.0 + np.minimum(v0, 1.0) ** alpha))
-    return special.beta(a, b) / alpha * special.betainc(a, b, u0[..., None])
+    return special.beta(a, b) / alpha * special.betainc(a, b, tail_u0(v0, alpha)[..., None])
+
+
+def radial_tail_integral(v0, psi: int, nmax: int, alpha: float) -> np.ndarray:
+    """radial_tail_direct's integrals from the engine's downward ladder: the
+    scales of _tail_constants times one _beta_ladder over every order. An
+    array of v0 gives one row of orders per entry; nmax = 0 an empty axis."""
+    u0 = tail_u0(v0, alpha)
+    if nmax == 0:
+        return np.zeros(u0.shape + (0,))
+    return _tail_constants(psi, nmax, alpha)[1] * _beta_ladder(u0, psi, nmax, alpha)
 
 
 def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 1e-10) -> float:
@@ -566,10 +581,7 @@ def cluster_integral_cone(scenario: Scenario, h=None, epsabs=None, spike=None) -
         return w if h is None else w * h(np.sqrt(t / (math.pi * scenario.small.density)))
 
     upper = max(-math.log(TAIL_MASS) + 5.0, float(special.gammainccinv(k, TAIL_MASS)))
-    what = "cluster cone integral"
-    val, err = _cone_integral(k, values, upper, epsabs, what, spike)
-    _check_quadrature(val, err, epsabs, what)
-    return val
+    return _cone_integral(k, values, upper, epsabs, "cluster cone integral", spike)[0]
 
 
 def cluster_integral_sampled(scenario: Scenario, h=None, n=200_000, seed=0, chunk=4096):

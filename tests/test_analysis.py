@@ -2,6 +2,7 @@
 coverage, and the mean-rate integral."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -29,6 +30,7 @@ from helpers import (
     log_laplace_derivative_quad,
     log_laplace_mp,
     radial_tail_direct,
+    radial_tail_integral,
     radial_tail_quad,
     random_laplace_context,
     random_scenario,
@@ -43,7 +45,6 @@ from hetcov.analysis import (
     _erlang_mixture,
     _laplace_series,
     _log_laplace,
-    _radial_tail_integral,
     _scale_average,
     _single_server_kernel,
     _tail_weights,
@@ -56,7 +57,7 @@ from hetcov.analysis import (
     mean_rate,
     serving_context,
 )
-from hetcov import analysis, association
+from hetcov import analysis, association, quadrature
 from hetcov.association import AssociationEvent, assoc_prob_sbs_cluster
 from hetcov.mcsim import coverage_from_batch, run_trials
 from hetcov.model import MODES, STRATEGIES, Scenario, TierParams, default_scenario
@@ -195,7 +196,7 @@ class TestLaplaceTransform:
     def test_radial_oracle_is_gated(self, monkeypatch):
         ctx = LaplaceContext(s=1.0, d_macro=3.0, d_small=1.0, scenario=default_scenario())
         with monkeypatch.context() as m:
-            m.setattr(association, "_MAX_PIECES", 1)
+            m.setattr(quadrature, "_MAX_PIECES", 1)
             with pytest.raises(IntegrationFailure, match="radial Laplace oracle"):
                 laplace_interference_radial(ctx)
         monkeypatch.setattr(analysis, "_RADIAL_RTOL", 0.0)
@@ -349,7 +350,7 @@ class TestDownwardBetaRecurrence:
         for alpha in (2.05, 4.0, 6.0):
             for psi in range(1, 9):
                 for nmax in (1, 2, 7, 16, 33, 60):
-                    got = _radial_tail_integral(v0, psi, nmax, alpha)
+                    got = radial_tail_integral(v0, psi, nmax, alpha)
                     assert got.shape == (len(v0), nmax)
                     assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
                     # atol only admits values that underflow toward subnormals
@@ -359,8 +360,8 @@ class TestDownwardBetaRecurrence:
                     )
 
     def test_no_order_gives_an_empty_axis(self):
-        assert _radial_tail_integral(2.0, 3, 0, 4.0).shape == (0,)
-        assert _radial_tail_integral(np.ones((4, 2)), 3, 0, 4.0).shape == (4, 2, 0)
+        assert radial_tail_integral(2.0, 3, 0, 4.0).shape == (0,)
+        assert radial_tail_integral(np.ones((4, 2)), 3, 0, 4.0).shape == (4, 2, 0)
 
     def test_one_betainc_call_per_invocation(self, monkeypatch):
         # one call per tier at the top order, for a whole array of rows: one
@@ -374,7 +375,7 @@ class TestDownwardBetaRecurrence:
             return betainc(a, b, x)
 
         monkeypatch.setattr(analysis.special, "betainc", counting)
-        _radial_tail_integral(np.linspace(0.1, 10.0, 50), 8, 12, 3.7)
+        radial_tail_integral(np.linspace(0.1, 10.0, 50), 8, 12, 3.7)
         assert calls == [()]
         for noise in (0.0, 1e-15):
             calls.clear()
@@ -397,7 +398,7 @@ class TestRadialTailClosedForm:
             psi = int(rng.integers(1, 9))
             n = int(rng.integers(1, MAX_PARTITION_ORDER + 1))
             v0 = float(10.0 ** rng.uniform(-6.0, 4.0))
-            got = _radial_tail_integral(v0, psi, n, alpha)[n - 1]
+            got = radial_tail_integral(v0, psi, n, alpha)[n - 1]
             # atol only admits values that underflow toward subnormals
             assert_allclose(
                 got, radial_tail_quad(v0, psi, n, alpha), rtol=1e-8, atol=1e-290,
@@ -408,7 +409,7 @@ class TestRadialTailClosedForm:
     def test_domain_edges_stay_finite(self, v0):
         for alpha in (2.01, 4.0, 6.0):
             for psi in (1, 8):
-                vals = _radial_tail_integral(v0, psi, 60, alpha)
+                vals = radial_tail_integral(v0, psi, 60, alpha)
                 assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
 
 
@@ -650,10 +651,10 @@ class TestCoopMacroRoute:
 
     def test_summed_error_estimate_is_gated(self, monkeypatch):
         # an estimate past the gate raises instead of returning the value
-        def loose(f, upper, epsabs, what, spike=None, panels=analysis._panel_integral):
-            return panels(f, upper, epsabs, what, spike)[0], 1e-3
+        def loose(f, upper, epsabs, what, spike=None, at=None, panels=quadrature._panel_integral):
+            return panels(f, upper, epsabs, what, spike, at)[0], 1e-3
 
-        monkeypatch.setattr(analysis, "_panel_integral", loose)
+        monkeypatch.setattr(quadrature, "_panel_integral", loose)
         with pytest.raises(IntegrationFailure, match="macro cooperative cone"):
             _coop_macro_joint(default_scenario(), 1.0)
 
@@ -997,27 +998,51 @@ class TestThresholdArrays:
 
     def test_macro_cone_gate_names_the_failing_threshold(self, monkeypatch):
         # the outer estimate of the second threshold alone is past the gate
-        def loose_second(f, upper, epsabs, what, spike=None, panels=analysis._panel_integral):
-            val, err = panels(f, upper, epsabs, what, spike)
+        def loose_second(f, upper, epsabs, what, spike=None, at=None,
+                         panels=quadrature._panel_integral):
+            val, err = panels(f, upper, epsabs, what, spike, at)
             return val, err + np.array([0.0, 1e-3, 0.0])
 
-        monkeypatch.setattr(analysis, "_panel_integral", loose_second)
+        monkeypatch.setattr(quadrature, "_panel_integral", loose_second)
         with pytest.raises(IntegrationFailure, match="macro cooperative cone") as info:
             _coop_macro_joint(default_scenario(), np.array([0.5, 2.0, 8.0]))
         assert "at threshold 2.0" in str(info.value)
         assert "0.5" not in str(info.value) and "8.0" not in str(info.value)
 
     def test_cluster_gate_names_the_failing_threshold(self, monkeypatch):
-        def loose_first(k, f, upper, epsabs, what, spike=None, rate=1.0,
-                        cone=association._cone_integral):
-            val, err = cone(k, f, upper, epsabs, what, spike, rate)
-            return val, err + np.array([1e-3, 0.0])
+        # the outer estimate of the first threshold alone is past the gate
+        def loose_first(f, upper, epsabs, what, spike=None, at=None,
+                        panels=quadrature._panel_integral):
+            val, err = panels(f, upper, epsabs, what, spike, at)
+            return val, err + (np.array([1e-3, 0.0]) if what == "cluster shape integral" else 0.0)
 
-        monkeypatch.setattr(association, "_cone_integral", loose_first)
+        monkeypatch.setattr(quadrature, "_panel_integral", loose_first)
         with pytest.raises(IntegrationFailure, match="cluster shape integral") as info:
             coverage_conditional(AssociationEvent.CLUSTER, default_scenario(), [4.0, 0.25])
         assert "at threshold 4.0" in str(info.value)
         assert "0.25" not in str(info.value)
+
+    @pytest.mark.parametrize("event, k, noise, budget", [
+        (AssociationEvent.CLUSTER, 2, 1e-12, 3),  # scale average of the cluster kernel
+        (AssociationEvent.MACRO_COOP, 2, 1e-12, 3),  # scale average under the macro cone
+        (AssociationEvent.SMALL, 2, 1e-12, 3),  # scale average of one server
+        (AssociationEvent.CLUSTER, 3, 0.0, 2),  # an inner level of the shape integral
+    ])
+    def test_piece_budget_failure_names_its_thresholds(self, event, k, noise, budget, monkeypatch):
+        s = replace(default_scenario(cluster_size=k), noise=noise)
+        assoc_prob_sbs_cluster(s)  # cached first: at these budgets its own integral fails
+        monkeypatch.setattr(quadrature, "_MAX_PIECES", budget)
+        batch = [0.25, 4.0, 100.0]
+        with pytest.raises(IntegrationFailure, match=f"within {budget} pieces") as info:
+            coverage_conditional(event, s, batch)
+        named = re.search(r" at threshold ([^:]*):", str(info.value)).group(1).split(", ")
+        assert {float(t) for t in named} <= set(batch)
+        for t in batch:
+            if str(t) in named:
+                with pytest.raises(IntegrationFailure, match=f"within {budget} pieces"):
+                    coverage_conditional(event, s, t)
+            else:
+                coverage_conditional(event, s, t)
 
 
 class TestMeanRate:

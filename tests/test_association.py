@@ -11,15 +11,12 @@ from numpy.testing import assert_allclose
 from scipy import integrate, special
 
 from helpers import cluster_integral_cone, mbs_win_prob_quad, random_scenario
-from hetcov import association
+from hetcov import association, quadrature
 from hetcov.association import (
     AssociationEvent,
     IntegrationFailure,
     OrderedDistances,
-    _cone_integral,
     _small_side_wins,
-    _gauss_kronrod,
-    _panel_edges,
     assoc_prob_sbs_cluster,
     assoc_prob_sbs_single,
     association_probabilities,
@@ -30,6 +27,7 @@ from hetcov.association import (
     serving_distance_pdf,
 )
 from hetcov.model import MODES, NONCOOPERATIVE, Scenario, TierParams, default_scenario, hat_ratios
+from hetcov.quadrature import _cone_integral, _gauss_kronrod, _panel_edges
 
 # Reference-scenario association probabilities, frozen from the closed form
 # 1/(1 + advantage^(2/alpha)/density_ratio) and from two independent
@@ -477,13 +475,13 @@ class TestMbsWinProb:
 
     def test_k2_quadrature_error_is_gated(self, monkeypatch):
         # an error estimate past the cone-integral gate raises, as there
-        real = association._gauss_kronrod
+        real = quadrature._gauss_kronrod
 
         def unconverged(*args, **kwargs):
             val, err = real(*args, **kwargs)
             return val, err + 1e-3
 
-        monkeypatch.setattr(association, "_gauss_kronrod", unconverged)
+        monkeypatch.setattr(quadrature, "_gauss_kronrod", unconverged)
         with pytest.raises(IntegrationFailure, match="macro win probability"):
             mbs_win_prob(default_scenario(), 5.0)
 
