@@ -23,7 +23,7 @@ the same recurrence, and the single-server events are finite sums. With
 noise, the same average runs as one adaptive integral over the whole scale
 range. The cooperative events integrate the average over the shape
 coordinates on the one adaptive Gauss-Kronrod rule of the quadrature
-module, so every event has one route at every noise level.
+module. Every coverage kernel is this one scale average (_scale_average).
 """
 
 from __future__ import annotations
@@ -322,32 +322,17 @@ def _taylor_terms(y, n: int, shape: float = math.inf, first=1.0) -> np.ndarray:
     return t
 
 
-def _laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
-    """Terms (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)] for k = 0..order-1, along
-    the last axis.
-
-    Their sum is the coverage of a Gamma(order,1)-faded link at this
-    geometry. Around s, e^(-sN) L_I(s - s x) = e^(-sN) L_I(s) exp(G(x)),
-    G(x) = sum_j y_j x^j / j over the scaled log-derivatives y_j, so term k
-    is e^(-sN) L_I(s) times the k-th Taylor coefficient of exp(G).
-    """
-    log_l, y = _log_laplace(ctx, order - 1)
-    kappa = ctx.s * ctx.scenario.noise
-    base = np.exp(log_l - kappa)
-    if not base.any():
-        return np.zeros(np.shape(base) + (order,))
-    y[..., :1] += np.asarray(kappa)[..., None]  # the noise's y_1
-    return base[..., None] * _taylor_terms(y, order)
-
-
 def _scale_average(poles, shape: int, rate, at=None) -> np.ndarray:
     """Weighted Laplace series integrated over a scale tau with weight
     tau^(m-1) e^(-rate tau), m = shape, one value per row: the sum over
-    poles (ctx, w) of sum_k w[:, k] times term k of the _laplace_series at
-    ctx's geometry (tau = 1, an array context) scaled by sqrt(tau).
+    poles (ctx, w) of sum_k w[:, k] times the term
+    (-s)^k/k! * d^k/ds^k [e^(-sN) L_I(s)] at ctx's geometry (tau = 1, an
+    array context) with its distances scaled by sqrt(tau).
 
-    The scaling multiplies log L_I and every y_j of the interference by tau
-    and the noise term sN by tau^(alpha/2): term k at scale tau is
+    Term k is e^(-sN) L_I(s) times the k-th Taylor coefficient of
+    exp(sum_j y_j x^j / j) over the scaled log-derivatives y_j. The scaling
+    multiplies log L_I and every y_j of the interference by tau and the
+    noise term sN by tau^(alpha/2): term k at scale tau is
     e^(-tau A - kappa tau^(alpha/2)) times the k-th Taylor coefficient of
     exp(tau B(x) + kappa tau^(alpha/2) x), with A = -log L_I,
     B(x) = sum_j y_j x^j / j and kappa = sN at tau = 1. At zero noise the
@@ -408,40 +393,7 @@ def _scale_average(poles, shape: int, rate, at=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Coverage kernels (probability of exceeding the threshold at fixed geometry)
-
-
-def _tail_weights(ctx: LaplaceContext, order: int):
-    """sum_{k<order} (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)], the coverage of a
-    Gamma(order,1)-faded link at this geometry (one value per geometry).
-    Every series term is non-negative; rounding can only push the sum past 1."""
-    return np.minimum(_laplace_series(ctx, order).sum(axis=-1), 1.0)
-
-
-def _single_server_kernel(
-    scenario: Scenario, event: AssociationEvent, r, threshold, rate=None
-) -> np.ndarray:
-    """Conditional coverage given a single serving BS, at each distance of
-    the 1-D array r and its threshold (a float, or one per distance). Given
-    rate, each value is instead the kernel at distance sqrt(u) r integrated
-    over u with weight e^(-rate u), the _scale_average of shape 1."""
-    r = np.asarray(r, dtype=float)
-    tier = scenario.macro if event.macro_serving else scenario.small
-    # laplace_context's single-server argument s = T * r^alpha / p_serve
-    s = threshold * np.maximum(r, 0.0) ** scenario.pathloss / tier.power
-    # s = 0 (a server at, or numerically at, zero distance): the series is
-    # its k = 0 term L_I(0) = 1, certain coverage
-    live = s > 0.0
-    out = np.ones(r.shape) if rate is None else np.full(r.shape, 1.0 / rate)
-    d_macro, d_small = _single_exclusions(event, scenario, r[live])
-    ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
-    order = derive_tier(tier).fading_order
-    if rate is None:
-        out[live] = _tail_weights(ctx, order)
-    else:
-        at = np.full(r.shape, threshold)[live]
-        out[live] = _scale_average([(ctx, np.ones((len(ctx.s), order)))], 1, rate, at)
-    return out
+# Cluster coverage kernel (scale-averaged, at each shape of the K servers)
 
 
 def _split_far(b, w, a, order: int):
@@ -528,16 +480,15 @@ def _erlang_mixture(gains, order: int) -> list:
     return out
 
 
-def _cluster_kernel(scenario: Scenario, distances, threshold, rate=None) -> np.ndarray:
-    """Conditional coverage given the cluster serves from these distances,
-    one value per row of an (n, K) array of ascending distances and its
-    threshold (a float, or one per row).
+def _cluster_kernel(scenario: Scenario, distances, threshold, rate) -> np.ndarray:
+    """Conditional coverage given the cluster serves from distances
+    sqrt(u) r, averaged over u with weight u^(K-1) e^(-rate u): one value
+    per row r of an (n, K) array of ascending distances, with its threshold
+    (a float, or one per row) and its entry of the array rate.
 
     The non-coherent power sum of Gamma-faded links folds into an exact
-    Erlang mixture (_erlang_mixture). Given an array rate, each value is
-    instead the kernel at distances sqrt(u) r integrated over u with weight
-    u^(K-1) e^(-rate u): the _scale_average of shape K over the poles, since
-    the fold's weights depend only on gain ratios.
+    Erlang mixture (_erlang_mixture). Its weights depend only on gain
+    ratios, so each value is the _scale_average of shape K over its poles.
     """
     r = np.asarray(distances, dtype=float)
     threshold = np.zeros(len(r)) + threshold  # one per row
@@ -550,15 +501,13 @@ def _cluster_kernel(scenario: Scenario, distances, threshold, rate=None) -> np.n
     # s = 0 (a server at, or numerically at, zero distance): the series is
     # its k = 0 term L_I(0) = 1, certain coverage; its scale integral is the
     # weight's, (K-1)! rate^(-K)
-    weight = np.ones(len(r)) if rate is None else math.factorial(k - 1) * rate ** -k
+    weight = math.factorial(k - 1) * rate ** -k
     live = s > 0.0
     if not live.any():
         return weight
     order = derive_tier(scenario.small).fading_order
     r, gains, threshold = r[live], scenario.small.power * path_gain[live], threshold[live]
-    d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
-    if rate is not None:
-        rate = rate[live]
+    d_macro, d_small, rate = _cluster_exclusion(scenario, r), r[:, -1], rate[live]
     total = np.zeros(len(r))
     for rows, poles in _erlang_mixture(gains, order):
         # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...): each pole's
@@ -573,12 +522,7 @@ def _cluster_kernel(scenario: Scenario, distances, threshold, rate=None) -> np.n
             )
             for b, weights in poles
         ]
-        if rate is None:
-            total[rows] = sum(
-                (cum * _laplace_series(ctx, cum.shape[1])).sum(axis=1) for ctx, cum in series
-            )
-        else:
-            total[rows] = _scale_average(series, k, rate[rows], threshold[rows])
+        total[rows] = _scale_average(series, k, rate[rows], threshold[rows])
     out = weight.copy()
     out[live] = np.clip(total, 0.0, weight[live])  # rounding only
     return out
@@ -691,7 +635,7 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold)
     """P[SINR > threshold | association event], a float at a float
     threshold, or one value per entry of a 1-D array of thresholds.
 
-    Averages the fixed-geometry coverage kernel over the serving-distance
+    Averages the coverage at the serving geometry over the serving-distance
     density of the event. Each event splits its serving geometry into a
     scale coordinate (tau = pi*mix*r^2 for one server, the farthest
     small-tier arrival t_K under cooperation) and shape coordinates (none;
@@ -731,10 +675,16 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold)
         # one server; tau = 1 at r = mix^(-1/2)
         beta = hat_ratios(scenario).macro_advantage
         if event.macro_serving:
-            mix = math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
+            tier, mix = scenario.macro, math.pi * (lam_m + lam_s * beta ** (-2.0 / alpha))
         else:
-            mix = math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
-        p = _single_server_kernel(scenario, event, np.full(len(t), mix ** -0.5), t, rate=1.0)
+            tier, mix = scenario.small, math.pi * (lam_s + lam_m * beta ** (2.0 / alpha))
+        r = np.full(len(t), mix ** -0.5)
+        d_macro, d_small = _single_exclusions(event, scenario, r)
+        # laplace_context's single-server argument s = T * r^alpha / p_serve
+        ctx = LaplaceContext(
+            s=t * r ** alpha / tier.power, d_macro=d_macro, d_small=d_small, scenario=scenario
+        )
+        p = _scale_average([(ctx, np.ones((len(t), derive_tier(tier).fading_order)))], 1, 1.0, t)
     p = np.minimum(np.maximum(p, 0.0), 1.0)
     return p if np.ndim(threshold) else float(p[0])
 

@@ -474,7 +474,7 @@ def main(argv=None) -> int:
             "density-sweep": "density_ratio",
         }.get(args.command, getattr(args, "variable", "threshold_db"))
         metric = "rate" if args.command == "rate-sweep" else "coverage"
-        grid = _parse_grid(args.grid) if args.grid else DEFAULT_GRIDS[variable]
+        grid = _parse_grid(args.grid) if args.grid is not None else DEFAULT_GRIDS[variable]
         try:
             spec = SweepSpec(
                 variable=variable,

@@ -40,6 +40,13 @@ def watts_to_dbm(p: float) -> float:
     return 10.0 * math.log10(p) + 30.0
 
 
+def _check_range(name: str, value: float, inside: bool, rule: str) -> None:
+    """Raise ValueError "<name> <rule>" unless inside, "<name> must be finite" for NaN and inf."""
+    if not inside:
+        what = rule if math.isfinite(value) else "must be finite"
+        raise ValueError(f"{name} {what}, got {value}")
+
+
 @dataclass(frozen=True)
 class TierParams:
     """Parameters of one base-station tier.
@@ -61,10 +68,8 @@ class TierParams:
     bias: float | None = None
 
     def __post_init__(self):
-        if self.density <= 0.0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if self.power <= 0.0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        _check_range("density", self.density, 0.0 < self.density < math.inf, "must be positive")
+        _check_range("power", self.power, 0.0 < self.power < math.inf, "must be positive")
         if not (isinstance(self.antennas, int) and isinstance(self.users, int)):
             raise ValueError("antennas and users must be integers")
         if self.users < 1:
@@ -73,10 +78,11 @@ class TierParams:
             raise ValueError(
                 f"antennas ({self.antennas}) must be >= users ({self.users})"
             )
-        if self.pathloss <= 2.0:
-            raise ValueError(f"pathloss exponent must exceed 2, got {self.pathloss}")
-        if self.bias is not None and self.bias <= 0.0:
-            raise ValueError(f"bias override must be positive, got {self.bias}")
+        _check_range(
+            "pathloss exponent", self.pathloss, 2.0 < self.pathloss < math.inf, "must exceed 2"
+        )
+        if self.bias is not None:
+            _check_range("bias override", self.bias, 0.0 < self.bias < math.inf, "must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,7 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.cluster_size, int) or self.cluster_size < 1:
             raise ValueError(f"cluster_size must be an integer >= 1, got {self.cluster_size}")
-        if self.noise < 0.0:
-            raise ValueError(f"noise power must be >= 0, got {self.noise}")
+        _check_range("noise power", self.noise, 0.0 <= self.noise < math.inf, "must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.macro.pathloss != self.small.pathloss:

@@ -11,17 +11,17 @@ from scipy import integrate, special
 from hetcov.analysis import (
     LaplaceContext,
     _beta_ladder,
-    _cluster_kernel,
-    _laplace_series,
+    _erlang_mixture,
     _log_laplace,
-    _single_server_kernel,
+    _single_exclusions,
     _tail_constants,
-    _tail_weights,
+    _taylor_terms,
     laplace_context,
     serving_context,
 )
 from hetcov.association import (
     AssociationEvent,
+    _cluster_exclusion,
     _cone_coeff,
     assoc_prob_sbs_cluster,
     mbs_win_prob,
@@ -218,16 +218,38 @@ def radial_tail_quad(v0: float, psi: int, n: int, alpha: float, epsrel: float = 
     return val
 
 
+def laplace_series(ctx: LaplaceContext, order: int) -> np.ndarray:
+    """Terms (-s)^k/k! * d^k/ds^k[e^(-sN) L_I(s)] for k = 0..order-1, along
+    the last axis, at the fixed geometry of ctx: the series the engine's
+    _scale_average integrates over the scale, from the same _log_laplace
+    and _taylor_terms. Their sum is the coverage of a Gamma(order,1)-faded
+    link at this geometry."""
+    log_l, y = _log_laplace(ctx, order - 1)
+    kappa = ctx.s * ctx.scenario.noise
+    base = np.exp(log_l - kappa)
+    if not base.any():
+        return np.zeros(np.shape(base) + (order,))
+    y[..., :1] += np.asarray(kappa)[..., None]  # the noise's y_1
+    return base[..., None] * _taylor_terms(y, order)
+
+
+def tail_weights(ctx: LaplaceContext, order: int):
+    """sum_{k<order} of the laplace_series, the coverage of a
+    Gamma(order,1)-faded link at this geometry (one value per geometry).
+    Every series term is non-negative; rounding can only push the sum past 1."""
+    return np.minimum(laplace_series(ctx, order).sum(axis=-1), 1.0)
+
+
 def laplace_derivative(ctx: LaplaceContext, k: int) -> float:
     """k-th derivative of e^(-sN) * L_I(s) with respect to s, from the
-    engine's Laplace series.
+    fixed-geometry Laplace series.
 
     k=0 returns the function itself; order k is k!/(-s)^k times the k-th
     term of the series.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return float(_laplace_series(ctx, k + 1)[-1]) * math.factorial(k) / (-ctx.s) ** k
+    return float(laplace_series(ctx, k + 1)[-1]) * math.factorial(k) / (-ctx.s) ** k
 
 
 def log_laplace_derivative(ctx: LaplaceContext, n: int) -> float:
@@ -309,6 +331,58 @@ def bell_sum_by_partitions(g_derivs, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-geometry coverage kernels: coverage at each given serving geometry,
+# with no scale average. The engine's kernels are their scale averages.
+
+
+def single_server_kernel(scenario: Scenario, event, r, threshold) -> np.ndarray:
+    """Conditional coverage given a single serving BS, at each distance of
+    the 1-D array r and its threshold (a float, or one per distance)."""
+    r = np.asarray(r, dtype=float)
+    tier = scenario.macro if event.macro_serving else scenario.small
+    # laplace_context's single-server argument s = T * r^alpha / p_serve
+    s = threshold * np.maximum(r, 0.0) ** scenario.pathloss / tier.power
+    # s = 0 (a server at, or numerically at, zero distance): the series is
+    # its k = 0 term L_I(0) = 1, certain coverage
+    live = s > 0.0
+    out = np.ones(r.shape)
+    d_macro, d_small = _single_exclusions(event, scenario, r[live])
+    ctx = LaplaceContext(s=s[live], d_macro=d_macro, d_small=d_small, scenario=scenario)
+    out[live] = tail_weights(ctx, derive_tier(tier).fading_order)
+    return out
+
+
+def cluster_kernel(scenario: Scenario, distances, threshold) -> np.ndarray:
+    """Conditional coverage given the cluster serves from these distances,
+    one value per row of an (n, K) array of ascending distances and its
+    threshold (a float, or one per row): the laplace_series of each pole of
+    the engine's Erlang mixture, weighted by its cumulated weights."""
+    r = np.asarray(distances, dtype=float)
+    threshold = np.zeros(len(r)) + threshold  # one per row
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        path_gain = r ** (-scenario.pathloss)
+        s = threshold / (scenario.small.power * path_gain.sum(axis=1))
+    out = np.ones(len(r))  # s = 0: certain coverage
+    live = s > 0.0
+    if not live.any():
+        return out
+    r, gains, threshold = r[live], scenario.small.power * path_gain[live], threshold[live]
+    d_macro, d_small = _cluster_exclusion(scenario, r), r[:, -1]
+    total = np.zeros(len(r))
+    for rows, poles in _erlang_mixture(gains, derive_tier(scenario.small).fading_order):
+        for b, weights in poles:
+            # sum_l w_l sum_{k<l} (...) = sum_k (sum_{l>k} w_l) (...)
+            cum = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1]
+            ctx = LaplaceContext(
+                s=threshold[rows] / b, d_macro=d_macro[rows], d_small=d_small[rows],
+                scenario=scenario,
+            )
+            total[rows] += (cum * laplace_series(ctx, cum.shape[1])).sum(axis=1)
+    out[live] = np.clip(total, 0.0, 1.0)  # rounding only
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Scalar oracles of the coverage kernels: one geometry per call, the pole
 # loops written out, the integrals by (nested) QUADPACK. The engine
 # evaluates the same quantities over arrays of geometries.
@@ -320,7 +394,7 @@ def single_server_kernel_scalar(scenario: Scenario, event, r: float, threshold: 
         return 1.0
     ctx = laplace_context(serving_context(event, scenario, (r,)), scenario, threshold)
     order = derive_tier(scenario.macro if event.macro_serving else scenario.small).fading_order
-    return float(_tail_weights(ctx, order))
+    return float(tail_weights(ctx, order))
 
 
 def single_coverage_quad(event, scenario: Scenario, threshold: float) -> float:
@@ -450,7 +524,7 @@ def cluster_kernel_scalar(scenario: Scenario, distances, threshold: float) -> fl
         ctx = LaplaceContext(
             s=threshold / gain, d_macro=sctx.d_macro, d_small=sctx.d_small, scenario=scenario
         )
-        return _tail_weights(ctx, n)
+        return tail_weights(ctx, n)
 
     gains = sorted(scenario.small.power * r ** (-scenario.pathloss) for r in sctx.distances)
     if len(gains) == 1:
@@ -686,7 +760,7 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
     spike = threshold ** (-2.0 / alpha)
     if event is AssociationEvent.CLUSTER:
         raw = cluster_integral_cone(
-            scenario, h=lambda r: _cluster_kernel(scenario, r, threshold),
+            scenario, h=lambda r: cluster_kernel(scenario, r, threshold),
             epsabs=0.5 * num.coverage_epsabs, spike=spike,
         )
         return raw / assoc_prob_sbs_cluster(scenario)
@@ -708,7 +782,7 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
         weight = np.exp(-tau)
         if event is AssociationEvent.MACRO_COOP:
             weight *= [mbs_win_prob(scenario, x) if x > 0.0 else 1.0 for x in r.tolist()]
-        return weight * _single_server_kernel(scenario, event, r, threshold)
+        return weight * single_server_kernel(scenario, event, r, threshold)
 
     tau_max = -math.log(TAIL_MASS)
     val, err = _panel_integral(integrand, tau_max, num.coverage_epsabs, "reference", spike)

@@ -19,6 +19,7 @@ from helpers import (
     cluster_integral_cone,
     cluster_integral_quad,
     cluster_integral_sampled,
+    cluster_kernel,
     cluster_kernel_mp,
     cluster_kernel_scalar,
     comp_inc_beta,
@@ -26,6 +27,7 @@ from helpers import (
     coverage_conditional_quad,
     gamma_ccdf,
     laplace_derivative,
+    laplace_series,
     log_laplace_derivative,
     log_laplace_derivative_quad,
     log_laplace_mp,
@@ -35,7 +37,9 @@ from helpers import (
     random_laplace_context,
     random_scenario,
     single_coverage_quad,
+    single_server_kernel,
     single_server_kernel_scalar,
+    tail_weights,
 )
 from hetcov.analysis import (
     IntegrationFailure,
@@ -43,11 +47,8 @@ from hetcov.analysis import (
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
-    _laplace_series,
     _log_laplace,
     _scale_average,
-    _single_server_kernel,
-    _tail_weights,
     _taylor_terms,
     coverage_conditional,
     coverage_overall,
@@ -383,7 +384,7 @@ class TestDownwardBetaRecurrence:
                 s=np.linspace(0.1, 5.0, 50), d_macro=np.linspace(2.0, 9.0, 50), d_small=1.5,
                 scenario=replace(default_scenario(), noise=noise),
             )
-            _laplace_series(ctx, 8)
+            laplace_series(ctx, 8)
             assert calls == [()] * 2
             poles = [(ctx, np.ones((50, 4))), (replace(ctx, s=2.0 * ctx.s), np.ones((50, 4)))]
             _scale_average(poles, 2, np.ones(50))
@@ -592,7 +593,7 @@ class TestGammaTailSeam:
             ctx = LaplaceContext(s=s, d_macro=1.0, d_small=1.0, scenario=sc)
             for order in (1, 2, 3, 4):
                 assert_allclose(
-                    _tail_weights(ctx, order), gamma_ccdf(order, 1.0, s), rtol=1e-10
+                    tail_weights(ctx, order), gamma_ccdf(order, 1.0, s), rtol=1e-10
                 )
 
 
@@ -606,6 +607,15 @@ class TestCoverageConditional:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             coverage_conditional(AssociationEvent.MACRO, default_scenario(), 0.0)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-12, 1.0])
+    @pytest.mark.parametrize("event", [AssociationEvent.MACRO, AssociationEvent.SMALL])
+    def test_certain_coverage_at_vanishing_thresholds(self, event, noise):
+        # s = T r^alpha / p at or near the smallest subnormal: one server is
+        # certain coverage, with or without noise
+        s = default_scenario("SUBF", noise=noise)
+        got = coverage_conditional(event, s, np.array([5e-324, 1e-320, 1e-300]))
+        assert_allclose(got, 1.0, rtol=0.0, atol=s.numerics.coverage_epsabs)
 
     def test_decreasing_in_threshold(self):
         s = default_scenario()
@@ -660,7 +670,8 @@ class TestCoopMacroRoute:
 
 
 class TestArrayKernels:
-    """The array kernels against their one-geometry-per-call oracles."""
+    """The Erlang fold and the fixed-geometry array kernels built on it
+    against their one-geometry-per-call oracles."""
 
     CASES = [(k, order, psi) for k in (1, 2, 3) for order in (1, 2, 3, 4) for psi in (1, 8)]
 
@@ -692,7 +703,7 @@ class TestArrayKernels:
         s = cluster_scenario(k, order, psi)
         rng = np.random.default_rng(1000 * k + 10 * order + psi)
         r = random_cluster_distances(rng, 80, k)
-        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+        for row, value in zip(r, cluster_kernel(s, r, 1.0)):
             assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-10, row
 
     @pytest.mark.parametrize("gap", [9e-9, 1.1e-8, 3e-8, 1e-7, 1e-6])
@@ -700,14 +711,14 @@ class TestArrayKernels:
         # partial fractions alone lose about 1e-16 / gap here
         s = default_scenario()
         r = np.array([[1.0, 1.0 + gap]])
-        assert abs(_cluster_kernel(s, r, 1.0)[0] - cluster_kernel_mp(s, (1.0, 1.0 + gap), 1.0)) <= 1e-10
+        assert abs(cluster_kernel(s, r, 1.0)[0] - cluster_kernel_mp(s, (1.0, 1.0 + gap), 1.0)) <= 1e-10
 
     @pytest.mark.parametrize("order", [5, 6, 7])
     def test_high_order_kernel_matches_oracle(self, order):
         s = cluster_scenario(2, order, 1)
         rng = np.random.default_rng(order)
         r = random_cluster_distances(rng, 30, 2)
-        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+        for row, value in zip(r, cluster_kernel(s, r, 1.0)):
             assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-9, row
 
     @pytest.mark.parametrize("k, order", [(2, 14), (2, 20), (3, 5), (3, 8)])
@@ -726,7 +737,7 @@ class TestArrayKernels:
         ])
         mixture = _erlang_mixture(s.small.power * r ** -s.pathloss, order)
         assert max(w.shape[1] for _, poles in mixture for _, w in poles) > 170
-        for row, value in zip(r, _cluster_kernel(s, r, 1.0)):
+        for row, value in zip(r, cluster_kernel(s, r, 1.0)):
             assert abs(value - cluster_kernel_mp(s, tuple(row), 1.0)) <= 1e-10, row
 
     @pytest.mark.parametrize("order", [4], ids=["exact"])  # the id as above
@@ -739,10 +750,10 @@ class TestArrayKernels:
             [1e-90, 1e9],
         ])
         for t in (1e-3, 1.0):
-            assert_allclose(_cluster_kernel(s, r, t), 1.0, atol=1e-12)
+            assert_allclose(cluster_kernel(s, r, t), 1.0, atol=1e-12)
         single = np.array([0.0, 1e-160, 1e-60])
         for event in (AssociationEvent.MACRO, AssociationEvent.SMALL):
-            assert_allclose(_single_server_kernel(s, event, single, 1e-3), 1.0, atol=1e-12)
+            assert_allclose(single_server_kernel(s, event, single, 1e-3), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("event", [AssociationEvent.MACRO, AssociationEvent.SMALL])
     @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
@@ -751,7 +762,7 @@ class TestArrayKernels:
         r = np.concatenate([[0.0], np.geomspace(0.05, 80.0, 40)])
         for t in (0.1, 1.0, 30.0):
             expected = [single_server_kernel_scalar(s, event, x, t) for x in r]
-            assert_allclose(_single_server_kernel(s, event, r, t), expected, rtol=1e-12, atol=1e-15)
+            assert_allclose(single_server_kernel(s, event, r, t), expected, rtol=1e-12, atol=1e-15)
             assert_allclose(
                 coverage_conditional(event, s, t), single_coverage_quad(event, s, t), atol=1e-6
             )
@@ -796,7 +807,7 @@ class TestQuadratureWork:
         a = assoc_prob_sbs_cluster(s)
         rows = []
 
-        def counting(scenario, distances, threshold, rate=None, kernel=_cluster_kernel):
+        def counting(scenario, distances, threshold, rate, kernel=_cluster_kernel):
             rows.append(len(distances))
             return kernel(scenario, distances, threshold, rate)
 
@@ -839,7 +850,7 @@ class TestLargerClusters:
         s = default_scenario(cluster_size=3)
 
         def kernel(r):
-            return _cluster_kernel(s, r, 1.0)
+            return cluster_kernel(s, r, 1.0)
 
         # coverage-level tolerance, spike at T^(-2/alpha) as coverage_conditional uses
         got = cluster_integral_cone(

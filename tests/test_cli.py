@@ -400,6 +400,27 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["--grid=", "--grid=,"])
+    def test_empty_grid_exits_2(self, tmp_path, capsys, grid):
+        # an empty --grid= used to run the default grid and exit 0
+        out = tmp_path / "out.csv"
+        assert cli.main(["coverage-sweep", grid, "--engines", "analytic", "--out", str(out)]) == 2
+        assert "grid must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_config_value_exits_2(self, tmp_path, capsys):
+        # a NaN density used to write a nan analytic row, 0 +- 0 MC rows and exit 0
+        cfg = scenario_to_config(default_scenario())
+        cfg["small"]["density_per_m2"] = "nan"
+        config = tmp_path / "nan.ini"
+        with open(config, "w") as f:
+            cfg.write(f)
+        out = tmp_path / "cov.csv"
+        argv = ["coverage-sweep", "--config", str(config), "--out", str(out), "--trials", "10"]
+        assert cli.main(argv) == 2
+        assert "density must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
         out = tmp_path / "out.csv"

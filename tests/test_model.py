@@ -67,6 +67,28 @@ class TestTierParams:
         with pytest.raises(ValueError):
             TierParams(density=0.01, power=1.0, antennas=2.5, users=1)
 
+    @pytest.mark.parametrize(
+        "value", ["finite", math.nan, math.inf, -math.inf], ids=["finite", "nan", "inf", "-inf"]
+    )
+    @pytest.mark.parametrize(
+        "field, name, bad, rule",
+        [
+            ("density", "density", 0.0, "must be positive"),
+            ("power", "power", -1.0, "must be positive"),
+            ("pathloss", "pathloss exponent", 2.0, "must exceed 2"),
+            ("bias", "bias override", 0.0, "must be positive"),
+        ],
+        ids=["density", "power", "pathloss", "bias"],
+    )
+    def test_out_of_range_messages(self, field, name, bad, rule, value):
+        # NaN and inf passed the old "<= bound" tests; a finite value out of
+        # range keeps its wording
+        kwargs = dict(density=0.01, power=1.0, antennas=1, users=1)
+        kwargs[field] = bad if value == "finite" else value
+        expected = f"{name} {rule}" if value == "finite" else f"{name} must be finite"
+        with pytest.raises(ValueError, match=f"^{expected}, got"):
+            TierParams(**kwargs)
+
 
 class TestDeriveTier:
     def test_strategy_presets(self):
@@ -175,6 +197,16 @@ class TestScenario:
         t = TierParams(density=0.01, power=1.0, antennas=1, users=1)
         with pytest.raises(ValueError):
             Scenario(macro=t, small=t, noise=-1e-9)
+
+    @pytest.mark.parametrize(
+        "noise, expected",
+        [(-1e-9, "must be >= 0"), (math.nan, "must be finite"), (math.inf, "must be finite")],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_noise_range_messages(self, noise, expected):
+        t = TierParams(density=0.01, power=1.0, antennas=1, users=1)
+        with pytest.raises(ValueError, match=f"^noise power {expected}, got"):
+            Scenario(macro=t, small=t, noise=noise)
 
     def test_seed_validation(self):
         # a negative seed is no Philox key; seed 0 is the default
@@ -301,6 +333,21 @@ class TestConfigIO:
         path = tmp_path / "bad.ini"
         path.write_text(CONFIG_TEXT.replace("seed = 42", "seed = -1"))
         with pytest.raises(ConfigError, match="seed"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("[small]\ndensity_per_m2 = 0.04", "[small]\ndensity_per_m2 = nan"),
+            ("power_dbm = 45", "power_dbm = inf"),
+            ("noise_dbm = off", "noise_dbm = nan"),
+        ],
+        ids=["nan-density", "inf-power", "nan-noise"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, old, new):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        with pytest.raises(ConfigError, match="must be finite"):
             load_config(str(path))
 
     def test_inconsistent_tier_rejected(self, tmp_path):
