@@ -24,6 +24,7 @@ noise, the same average runs as one adaptive integral over the whole scale
 range. The cooperative events integrate the average over the shape
 coordinates on the one adaptive Gauss-Kronrod rule of the quadrature
 module. Every coverage kernel is this one scale average (_scale_average).
+The mean rate integrates coverage over v = ln(1 + T) on the same rule.
 """
 
 from __future__ import annotations
@@ -715,29 +716,28 @@ def mean_rate(mode: str, scenario: Scenario, coverage_fn=None) -> float:
 
     Uses E[ln(1+SINR)] = int_0^inf P[SINR > e^v - 1] dv, which compactifies
     the threshold tail exponentially: interference-limited coverage decays
-    like T^(-2/alpha), i.e. exp(-2v/alpha) in v. The integrand is smooth and
-    monotone, so fixed composite Gauss-Legendre panels converge fast while
-    keeping the (expensive) coverage evaluations bounded; the truncated tail
-    is restored from the algebraic decay law. Probes at v = 4, 7, ... fix
-    the truncation one threshold at a time; then one call evaluates all 40
-    nodes. coverage_fn maps a float threshold to a float and a 1-D array of
-    thresholds to an array (a float return broadcasts); it can be injected
-    for testing. The default is this mode's overall coverage at tolerances
-    matched to the rate error budget.
+    like T^(-2/alpha), i.e. exp(-2v/alpha) in v. Probes at v = 4, 7, ... fix
+    the truncation v_max one threshold at a time, and the truncated tail is
+    restored from the algebraic decay law. The v-integral runs on the
+    adaptive G10/K21 rule (_gauss_kronrod) over (0, split) and (split, v_max),
+    split = min(3, v_max/2), each panel to half the relaxed coverage tolerance,
+    so that the rule's summed error estimate meets that tolerance in nats.
+    The estimate covers the v-rule only, not the error of the coverage calls.
+    Each round of the rule evaluates its nodes in one coverage call; a
+    non-finite coverage raises IntegrationFailure. coverage_fn maps a float
+    threshold to a float and a 1-D array of thresholds to an array (a float
+    return broadcasts); it can be injected for testing. The default is this
+    mode's overall coverage at tolerances matched to the rate error budget.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     alpha = scenario.pathloss
+    coverage_epsabs = max(1e-4, scenario.numerics.coverage_epsabs)
     if coverage_fn is None:
-        # Coverage error ~1e-4 per node stays well under the rate tolerance.
-        relaxed = replace(
-            scenario,
-            numerics=replace(
-                scenario.numerics,
-                coverage_epsabs=max(1e-4, scenario.numerics.coverage_epsabs),
-                quad_epsabs=max(1e-8, scenario.numerics.quad_epsabs),
-            ),
-        )
+        relaxed = replace(scenario, numerics=replace(
+            scenario.numerics, coverage_epsabs=coverage_epsabs,
+            quad_epsabs=max(1e-8, scenario.numerics.quad_epsabs),
+        ))
 
         def coverage_fn(threshold):
             return coverage_overall(mode, relaxed, threshold)
@@ -750,15 +750,15 @@ def mean_rate(mode: str, scenario: Scenario, coverage_fn=None) -> float:
             raise IntegrationFailure("coverage tail does not decay; rate integral diverges")
         tail_cov = coverage_fn(math.expm1(v_max))
 
-    # Two panels, denser where the integrand bends; 20-node GL per panel.
-    nodes, weights = np.polynomial.legendre.leggauss(20)
+    def coverage_at(v):  # one call for every node of a round
+        return np.broadcast_to(coverage_fn(np.expm1(v.ravel())), v.size).reshape(v.shape)
+
+    # Two panels, the first where the integrand bends.
     split = min(3.0, 0.5 * v_max)
-    panels = [(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in ((0.0, split), (split, v_max))]
-    v = np.concatenate([mid + half * nodes for mid, half in panels])
-    cov = np.broadcast_to(coverage_fn(np.expm1(v)), v.shape).reshape(len(panels), -1)
-    total = 0.0
-    for (_, half), values in zip(panels, cov):
-        total += half * sum(w * c for w, c in zip(weights, values))
+    panels, _ = _gauss_kronrod(
+        coverage_at, np.array([0.0, split]), np.array([split, v_max]),
+        0.5 * coverage_epsabs, "mean rate (v-integral)",
+    )
     # Residual mass of the exp(-2v/alpha) tail beyond v_max.
-    total += tail_cov * alpha / 2.0
+    total = panels.sum() + tail_cov * alpha / 2.0
     return max(total, 0.0) / math.log(2.0)

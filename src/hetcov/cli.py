@@ -104,10 +104,13 @@ class SweepSpec:
         for e in self.engines:
             if e not in ENGINES:
                 raise ValueError(f"unknown engine {e!r}; choose from {ENGINES}")
+        for name in ("strategies", "modes", "engines"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} must be distinct, got {getattr(self, name)}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**128:  # the Philox key range
+            raise ValueError(f"master_seed must be in [0, 2**128), got {self.master_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
         if not math.isfinite(self.threshold_db):

@@ -131,7 +131,7 @@ class Scenario:
     macro/small   the two tiers, which must share one path-loss exponent
     cluster_size  number of nearest small cells cooperating (K >= 1)
     noise         receiver noise power in watts; 0 = interference-limited
-    seed          default master seed for Monte Carlo runs, >= 0
+    seed          default master seed for Monte Carlo runs, in [0, 2**128)
     numerics      quadrature controls for the analytic engine
     """
 
@@ -146,8 +146,8 @@ class Scenario:
         if not isinstance(self.cluster_size, int) or self.cluster_size < 1:
             raise ValueError(f"cluster_size must be an integer >= 1, got {self.cluster_size}")
         _check_range("noise power", self.noise, 0.0 <= self.noise < math.inf, "must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.macro.pathloss != self.small.pathloss:
             raise ValueError(
                 "both tiers must share one path-loss exponent, got "

@@ -2,6 +2,7 @@
 evaluations that the engine's closed forms are checked against."""
 
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import mpmath
@@ -16,6 +17,7 @@ from hetcov.analysis import (
     _single_exclusions,
     _tail_constants,
     _taylor_terms,
+    coverage_overall,
     laplace_context,
     serving_context,
 )
@@ -788,6 +790,30 @@ def coverage_conditional_quad(event, scenario: Scenario, threshold: float) -> fl
     val, err = _panel_integral(integrand, tau_max, num.coverage_epsabs, "reference", spike)
     assert err <= max(50.0 * num.coverage_epsabs, 1e-4), (val, err)
     return val / norm
+
+
+def mean_rate_quad(mode: str, scenario: Scenario) -> float:
+    """mean_rate with the engine's v_max probes, panels and tail, but the
+    v-integral by QUADPACK at epsabs 1e-10 on the relaxed coverage_overall,
+    one scalar threshold at a time: an oracle independent of the v-rule."""
+    num = scenario.numerics
+    relaxed = replace(scenario, numerics=replace(
+        num, coverage_epsabs=max(1e-4, num.coverage_epsabs), quad_epsabs=max(1e-8, num.quad_epsabs)
+    ))
+
+    def coverage(v: float) -> float:
+        return float(coverage_overall(mode, relaxed, math.expm1(v)))
+
+    v_max = 4.0
+    while coverage(v_max) > 1e-4:
+        v_max += 3.0
+        assert v_max <= 40.0, "coverage tail does not decay"
+    split = min(3.0, 0.5 * v_max)
+    total = sum(
+        integrate.quad(coverage, lo, hi, epsabs=1e-10, epsrel=0.0, limit=200)[0]
+        for lo, hi in ((0.0, split), (split, v_max))
+    )
+    return (total + coverage(v_max) * scenario.pathloss / 2.0) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@
 The table holds coverage_overall at 3 strategies x K 1-3 x noise 0 and
 1e-15 W x both modes x T 0.1, 1 and 10, the association probabilities of
 the same cells, and the default mean_rate of 3 strategies x both modes.
-test_analytic_values.py compares the package against it; a change that
-re-records the table states its largest move.
+test_analytic_values.py compares the package against it. Before it
+overwrites the table, the recorder prints the largest move of each kind and
+every value that moved past its kind's gate (test_analytic_values.GATES).
 """
 
 import json
@@ -39,11 +40,21 @@ def analytic_values() -> dict:
                     for event, p in association_probabilities(s, mode).items():
                         table["association"][f"{cell}/{mode}/{event.value}"] = p
         for mode in MODES:
-            table["rate"][f"{strategy}/{mode}"] = mean_rate(mode, default_scenario(strategy))
+            table["rate"][f"{strategy}/{mode}"] = float(mean_rate(mode, default_scenario(strategy)))
     return table
 
 
 if __name__ == "__main__":
+    from test_analytic_values import compare
+
+    values = analytic_values()
+    if TABLE.exists():  # state every move before the table is overwritten
+        table = json.loads(TABLE.read_text())
+        for kind in table:
+            moved, largest = compare({kind: table[kind]}, {kind: values[kind]})
+            print(f"{kind}: largest move {largest!r}, {len(moved)} past the gate")
+            for line in moved:
+                print(f"  {line}")
     TABLE.parent.mkdir(exist_ok=True)
-    TABLE.write_text(json.dumps(analytic_values(), indent=1) + "\n")
+    TABLE.write_text(json.dumps(values, indent=1) + "\n")
     print(f"wrote {TABLE}")

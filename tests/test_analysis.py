@@ -31,6 +31,7 @@ from helpers import (
     log_laplace_derivative,
     log_laplace_derivative_quad,
     log_laplace_mp,
+    mean_rate_quad,
     radial_tail_direct,
     radial_tail_integral,
     radial_tail_quad,
@@ -1072,14 +1073,19 @@ class TestMeanRate:
         with pytest.raises(IntegrationFailure):
             mean_rate("noncooperative", default_scenario(), coverage_fn=lambda t: 0.5)
 
+    def test_nonfinite_coverage_raises(self):
+        with pytest.raises(IntegrationFailure, match="non-finite"):
+            mean_rate("noncooperative", default_scenario(), coverage_fn=lambda t: np.nan)
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             mean_rate("fullduplex", default_scenario())
 
     @pytest.mark.parametrize("mode", MODES)
     def test_one_coverage_call_for_all_nodes(self, mode, monkeypatch):
-        # the v_max probes take one threshold each; then one call takes
-        # every Gauss-Legendre node
+        # the v_max probes take one threshold each; then each round of the
+        # G10/K21 rule takes all its nodes in one call, the first round the
+        # 42 nodes of both panels; the default SISO cell needs one round
         calls = []
 
         def counting(mode, scenario, threshold, real=analysis.coverage_overall):
@@ -1088,10 +1094,18 @@ class TestMeanRate:
 
         monkeypatch.setattr(analysis, "coverage_overall", counting)
         mean_rate(mode, default_scenario())
-        probes = calls[:-1]
-        assert probes and all(n == 1 for n in probes), calls
-        assert calls[-1] == 40, calls
-        assert len(calls) <= len(probes) + 1
+        n_probes = calls.index(42) if 42 in calls else len(calls)
+        assert n_probes >= 1 and calls[:n_probes] == [1] * n_probes, calls
+        rounds = calls[n_probes:]
+        assert rounds and all(n % 21 == 0 for n in rounds), calls
+        assert len(rounds) == 1, calls
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_matches_quadpack_oracle(self, strategy):
+        # the same probes and tail, the v-integral by QUADPACK at 1e-10
+        s = default_scenario(strategy)
+        for mode in MODES:
+            assert abs(mean_rate(mode, s) - mean_rate_quad(mode, s)) <= 1e-6, mode
 
     def test_batch_matches_scalar_coverage_calls(self):
         # the same rule with one coverage_overall call per node

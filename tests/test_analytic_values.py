@@ -16,13 +16,15 @@ GATES = {"coverage": NUMERICS.coverage_epsabs, "association": NUMERICS.quad_epsa
 
 
 def compare(table: dict, values: dict):
-    """(the values that moved past their kind's gate, the largest move)."""
+    """(the values that moved past their kind's gate, the largest move), over
+    the kinds of table."""
     assert {kind: sorted(v) for kind, v in values.items()} == {
         kind: sorted(v) for kind, v in table.items()
     }
     moved, largest = [], 0.0
-    for kind, gate in GATES.items():
-        for name, want in table[kind].items():
+    for kind, entries in table.items():
+        gate = GATES[kind]
+        for name, want in entries.items():
             move = abs(values[kind][name] - want)
             largest = max(largest, move)
             if not move <= gate:

@@ -86,6 +86,7 @@ class TestSweepSpec:
             {"variable": "bias_ratio", "grid": (1.0,), "threshold_db": 4000.0},
             {"variable": "bias_ratio", "grid": (1.0, math.nan)},
             {"grid": (-4000.0, 0.0)},
+            {"master_seed": 2**128},
         ],
     )
     def test_invalid(self, bad):
@@ -427,6 +428,28 @@ class TestMain:
         code = cli.main([command, "--seed", "-1", "--out", str(out), "--trials", "10"])
         assert code == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate", "coverage-sweep"])
+    def test_seed_past_philox_keys_exits_2(self, tmp_path, capsys, command):
+        # 2**128 used to crash validate in numpy and give a sweep per-cell errors
+        out = tmp_path / "out.csv"
+        code = cli.main([command, "--seed", str(2**128), "--out", str(out), "--trials", "10"])
+        assert code == 2
+        assert "seed must be in [0, 2**128)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--strategies", "SISO,SISO"), ("--modes", "cooperative,cooperative"),
+         ("--engines", "analytic,analytic")],
+    )
+    def test_repeated_list_entry_exits_2(self, tmp_path, capsys, flag, value):
+        # a repeated entry used to write duplicate rows and exit 0
+        out = tmp_path / "out.csv"
+        argv = ["coverage-sweep", "--engines", "analytic", "--grid=0", flag, value, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"{flag[2:]} must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_config_seed_exits_2(self, tmp_path, capsys):

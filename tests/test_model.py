@@ -209,11 +209,13 @@ class TestScenario:
             Scenario(macro=t, small=t, noise=noise)
 
     def test_seed_validation(self):
-        # a negative seed is no Philox key; seed 0 is the default
+        # a Philox key is in [0, 2**128); seed 0 is the default
         t = TierParams(density=0.01, power=1.0, antennas=1, users=1)
         assert Scenario(macro=t, small=t, seed=0).seed == 0
-        with pytest.raises(ValueError, match="seed"):
-            Scenario(macro=t, small=t, seed=-1)
+        assert Scenario(macro=t, small=t, seed=2**128 - 1).seed == 2**128 - 1
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                Scenario(macro=t, small=t, seed=seed)
 
     def test_common_pathloss_enforced(self):
         a = TierParams(density=0.01, power=1.0, antennas=1, users=1, pathloss=3.0)
