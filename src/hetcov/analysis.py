@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .association import (
     AssociationEvent,
@@ -57,6 +56,7 @@ from .quadrature import IntegrationFailure, _gauss_kronrod, _nested_integral
 _FOLD_DIGITS = 4.0    # split weights of the cluster fold stay near 10^_FOLD_DIGITS
 _RADIAL_EPSABS = 1e-13  # per integral of laplace_interference_radial, integrands in (0, 1]
 _RADIAL_RTOL = 1e-10    # its gate: summed error estimate over the exponent
+_CF_CAP = 400           # most terms _betainc's continued fraction may take per side
 
 
 @dataclass(frozen=True)
@@ -180,28 +180,86 @@ def _tail_constants(psi: int, nmax: int, alpha: float):
     I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b))."""
     n = np.arange(1, nmax + 1)
     a, b = n - 2.0 / alpha, psi + 2.0 / alpha
-    log_coeff = -np.log(a[:-1]) - special.betaln(a[:-1], b)
-    scale = special.beta(a, b) / alpha
+    log_beta = np.array([math.lgamma(x) + math.lgamma(b) - math.lgamma(x + b) for x in a.tolist()])
+    log_coeff, scale = -np.log(a[:-1]) - log_beta[:-1], np.exp(log_beta) / alpha
     weights = np.cumprod((psi + n - 1.0) / np.maximum(n - 1.0, 1.0))
     return _frozen(a, scale, weights * scale, log_coeff)
+
+
+@lru_cache(maxsize=256)
+def _fraction_plan(a: float, b: float):
+    """log B(a, b) and, per side of _betainc (direct (p, q) = (a, b) on z = x up to
+    the switch, flipped (b, a) on z = 1 - x), its largest z, the c_k of its terms
+    d_k = c_k z, and its depths at z_max 2^-j, j < 64, where Lentz's method (Numerical
+    Recipes 5.2) first moves it by an ulp at most (ArithmeticError past _CF_CAP). The
+    switch evens the depths out on [(a+1)/(a+b+2), (a+1)/(a+b)]: both sides keep digits."""
+    k, pq = np.arange(1.0, _CF_CAP + 1), np.array([[a, b], [b, a]])
+    p, q, m = pq[:, :1], pq[:, 1:], k // 2
+    c = np.where(k % 2, -(p + m) * (p + q + m), m * (q - m)) / ((p + k - 1.0) * (p + k))
+
+    def depths(z):  # one row of z per side; 0 where the fraction breaks down
+        lentz_c, lentz_d, depth = np.ones_like(z), np.zeros_like(z), np.zeros(z.shape, dtype=int)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n, c_n in enumerate(c.T[..., None], 1):
+                lentz_d = 1.0 / (1.0 + c_n * z * lentz_d)
+                lentz_c = 1.0 + c_n * z / lentz_c
+                depth[(depth == 0) & (np.abs(lentz_c * lentz_d - 1.0) <= 2.0**-52)] = n
+                if depth.all():
+                    break
+        return depth
+
+    x = np.linspace((a + 1.0) / (a + b + 2.0), min((a + 1.0) / (a + b), 1.0), 32, endpoint=False)
+    even = depths(np.array([x, 1.0 - x]))
+    switch = float(x[np.argmin(np.where(even.all(axis=0), even.max(axis=0), _CF_CAP))])
+    table = depths(np.array([[switch], [1.0 - switch]]) * 2.0 ** -np.arange(64.0))
+    if not table.all():
+        raise ArithmeticError(f"I_x({a}, {b}): continued fraction needs over {_CF_CAP} terms")
+    table = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1].tolist()
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return log_beta, list(zip((switch, 1.0 - switch), _frozen(c)[0], table))
+
+
+def _betainc(a: float, b: float, x) -> np.ndarray:
+    """Regularized incomplete Beta I_x(a, b) at each entry of an array x in
+    [0, 1], exactly 0 at x = 0 and 1 at x = 1: the continued fraction of DLMF
+    8.17.22 run backward (betacf, Numerical Recipes 6.4), as 1 - I_(1-x)(b, a)
+    past _fraction_plan's switch, each side to the depth its largest z needs."""
+    log_beta, sides = _fraction_plan(a, b)
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    with np.errstate(divide="ignore"):  # x^a (1-x)^b / B(a, b)
+        out = np.exp(a * np.log(flat) + b * np.log1p(-flat) - log_beta)
+    flip = flat > sides[0][0]
+    for flipped, rows, (z_max, c, depths) in zip((False, True), (~flip, flip), sides):
+        if rows.any():
+            z = 1.0 - flat[rows] if flipped else flat[rows]
+            # the depth at the least z_max 2^-j >= max(z); NaN takes the deepest
+            j = -math.frexp(max(z.max(), 1e-300) / z_max)[1]
+            cz = np.multiply.outer(c[: depths[min(max(j, 0), len(depths) - 1)]], z)
+            t = cz[-1] + 1.0
+            for row in cz[-2::-1]:
+                np.divide(row, t, out=t)
+                t += 1.0
+            part = out[rows] / ((b if flipped else a) * t)
+            out[rows] = 1.0 - part if flipped else part
+    return out.reshape(np.shape(x))
 
 
 def _beta_ladder(u0, psi: int, nmax: int, alpha: float) -> np.ndarray:
     """I_u0(a_n, b) for n = 1..nmax >= 1, a_n = n - 2/alpha, b = psi + 2/alpha,
     along a new last axis (one row per entry of an array u0).
 
-    One betainc call gives the top order nmax; the downward recurrence of
+    One _betainc call gives the top order nmax; the downward recurrence of
     DLMF 8.17(iv), I_u(a_n, b) = I_u(a_n+1, b) + u^(a_n) (1-u)^b / (a_n B(a_n, b)),
     gives every lower order by adding one non-negative term per step.
     """
     a, _, _, log_coeff = _tail_constants(psi, nmax, alpha)
     b = psi + 2.0 / alpha
-    top = special.betainc(a[-1], b, u0)[..., None]
+    top = _betainc(float(a[-1]), b, u0)[..., None]
     if nmax == 1:  # no order below the top
         return top
     u0 = u0[..., None]
-    steps = special.xlogy(a[:-1], u0)
-    steps += special.xlog1py(b, -u0)
+    with np.errstate(divide="ignore"):  # u0 = 0 or 1 gives a zero step
+        steps = a[:-1] * np.log(u0) + b * np.log1p(-u0)
     steps += log_coeff
     orders = np.concatenate([np.exp(steps, out=steps), top], axis=-1)
     # I_n = I_nmax + steps n..nmax-1, accumulated from the top order down
@@ -220,16 +278,20 @@ def _log_laplace(ctx: LaplaceContext, nmax: int):
     2*pi*lambda * int_d^inf (1 - (1 + s p u^-alpha)^-psi) u du by parts gives
     its log L_I = pi*lambda*d^2 (1 - (1 - u0)^psi) - (alpha/2) y_1; 0 at s = 0.
     """
-    alpha = ctx.scenario.pathloss
-    top = max(nmax, 1)
+    alpha, top, tiers = ctx.scenario.pathloss, max(nmax, 1), ctx.tiers()
+    sps = [ctx.s * p for _, p, _, _ in tiers]
+    reach = [sp + np.power(d, alpha) for sp, (*_, d) in zip(sps, tiers)]
+    u = [sp / np.where(r > 0.0, r, 1.0) for sp, r in zip(sps, reach)]  # 1 at d = 0, 0 at s = 0
+    if tiers[0][2] == tiers[1][2]:  # one psi: one ladder for both tiers, broadcast together
+        both = np.array(u) if u[0].shape == u[1].shape else np.stack(np.broadcast_arrays(*u))
+        ladders = _beta_ladder(both, tiers[0][2], top, alpha)
+    else:
+        ladders = [_beta_ladder(u0, tier[2], top, alpha) for u0, tier in zip(u, tiers)]
     log_l = y = 0.0
-    for lam, p, psi, d in ctx.tiers():
-        sp = ctx.s * p
-        reach = sp + np.power(d, alpha)
-        u0 = sp / np.where(reach > 0.0, reach, 1.0)  # 1 at d = 0, 0 at s = 0
+    for (lam, _, psi, d), sp, u0, ladder in zip(tiers, sps, u, ladders):
         y_tier = (
             (2.0 * math.pi * lam * np.power(sp, 2.0 / alpha))[..., None]
-            * _tail_constants(psi, top, alpha)[2] * _beta_ladder(u0, psi, top, alpha)
+            * _tail_constants(psi, top, alpha)[2] * ladder
         )
         # 1 - (1 - u0)^psi; the clamp keeps log1p finite at u0 = 1 (d = 0)
         kept = -np.expm1(psi * np.log1p(-np.minimum(u0, 1.0 - 2.0**-53)))
@@ -375,7 +437,8 @@ def _scale_average(poles, shape: int, rate, at=None) -> np.ndarray:
     def integrand(v, row):
         tau = v / (1.0 - v) / u_per_tau[row]
         noise = tau ** (alpha / 2.0)
-        log_weight = log_norm[row] + special.xlogy(shape - 1, tau) - 2.0 * np.log1p(-v)
+        # tau^(m-1) stays 1 at m = 1 where tau underflows to 0
+        log_weight = log_norm[row] + (shape - 1) * np.log(tau.clip(1e-300)) - 2.0 * np.log1p(-v)
         total = 0.0
         for d, y, kappa, w in series:
             y_tau = tau[..., None] * y[row]
@@ -407,9 +470,10 @@ def _split_far(b, w, a, order: int):
     rest = 1.0 - a / b
     n, i = np.arange(w.shape[1] + 1), np.arange(1, order + 1)
     powers = (a / b / -rest)[:, None] ** n  # (-rho)^0..(-rho)^width
-    c = rest[:, None] ** -order * powers[:, :-1] * special.comb(order - 1 + n[:-1], n[:-1])
+    comb = np.frompyfunc(math.comb, 2, 1)  # exact, as Python ints
+    c = rest[:, None] ** -order * powers[:, :-1] * comb(order - 1 + n[:-1], n[:-1]).astype(float)
     old = np.einsum("nl,nli->ni", w, np.tril(c[:, np.subtract.outer(n[:-1], n[:-1])]))
-    binomials = special.comb(n[1:, None] + order - i - 1, order - i)
+    binomials = comb(n[1:, None] + order - i - 1, order - i).astype(float)
     return old, (w * powers[:, 1:]) @ binomials * rest[:, None] ** (i - order)
 
 
@@ -652,11 +716,15 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold)
     threshold, and each threshold's integrals keep their own pieces, spike
     hints and error gates, so a value does not depend on the thresholds
     evaluated beside it. A float is the batch of one. Raises ValueError
-    unless every threshold is finite and positive.
+    unless every threshold is finite and positive and the event can occur.
     """
     t = _thresholds(threshold)
     alpha = scenario.pathloss
     lam_m, lam_s = scenario.macro.density, scenario.small.density
+    if event.cooperative:  # coverage given an event that never occurs is undefined
+        prob = assoc_prob_sbs_cluster(scenario)
+        if (prob if event is AssociationEvent.CLUSTER else 1.0 - prob) == 0.0:
+            raise ValueError(f"association event {event.value!r} has probability 0")
 
     if event is AssociationEvent.CLUSTER:
         # the kernel at the distances of t_K = 1 with rate 1 + c eta(z, 1)
@@ -669,9 +737,9 @@ def coverage_conditional(event: AssociationEvent, scenario: Scenario, threshold)
             scenario, kernel, scenario.numerics.coverage_epsabs * 0.5, "cluster shape integral",
             t ** (-2.0 / alpha), at=t,
         )
-        p = raw / assoc_prob_sbs_cluster(scenario)
+        p = raw / prob
     elif event is AssociationEvent.MACRO_COOP:
-        p = _coop_macro_joint(scenario, t) / (1.0 - assoc_prob_sbs_cluster(scenario))
+        p = _coop_macro_joint(scenario, t) / (1.0 - prob)
     else:
         # one server; tau = 1 at r = mix^(-1/2)
         beta = hat_ratios(scenario).macro_advantage

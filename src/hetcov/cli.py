@@ -147,6 +147,14 @@ def _scenario_for(base: Scenario, strategy: str, variable: str, value: float) ->
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
+def _coverage_column(mode: str, scn: Scenario, dbs: tuple[float, ...]) -> list:
+    """Batched analytic coverage on a threshold grid in dB; Nones if the batch raises."""
+    try:
+        return analysis.coverage_overall(mode, scn, [10.0 ** (db / 10.0) for db in dbs]).tolist()
+    except Exception:  # noqa: BLE001 - retried cell by cell
+        return [None] * len(dbs)
+
+
 def run_sweep(spec: SweepSpec, scenario: Scenario) -> list[dict[str, str]]:
     """Evaluate the sweep; one row dict per cell, failures noted in 'error'.
 
@@ -156,8 +164,8 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> list[dict[str, str]]:
     """
     rows: list[dict[str, str]] = []
     batches: dict[Scenario, dict[str, mcsim.TrialBatch]] = {}
-    rate_cache: dict[tuple[Scenario, str], float] = {}
-    for value in spec.grid:
+    analytic: dict[tuple[Scenario, str], float | list] = {}
+    for index, value in enumerate(spec.grid):
         threshold_db = value if spec.variable == "threshold_db" else spec.threshold_db
         threshold = 10.0 ** (threshold_db / 10.0)
         for strategy in spec.strategies:
@@ -185,13 +193,17 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> list[dict[str, str]]:
                         if scn is None:
                             raise RuntimeError(scn_error)
                         if engine == ENGINE_ANALYTIC:
-                            if spec.metric == "coverage":
+                            key, res = (scn, mode), None
+                            if spec.metric == "rate":
+                                if key not in analytic:
+                                    analytic[key] = analysis.mean_rate(mode, scn)
+                                res = analytic[key]
+                            elif spec.variable == "threshold_db":
+                                if key not in analytic:
+                                    analytic[key] = _coverage_column(mode, scn, spec.grid)
+                                res = analytic[key][index]
+                            if res is None:  # coverage off a threshold sweep, or its batch raised
                                 res = analysis.coverage_overall(mode, scn, threshold)
-                            else:
-                                key = (scn, mode)
-                                if key not in rate_cache:
-                                    rate_cache[key] = analysis.mean_rate(mode, scn)
-                                res = rate_cache[key]
                             row["result"] = _fmt(res)
                         else:
                             if scn not in batches:

@@ -45,6 +45,7 @@ from helpers import (
 from hetcov.analysis import (
     IntegrationFailure,
     LaplaceContext,
+    _betainc,
     _cluster_kernel,
     _coop_macro_joint,
     _erlang_mixture,
@@ -366,17 +367,18 @@ class TestDownwardBetaRecurrence:
         assert radial_tail_integral(np.ones((4, 2)), 3, 0, 4.0).shape == (4, 2, 0)
 
     def test_one_betainc_call_per_invocation(self, monkeypatch):
-        # one call per tier at the top order, for a whole array of rows: one
-        # for the radial tail, two per Laplace series and per scale-average
-        # pole, and none inside the noisy scale integral
+        # one call at the top order for a whole array of rows, shared by the
+        # two tiers when their psi agree: one for the radial tail, one per
+        # Laplace series and per scale-average pole, and none inside the
+        # noisy scale integral
         calls = []
-        betainc = special.betainc
+        betainc = analysis._betainc
 
         def counting(a, b, x):
             calls.append(np.shape(a))
             return betainc(a, b, x)
 
-        monkeypatch.setattr(analysis.special, "betainc", counting)
+        monkeypatch.setattr(analysis, "_betainc", counting)
         radial_tail_integral(np.linspace(0.1, 10.0, 50), 8, 12, 3.7)
         assert calls == [()]
         for noise in (0.0, 1e-15):
@@ -386,10 +388,81 @@ class TestDownwardBetaRecurrence:
                 scenario=replace(default_scenario(), noise=noise),
             )
             laplace_series(ctx, 8)
-            assert calls == [()] * 2
+            assert calls == [()]
             poles = [(ctx, np.ones((50, 4))), (replace(ctx, s=2.0 * ctx.s), np.ones((50, 4)))]
             _scale_average(poles, 2, np.ones(50))
-            assert calls == [()] * 6
+            assert calls == [()] * 3
+
+
+class TestBetainc:
+    """The engine's regularized incomplete Beta, I_x(a, b), on the Beta
+    parameters of its ladders: a = n - 2/alpha, b = psi + 2/alpha."""
+
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0])
+    def test_matches_scipy(self, alpha):
+        # x on log grids toward both ends and across the switch between the
+        # two sides; every value above 1e-300 to rtol 1e-12. scipy drops
+        # digits deep in the lower tail at large a: it reads
+        # I(199.5, 32.5, 0.0252) = 3.4971918e-281 against mpmath's
+        # 3.4971958e-281. Where the two disagree, mpmath decides.
+        for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+            for psi in (1, 2, 3, 4, 8, 16, 32, 64):
+                a, b = n - 2.0 / alpha, psi + 2.0 / alpha
+                switch = analysis._fraction_plan(a, b)[1][0][0]
+                x = np.r_[
+                    0.0, 1.0, 10.0 ** np.linspace(-300.0, -0.01, 120),
+                    1.0 - 10.0 ** -np.linspace(0.5, 16.0, 60),
+                    switch + min(switch, 1.0 - switch) * np.linspace(-0.2, 0.2, 41),
+                ]
+                got = _betainc(a, b, x)
+                assert got[0] == 0.0 and got[1] == 1.0
+                want = special.betainc(a, b, x)
+                off = (want > 1e-300) & ~np.isclose(got, want, rtol=1e-12, atol=0.0)
+                with mpmath.workdps(40):
+                    for xi, value in zip(x[off].tolist(), got[off].tolist()):
+                        exact = float(mpmath.betainc(a, b, 0, xi, regularized=True))
+                        assert_allclose(value, exact, rtol=1e-12, err_msg=f"a={a}, b={b}, x={xi}")
+
+    @pytest.mark.parametrize("alpha", [2.05, 6.0])
+    @pytest.mark.parametrize("n, psi", [(1, 1), (1, 64), (200, 1), (200, 64)])
+    def test_matches_mpmath_at_the_corners(self, alpha, n, psi):
+        a, b = n - 2.0 / alpha, psi + 2.0 / alpha
+        switch = analysis._fraction_plan(a, b)[1][0][0]
+        x = np.array([
+            1e-300, 1e-100, 1e-10, 0.5 * switch, switch, 0.5 * (1.0 + switch),
+            1.0 - 1e-10, 1.0 - 2.0**-53,
+        ])
+        with mpmath.workdps(40):
+            want = [float(mpmath.betainc(a, b, 0, xi, regularized=True)) for xi in x.tolist()]
+        assert_allclose(_betainc(a, b, x), want, rtol=1e-12, atol=1e-300)
+
+    def test_shapes_and_exact_ends(self):
+        a, b = 1.0 / 3.0, 5.0 / 3.0
+        one = _betainc(a, b, np.array(0.25))
+        assert one.shape == ()
+        assert_allclose(one, special.betainc(a, b, 0.25), rtol=1e-14)
+        x = np.linspace(0.0, 1.0, 8).reshape(4, 2)
+        got = _betainc(a, b, x)
+        assert got.shape == (4, 2)
+        assert got[0, 0] == 0.0 and got[-1, -1] == 1.0
+        assert_allclose(got, special.betainc(a, b, x), rtol=1e-14)
+
+    def test_depth_table_raises_past_its_cap(self):
+        # a fraction that needs more terms than the cap gives no plan, so
+        # _betainc never returns an unconverged value
+        with pytest.raises(ArithmeticError, match="continued fraction needs over 400 terms"):
+            _betainc(1e6, 1e6, np.array([0.25, 0.5]))
+
+    def test_switch_evens_out_the_depths(self):
+        # within [(a+1)/(a+b+2), (a+1)/(a+b)], where both sides keep their digits
+        for a, b in [(1.0 / 3.0, 5.0 / 3.0), (199.5, 1.5), (0.5, 64.5), (7.5, 8.5)]:
+            _, sides = analysis._fraction_plan(a, b)
+            switch = sides[0][0]
+            assert (a + 1.0) / (a + b + 2.0) <= switch <= (a + 1.0) / (a + b)
+            assert switch + sides[1][0] == 1.0
+        # I(1/3, 5/3), the default ladder, needs 16 and 27 terms at 1/3
+        _, sides = analysis._fraction_plan(1.0 / 3.0, 5.0 / 3.0)
+        assert max(side[2][0] for side in sides) <= 21
 
 
 class TestRadialTailClosedForm:
@@ -617,6 +690,21 @@ class TestCoverageConditional:
         s = default_scenario("SUBF", noise=noise)
         got = coverage_conditional(event, s, np.array([5e-324, 1e-320, 1e-300]))
         assert_allclose(got, 1.0, rtol=0.0, atol=s.numerics.coverage_epsabs)
+
+    @pytest.mark.parametrize(
+        "event, macro_power",
+        [(AssociationEvent.CLUSTER, 1e300), (AssociationEvent.MACRO_COOP, 1e-300)],
+    )
+    def test_zero_probability_event_raises(self, event, macro_power):
+        # the cluster never wins at 1e300 W and the macro side never at
+        # 1e-300 W: coverage given the event is undefined, not NaN
+        s = default_scenario()
+        s = replace(s, macro=replace(s.macro, power=macro_power))
+        message = f"association event '{event.value}' has probability 0"
+        with pytest.raises(ValueError, match=message):
+            coverage_conditional(event, s, 1.0)
+        with pytest.raises(ValueError, match=message):
+            coverage_overall("cooperative", s, np.array([0.5, 1.0]))
 
     def test_decreasing_in_threshold(self):
         s = default_scenario()

@@ -190,6 +190,63 @@ class TestRunSweep:
         assert rows[0]["error"] != "" and rows[0]["result"] == ""
         assert rows[1]["error"] == "" and rows[1]["result"] != ""
 
+    @staticmethod
+    def count_coverage_calls(monkeypatch, **overrides) -> list:
+        """Threshold counts of the analytic coverage_overall calls of a sweep
+        over two strategies and both modes."""
+        calls = []
+        real = cli.analysis.coverage_overall
+
+        def counting(mode, scenario, threshold):
+            calls.append(np.size(threshold))
+            return real(mode, scenario, threshold)
+
+        monkeypatch.setattr(cli.analysis, "coverage_overall", counting)
+        spec = SweepSpec(**spec_kwargs(strategies=("SISO", "SDMA"), modes=MODES, **overrides))
+        rows = run_sweep(spec, default_scenario())
+        assert len(rows) == 3 * 2 * 2
+        assert all(r["error"] == "" for r in rows)
+        return calls
+
+    def test_threshold_sweep_makes_one_coverage_call_per_strategy_and_mode(self, monkeypatch):
+        assert self.count_coverage_calls(monkeypatch) == [3] * 4
+
+    def test_bias_sweep_makes_one_coverage_call_per_cell(self, monkeypatch):
+        calls = self.count_coverage_calls(monkeypatch, variable="bias_ratio", grid=(0.5, 1.0, 2.0))
+        assert calls == [1] * 12
+
+    def test_failing_threshold_fails_its_row_only(self, monkeypatch):
+        spec = SweepSpec(**spec_kwargs(modes=MODES, grid=(-5.0, 0.0, 5.0, 10.0)))
+        clean = run_sweep(spec, default_scenario())
+        real = cli.analysis.coverage_overall
+        bad = 10.0 ** (5.0 / 10.0)
+
+        def failing(mode, scenario, threshold):
+            if bad in np.atleast_1d(threshold):
+                raise ArithmeticError("no value at 5 dB")
+            return real(mode, scenario, threshold)
+
+        monkeypatch.setattr(cli.analysis, "coverage_overall", failing)
+        rows = run_sweep(spec, default_scenario())
+        assert [(r["value"], r["mode"]) for r in rows] == [(r["value"], r["mode"]) for r in clean]
+        for row, want in zip(rows, clean):
+            if row["value"] == "5":
+                assert row["error"] == "ArithmeticError: no value at 5 dB"
+                assert row["result"] == ""
+            else:
+                assert row == want
+
+    def test_zero_probability_event_gives_an_error_cell(self):
+        # at 3000 dBm the cluster never wins: its conditional coverage is
+        # undefined, not NaN
+        spec = SweepSpec(**spec_kwargs(
+            variable="power_macro_dbm", grid=(46.0, 3000.0), modes=("cooperative",)
+        ))
+        rows = run_sweep(spec, default_scenario())
+        assert rows[0]["error"] == "" and 0.0 < float(rows[0]["result"]) < 1.0
+        assert rows[1]["result"] == ""
+        assert rows[1]["error"].startswith("ValueError: association event 'cluster'")
+
 
 class TestOptimalBias:
     """The paper's claim that a finite bias maximizes coverage, on the CLI's
@@ -347,6 +404,29 @@ class TestMain:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
         assert done.stdout.split() == ["0"], done.stdout
+
+    def test_runs_without_scipy(self, tmp_path):
+        # a fresh interpreter in which importing scipy fails
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            sys.modules["scipy"] = None
+            import hetcov, hetcov.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = hetcov.cli.main(
+                    ["validate", "--trials", "200", "--out", {str(tmp_path / "v.csv")!r}]
+                )
+            loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+            print(code, *loaded)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.split() == ["0"], done.stdout
+        assert (tmp_path / "v.csv").exists()
 
     def test_bad_engine_list_exits_2(self, capsys):
         code = cli.main(
