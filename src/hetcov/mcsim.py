@@ -13,28 +13,31 @@ of per-link Gamma fading, then, per mode, the serving side by the same
 biased-power rule the analytic engine integrates over, and the resulting
 association event and SINR.
 
-Trials run only in blocks, through run_modes (run_trials is one mode of
-it): there is no one-trial API. Each trial of a block makes its draws into
-one row of the block's arrays (_Block.draw); everything after the draws
-(distances, path gains, selection, desired power, interference, SINR) runs
-once per block on 2-D arrays (_evaluate), with each trial's arithmetic that
-of a scalar evaluation of the trial alone, so no result depends on the
-block it fell in. BLOCK_BYTES bounds a block's memory.
+Trials run only in stream blocks of STREAM_BLOCK trials, through run_modes
+(run_trials is one mode of it): there is no one-trial API. A block makes
+its draws in six array calls, one row per trial (_draw); everything after
+the draws (distances, path gains, selection, desired power, interference,
+SINR) runs once per block on 2-D arrays (_evaluate), with each trial's
+arithmetic that of a scalar evaluation of the trial alone.
 
-Determinism contract: trial i always consumes the stream
-``Philox(master_seed).jumped(i)``, selected by setting one reused Philox's
-counter (_TrialStreams), and results land in trial-indexed arrays, so every
-statistic is bit-identical for any worker count. Every mode of trial i reads
-the same draws, so ``run_modes(..., MODES, ...)`` equals the per-mode
-``run_trials`` byte for byte while drawing each trial once.
+Determinism contract: block b, trials b * STREAM_BLOCK to
+(b + 1) * STREAM_BLOCK - 1, always consumes the stream
+``Philox(master_seed).jumped(b)``, selected by setting one reused Philox's
+counter (_BlockStreams), and draws all of its rows even when fewer trials
+are asked for. Results land in trial-indexed arrays, so every statistic is
+bit-identical for any worker count, and trial i's result is the same for
+any trial count that covers it. Every mode of trial i reads the same draws,
+so ``run_modes(..., MODES, ...)`` equals the per-mode ``run_trials`` byte
+for byte while drawing each trial once.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,16 +75,15 @@ EVENT_CODES = {event: code for code, event in enumerate(EVENT_ORDER)}
 # TestFarFieldBudget checks this by prefix pairing at alpha 2.05 to 4. It is
 # a tenth of the 95% half-width of a 10^4-trial coverage estimate near 0.5.
 FAR_FIELD_ERROR = 1e-3
-# Memory budget of one block of trials, bytes. run_modes draws its trials
-# into blocks and evaluates a block at a time; a block's per-point arrays
-# are the arrival gaps (turned in place into distances), the path gains and
-# the interferer fading (turned in place into faded powers), 24 bytes per
-# listed BS. So a block holds BLOCK_BYTES / (24 (n_macro + n_small)) trials,
-# 10 in the default scenario, and each worker thread holds one block. On a
-# 2-core Xeon, the benchmark's MC pass ran 10-15% slower at half this budget
-# and no faster at twice it, where peak RSS grew by another megabyte.
-BLOCK_BYTES = 2**18
-_BYTES_PER_POINT = 24
+# Trials per Philox stream, part of the determinism contract: it fixes which
+# draws each trial gets, so it depends on nothing a caller sets. A block is
+# drawn and evaluated whole, and each worker thread holds one block's arrays,
+# 24 bytes per listed BS per trial (240 KB in the default scenario). On a
+# shared 2-core Xeon, blocks of 10 to 32 trials ran the benchmark's MC pass
+# in 0.11-0.15 s at best, against 0.18 s with one stream per trial, but each
+# row past 10 added about 0.1 MB of peak RSS; at 10 the engine's peak is
+# that of one stream per trial.
+STREAM_BLOCK = 10
 # Floor on a unit-rate arrival time. An exponential draw can be exactly 0,
 # which would put a BS on the user; at this floor r^-alpha stays finite.
 _MIN_ARRIVAL = 2.0**-53
@@ -177,67 +179,47 @@ def _serving_orders(scenario: Scenario) -> tuple[int, int]:
     )
 
 
-class _Block:
-    """Buffers for the draws of up to ``rows`` trials, one row per trial.
+def _draw(
+    scenario: Scenario,
+    rng: np.random.Generator,
+    rows: int,
+    counts: tuple[int, int],
+    orders: tuple[int, int],
+) -> _Draws:
+    """Draw ``rows`` trials from ``rng``, one row per trial, then derive
+    their gains.
 
-    A worker allocates one block and refills it for each block of its
-    trials, so its memory is bounded by BLOCK_BYTES, not by the trial count.
+    Six array calls of ``rows`` rows, in this order: macro arrivals, small
+    arrivals, serving fading (the nearest macro BS, then the K nearest small
+    BSs), then interferer fading for every listed BS (macro, then small).
+    ``counts`` are the arrivals per tier (point_counts) and ``orders`` the
+    serving fading orders (_serving_orders). Every distance comes from its
+    trial's arrivals: fixed distances r are drawn by a generator whose
+    exponential draws are diff(pi * lambda * r^2).
     """
-
-    def __init__(self, rows: int, counts: tuple[int, int], cluster_size: int):
-        n_macro, n_small = counts
-        self.macro = np.empty((rows, n_macro))  # arrival gaps, then distances
-        self.small = np.empty((rows, n_small))
-        self.h_macro = np.empty((rows, 1))
-        self.h_small = np.empty((rows, cluster_size))
-        self.g_macro = np.empty((rows, n_macro))  # fading, then faded powers
-        self.g_small = np.empty((rows, n_small))
-
-    def draw(
-        self,
-        scenario: Scenario,
-        stream: Callable[[int], np.random.Generator],
-        trials: range,
-        orders: tuple[int, int],
-    ) -> _Draws:
-        """Draw ``trials`` into the leading rows, then derive their gains.
-
-        ``stream(i)`` is trial i's generator, used before the next trial's
-        is asked for. Each trial draws, in this order: macro arrivals, small
-        arrivals, serving fading (the nearest macro BS, then the K nearest
-        small BSs), then interferer fading for every listed BS (macro, then
-        small). ``orders`` are the serving fading orders (_serving_orders).
-        Every distance comes from its trial's arrivals: fixed distances r are
-        drawn by a stream whose exponential draws are diff(pi * lambda * r^2).
-        """
-        n = len(trials)
-        k = self.h_small.shape[1]
-        n_macro, n_small = self.macro.shape[1], self.small.shape[1]
-        g_macro, g_small = self.g_macro[:n], self.g_small[:n]
-        for j, i in enumerate(trials):
-            rng = stream(i)
-            self.macro[j] = rng.standard_exponential(n_macro)
-            self.small[j] = rng.standard_exponential(n_small)
-            self.h_macro[j] = sample_gamma(orders[0], rng, size=1)
-            self.h_small[j] = sample_gamma(orders[1], rng, size=k)
-            g_macro[j] = sample_gamma(scenario.macro.users, rng, size=n_macro)
-            g_small[j] = sample_gamma(scenario.small.users, rng, size=n_small)
-        macro = _arrival_distances(scenario.macro.density, self.macro[:n])
-        small = _arrival_distances(scenario.small.density, self.small[:n])
-        alpha = scenario.pathloss
-        gain_macro = macro ** (-alpha)
-        gain_small = small ** (-alpha)
-        return _Draws(
-            macro=macro,
-            small=small,
-            h_macro=self.h_macro[:n],
-            h_small=self.h_small[:n],
-            gain_macro=gain_macro,
-            gain_small=gain_small,
-            faded_macro=np.multiply(g_macro, gain_macro, out=g_macro),
-            faded_small=np.multiply(g_small, gain_small, out=g_small),
-            tail=_tail_mean(scenario, macro[:, -1], small[:, -1]),
-        )
+    n_macro, n_small = counts
+    gaps_macro = rng.standard_exponential((rows, n_macro))
+    gaps_small = rng.standard_exponential((rows, n_small))
+    h_macro = sample_gamma(orders[0], rng, size=(rows, 1))
+    h_small = sample_gamma(orders[1], rng, size=(rows, scenario.cluster_size))
+    g_macro = sample_gamma(scenario.macro.users, rng, size=(rows, n_macro))
+    g_small = sample_gamma(scenario.small.users, rng, size=(rows, n_small))
+    macro = _arrival_distances(scenario.macro.density, gaps_macro)
+    small = _arrival_distances(scenario.small.density, gaps_small)
+    alpha = scenario.pathloss
+    gain_macro = macro ** (-alpha)
+    gain_small = small ** (-alpha)
+    return _Draws(
+        macro=macro,
+        small=small,
+        h_macro=h_macro,
+        h_small=h_small,
+        gain_macro=gain_macro,
+        gain_small=gain_small,
+        faded_macro=np.multiply(g_macro, gain_macro, out=g_macro),
+        faded_small=np.multiply(g_small, gain_small, out=g_small),
+        tail=_tail_mean(scenario, macro[:, -1], small[:, -1]),
+    )
 
 
 def _event_codes(mode: str, small_wins: np.ndarray) -> np.ndarray:
@@ -298,16 +280,16 @@ class TrialBatch:
         return len(self.events)
 
 
-class _TrialStreams:
-    """Trial i's generator, on the stream of Philox(key=master_seed).jumped(i).
+class _BlockStreams:
+    """Block b's generator, on the stream of Philox(key=master_seed).jumped(b).
 
-    Philox is counter-based: jumped(i) is the generator keyed by master_seed
-    whose 256-bit counter reads [0, 0, i, 0] and whose output buffer is
-    empty. Setting one reused Philox to that state selects stream i without
+    Philox is counter-based: jumped(b) is the generator keyed by master_seed
+    whose 256-bit counter reads [0, 0, b, 0] and whose output buffer is
+    empty. Setting one reused Philox to that state selects stream b without
     building a generator: a microsecond or two, where jumped takes some
     thirty, as it first seeds a throwaway Philox from OS entropy. The
-    generator returned for trial i is valid until trial i + 1 is asked for.
-    For i < 2^64.
+    generator returned for block b is valid until the next block is asked
+    for. For b < 2^64.
     """
 
     def __init__(self, master_seed: int):
@@ -315,15 +297,10 @@ class _TrialStreams:
         self._state = self._bit_generator.state
         self._rng = np.random.Generator(self._bit_generator)
 
-    def __call__(self, i: int) -> np.random.Generator:
-        self._state["state"]["counter"][2] = i
+    def __call__(self, b: int) -> np.random.Generator:
+        self._state["state"]["counter"][2] = b
         self._bit_generator.state = self._state
         return self._rng
-
-
-def _block_trials(counts: tuple[int, int]) -> int:
-    """Trials per block: as many as BLOCK_BYTES holds, at least one."""
-    return max(1, BLOCK_BYTES // (_BYTES_PER_POINT * (counts[0] + counts[1])))
 
 
 def run_modes(
@@ -335,14 +312,19 @@ def run_modes(
 ) -> dict[str, TrialBatch]:
     """Simulate ``trials`` trials once and evaluate each for every mode.
 
-    Trial i draws from the stream of ``Philox(master_seed).jumped(i)``
-    whatever the modes, addressed by its counter (_TrialStreams). Trials
-    are drawn one by one into a block (_Block) and evaluated a block at a
-    time on 2-D arrays, with each trial's arithmetic that of a scalar
-    evaluation. So ``run_modes(s, modes, ...)[mode]`` is byte-identical to
-    ``run_trials(s, mode, ...)``, and to itself for any ``workers`` or
-    block size. Each worker thread owns its blocks and its Philox; the
-    threads share CPython's GIL, so more of them give little speed-up.
+    Block b of STREAM_BLOCK trials draws from the stream of
+    ``Philox(master_seed).jumped(b)`` whatever the modes, addressed by its
+    counter (_BlockStreams), and is evaluated on 2-D arrays with each
+    trial's arithmetic that of a scalar evaluation. A block draws all of its
+    rows; the last keeps only the trials asked for. So
+    ``run_modes(s, modes, ...)[mode]`` is byte-identical to
+    ``run_trials(s, mode, ...)``, to itself for any ``workers``, and to the
+    leading trials of any longer run. Each worker thread takes a range of
+    whole blocks with its own Philox; at most as many threads start as the
+    process has usable CPUs. numpy releases the GIL inside the block-sized
+    draws, so a second thread gains a little: on a shared 2-core Xeon, two
+    workers ran 10^4 SDMA trials of both modes 5-16% faster than one in 7 of
+    8 runs.
     """
     modes = tuple(dict.fromkeys(modes))
     if not modes:
@@ -356,28 +338,30 @@ def run_modes(
         raise ValueError(f"workers must be positive, got {workers}")
     orders = _serving_orders(scenario)
     counts = point_counts(scenario)
-    per_block = _block_trials(counts)
     columns = [
         (mode, np.empty(trials, dtype=np.int8), np.empty(trials, dtype=np.float64))
         for mode in modes
     ]
 
-    def run_range(start: int, stop: int) -> None:
-        stream = _TrialStreams(master_seed)
-        block = _Block(min(per_block, stop - start), counts, scenario.cluster_size)
-        for first in range(start, stop, per_block):
-            last = min(first + per_block, stop)
-            draws = block.draw(scenario, stream, range(first, last), orders)
+    def run_blocks(start: int, stop: int) -> None:
+        stream = _BlockStreams(master_seed)
+        for b in range(start, stop):
+            draws = _draw(scenario, stream(b), STREAM_BLOCK, counts, orders)
+            n = min(STREAM_BLOCK, trials - b * STREAM_BLOCK)
+            rows = slice(b * STREAM_BLOCK, b * STREAM_BLOCK + n)
             for mode, events, sinr in columns:
-                events[first:last], sinr[first:last] = _evaluate(scenario, mode, draws)
+                codes, values = _evaluate(scenario, mode, draws)
+                events[rows], sinr[rows] = codes[:n], values[:n]
 
+    blocks = -(-trials // STREAM_BLOCK)
+    workers = min(workers, len(os.sched_getaffinity(0)))
     if workers == 1:
-        run_range(0, trials)
+        run_blocks(0, blocks)
     else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
+        bounds = np.linspace(0, blocks, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(run_range, int(a), int(b))
+                pool.submit(run_blocks, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:])
                 if b > a
             ]

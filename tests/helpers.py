@@ -29,7 +29,7 @@ from hetcov.association import (
     mbs_win_prob,
     select_tier,
 )
-from hetcov.mcsim import _MIN_ARRIVAL, EVENT_CODES
+from hetcov.mcsim import _MIN_ARRIVAL, EVENT_CODES, STREAM_BLOCK
 from hetcov.model import COOPERATIVE, Scenario, TierParams, derive_tier, hat_ratios
 from hetcov.quadrature import _cone_integral, _panel_integral
 from hetcov.specfun import faa_coefficient, integer_partitions
@@ -817,9 +817,10 @@ def mean_rate_quad(mode: str, scenario: Scenario) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scalar Monte Carlo oracle: one trial at a time, each drawn from its own
-# Generator(Philox(seed).jumped(i)) and judged by select_tier. The engine's
-# block evaluation must reproduce it byte for byte.
+# Scalar Monte Carlo oracle: each stream block of STREAM_BLOCK trials drawn
+# from its own Generator(Philox(seed).jumped(b)), then one trial at a time,
+# judged by select_tier. The engine's block evaluation must reproduce it byte
+# for byte.
 
 
 class TrialDraws(NamedTuple):
@@ -836,38 +837,48 @@ class TrialDraws(NamedTuple):
     tail: float  # mean interference beyond the last listed BSs, watts
 
 
-def draw_trial_scalar(scenario: Scenario, rng: np.random.Generator, counts) -> TrialDraws:
-    """One trial's draws: macro arrivals, small arrivals, serving fading (the
-    nearest macro BS, then the K nearest small BSs), interferer fading for
-    every listed BS (macro, then small)."""
-    alpha = scenario.pathloss
-    distances = []
-    for tier, n in zip((scenario.macro, scenario.small), counts):
-        t = np.cumsum(rng.standard_exponential(n))
-        np.maximum(t, _MIN_ARRIVAL, out=t)
-        t *= 1.0 / (math.pi * tier.density)
-        distances.append(np.sqrt(t))
-    macro, small = distances
-    h_macro = rng.standard_gamma(derive_tier(scenario.macro).fading_order, 1)
-    h_small = rng.standard_gamma(derive_tier(scenario.small).fading_order, scenario.cluster_size)
-    g_macro = rng.standard_gamma(scenario.macro.users, len(macro))
-    g_small = rng.standard_gamma(scenario.small.users, len(small))
-    tail = 0.0
-    for tier, r in ((scenario.macro, macro), (scenario.small, small)):
-        tail += tier.density * tier.power * tier.users * float(r[-1]) ** (2.0 - alpha)
-    gain_macro = macro ** (-alpha)
-    gain_small = small ** (-alpha)
-    return TrialDraws(
-        macro=macro,
-        small=small,
-        h_macro=h_macro,
-        h_small=h_small,
-        gain_macro=gain_macro,
-        gain_small=gain_small,
-        faded_macro=g_macro * gain_macro,
-        faded_small=g_small * gain_small,
-        tail=2.0 * math.pi * tail / (alpha - 2.0),
+def draw_block_scalar(scenario: Scenario, rng: np.random.Generator, counts) -> list[TrialDraws]:
+    """One stream block's draws, each trial's row then taken alone.
+
+    All STREAM_BLOCK rows are drawn in six array calls: macro arrivals,
+    small arrivals, serving fading (the nearest macro BS, then the K nearest
+    small BSs), interferer fading for every listed BS (macro, then small).
+    """
+    rows = STREAM_BLOCK
+    gaps = [rng.standard_exponential((rows, n)) for n in counts]
+    h_macro = rng.standard_gamma(derive_tier(scenario.macro).fading_order, (rows, 1))
+    h_small = rng.standard_gamma(
+        derive_tier(scenario.small).fading_order, (rows, scenario.cluster_size)
     )
+    g_macro = rng.standard_gamma(scenario.macro.users, (rows, counts[0]))
+    g_small = rng.standard_gamma(scenario.small.users, (rows, counts[1]))
+    alpha = scenario.pathloss
+    trials = []
+    for j in range(rows):
+        distances = []
+        for tier, tier_gaps in zip((scenario.macro, scenario.small), gaps):
+            t = np.cumsum(tier_gaps[j])
+            np.maximum(t, _MIN_ARRIVAL, out=t)
+            t *= 1.0 / (math.pi * tier.density)
+            distances.append(np.sqrt(t))
+        macro, small = distances
+        tail = 0.0
+        for tier, r in ((scenario.macro, macro), (scenario.small, small)):
+            tail += tier.density * tier.power * tier.users * float(r[-1]) ** (2.0 - alpha)
+        gain_macro = macro ** (-alpha)
+        gain_small = small ** (-alpha)
+        trials.append(TrialDraws(
+            macro=macro,
+            small=small,
+            h_macro=h_macro[j],
+            h_small=h_small[j],
+            gain_macro=gain_macro,
+            gain_small=gain_small,
+            faded_macro=g_macro[j] * gain_macro,
+            faded_small=g_small[j] * gain_small,
+            tail=2.0 * math.pi * tail / (alpha - 2.0),
+        ))
+    return trials
 
 
 def evaluate_trial_scalar(scenario: Scenario, mode: str, draws: TrialDraws):
@@ -892,12 +903,14 @@ def evaluate_trial_scalar(scenario: Scenario, mode: str, draws: TrialDraws):
 
 
 def run_modes_scalar(scenario: Scenario, modes, trials: int, master_seed: int, counts) -> dict:
-    """(event codes, SINRs) per mode, one scalar trial at a time."""
+    """(event codes, SINRs) per mode, one scalar trial at a time; the last
+    block is drawn whole and its trials past ``trials`` dropped."""
     base = np.random.Philox(key=master_seed)
     out = {mode: (np.empty(trials, dtype=np.int8), np.empty(trials)) for mode in modes}
-    for i in range(trials):
-        draws = draw_trial_scalar(scenario, np.random.Generator(base.jumped(i)), counts)
-        for mode, (events, sinr) in out.items():
-            event, sinr[i] = evaluate_trial_scalar(scenario, mode, draws)
-            events[i] = EVENT_CODES[event]
+    for b in range(-(-trials // STREAM_BLOCK)):
+        block = draw_block_scalar(scenario, np.random.Generator(base.jumped(b)), counts)
+        for i, draws in enumerate(block[: trials - b * STREAM_BLOCK], start=b * STREAM_BLOCK):
+            for mode, (events, sinr) in out.items():
+                event, sinr[i] = evaluate_trial_scalar(scenario, mode, draws)
+                events[i] = EVENT_CODES[event]
     return out

@@ -1,12 +1,14 @@
 """Monte Carlo engine: arrival-time geometry and its point budget, the tail
 interference beyond the last arrivals and the coverage error it admits,
-single-trial SINR arithmetic, batch statistics, counter-addressed trial
-streams, and determinism across workers and block sizes. Every trial runs
-through the engine's block path, _Block.draw then _evaluate; a fixed
-geometry is drawn from a stream stub whose arrival gaps rebuild it."""
+single-trial SINR arithmetic, batch statistics, counter-addressed block
+streams, and determinism across workers and trial counts. Every trial runs
+through the engine's block path, _draw then _evaluate; a fixed geometry is
+drawn from a stream stub whose arrival gaps rebuild it."""
 
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +62,12 @@ def fixed_counts(monkeypatch, n_macro: int, n_small: int) -> None:
     monkeypatch.setattr(mcsim, "point_counts", lambda scenario: (n_macro, n_small))
 
 
+def many_cpus(monkeypatch, count: int = 8) -> None:
+    """Report ``count`` usable CPUs, so that run_modes starts as many threads
+    as it is asked for, up to ``count``, on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def with_pathloss(s: Scenario, alpha: float) -> Scenario:
     return replace(
         s, macro=replace(s.macro, pathloss=alpha), small=replace(s.small, pathloss=alpha)
@@ -83,8 +91,9 @@ def far_field_ratio(tier: TierParams, n: int) -> float:
 
 
 class GammaQueue:
-    """Drop-in for sample_gamma that replays scripted values and records the
-    (shape, size) of every draw, pinning the draw-order contract."""
+    """Drop-in for sample_gamma that replays scripted values, one row per
+    trial of the block, and records the (shape, size) of every draw,
+    pinning the draw-order contract."""
 
     def __init__(self, values, calls=None):
         self.values = [np.asarray(v, dtype=float) for v in values]
@@ -93,15 +102,16 @@ class GammaQueue:
     def __call__(self, shape, rng, size=None):
         self.calls.append((shape, size))
         out = self.values.pop(0)
-        assert size == len(out), f"expected draw of size {size}, scripted {len(out)}"
-        return out
+        rows, n = size
+        assert n == len(out), f"expected rows of size {n}, scripted {len(out)}"
+        return np.tile(out, (rows, 1))
 
 
 class ArrivalStub:
     """Generator stand-in whose exponential draws are the arrival gaps
-    diff(pi * lambda * r^2) of fixed distances, macro then small per trial,
-    so _Block.draw rebuilds those distances; it logs the size of each.
-    Gamma draws come from ``rng``."""
+    diff(pi * lambda * r^2) of fixed distances, in every row of the block,
+    macro then small, so _draw rebuilds those distances; it logs the size
+    of each. Gamma draws come from ``rng``."""
 
     def __init__(self, s: Scenario, macro, small, rng=None, log=None):
         self.gaps = [
@@ -116,19 +126,19 @@ class ArrivalStub:
         self.log.append(("exp", size))
         gaps = self.gaps[self.draws % 2]
         self.draws += 1
-        assert size == len(gaps), f"expected {len(gaps)} arrivals, asked for {size}"
-        return gaps
+        rows, n = size
+        assert n == len(gaps), f"expected {len(gaps)} arrivals, asked for {n}"
+        return np.tile(gaps, (rows, 1))
 
     def standard_gamma(self, shape, size=None):
         return self.rng.standard_gamma(shape, size)
 
 
 def draw_fixed(s: Scenario, macro, small, trials=1, rng=None, log=None):
-    """``trials`` trials at fixed distances in one block: _Block.draw on an
+    """``trials`` trials at fixed distances in one block: _draw on an
     ArrivalStub, the fading from ``rng`` (or a patched sample_gamma)."""
     stub = ArrivalStub(s, macro, small, rng, log)
-    block = mcsim._Block(trials, (len(macro), len(small)), s.cluster_size)
-    return block.draw(s, lambda i: stub, range(trials), mcsim._serving_orders(s))
+    return mcsim._draw(s, stub, trials, (len(macro), len(small)), mcsim._serving_orders(s))
 
 
 def fixed_trial(s: Scenario, mode: str, macro, small):
@@ -138,14 +148,14 @@ def fixed_trial(s: Scenario, mode: str, macro, small):
 
 
 def block_draws(s: Scenario, stream, trials: int):
-    """The _Draws of trials 0 .. trials - 1, a block at a time, as run_modes
-    draws them. The next step refills the block, so use each one first."""
+    """The _Draws of trials 0 .. trials - 1, block b from ``stream(b)``, as
+    run_modes draws them; the last block is cut to the trials asked for."""
     counts = point_counts(s)
-    per_block = mcsim._block_trials(counts)
-    block = mcsim._Block(per_block, counts, s.cluster_size)
     orders = mcsim._serving_orders(s)
-    for first in range(0, trials, per_block):
-        yield block.draw(s, stream, range(first, min(first + per_block, trials)), orders)
+    rows = mcsim.STREAM_BLOCK
+    for b in range(-(-trials // rows)):
+        draws = mcsim._draw(s, stream(b), rows, counts, orders)
+        yield mcsim._Draws(*(field[: trials - b * rows] for field in draws))
 
 
 class TestWindows:
@@ -236,13 +246,11 @@ class TestFarFieldBudget:
         long_counts = (4 * n_macro, 4 * n_small)
         orders = mcsim._serving_orders(s)
         thresholds = 10.0 ** (np.array(self.THRESHOLDS_DB) / 10.0)
-        stream = mcsim._TrialStreams(0)
-        per_block = mcsim._block_trials(long_counts)
-        block = mcsim._Block(per_block, long_counts, s.cluster_size)
+        stream = mcsim._BlockStreams(0)
+        blocks = -(-self.TRIALS // mcsim.STREAM_BLOCK)
         flips = np.zeros((len(MODES), len(thresholds)), dtype=int)
-        for first in range(0, self.TRIALS, per_block):
-            rows = range(first, min(first + per_block, self.TRIALS))
-            full = block.draw(s, stream, rows, orders)
+        for b in range(blocks):
+            full = mcsim._draw(s, stream(b), mcsim.STREAM_BLOCK, long_counts, orders)
             prefix = full._replace(
                 macro=full.macro[:, :n_macro],
                 small=full.small[:, :n_small],
@@ -256,7 +264,7 @@ class TestFarFieldBudget:
                 long_sinr = mcsim._evaluate(s, mode, full)[1][:, None]
                 budget_sinr = mcsim._evaluate(s, mode, prefix)[1][:, None]
                 flips[j] += ((long_sinr > thresholds) != (budget_sinr > thresholds)).sum(axis=0)
-        assert flips.max() / self.TRIALS < mcsim.FAR_FIELD_ERROR, flips
+        assert flips.max() / (blocks * mcsim.STREAM_BLOCK) < mcsim.FAR_FIELD_ERROR, flips
 
 
 class TestPointProcess:
@@ -275,8 +283,8 @@ class TestPointProcess:
     def test_deterministic_for_fixed_stream(self):
         s = default_scenario()
         a, b = (
-            mcsim._Block(3, point_counts(s), s.cluster_size).draw(
-                s, mcsim._TrialStreams(9), range(3), mcsim._serving_orders(s)
+            mcsim._draw(
+                s, mcsim._BlockStreams(9)(0), 3, point_counts(s), mcsim._serving_orders(s)
             )
             for _ in range(2)
         )
@@ -351,7 +359,7 @@ class TestSingleTrial:
         expected = (1.0 * 2.0 * 100.0**-3) / (0.1 * 1.0 * 200.0**-3 + disk_tail(s, 100.0, 200.0))
         assert_allclose(sinr, expected, rtol=1e-12)
         # draw-order contract: desired macro, desired small, interferers
-        assert queue.calls == [(1, 1), (1, 1), (1, 1), (1, 1)]
+        assert queue.calls == [(1, (1, 1)), (1, (1, 1)), (1, (1, 1)), (1, (1, 1))]
 
     @pytest.mark.parametrize("mode", ["noncooperative", "cooperative"])
     def test_draw_order(self, monkeypatch, mode):
@@ -364,7 +372,9 @@ class TestSingleTrial:
         s = siso_scenario(cluster_size=2)
         draws = draw_fixed(s, [1.0, 2.0], np.arange(1.0, 9.0), log=log)
         mcsim._evaluate(s, mode, draws)
-        assert log == [("exp", 2), ("exp", 8), (1, 1), (1, 2), (1, 2), (1, 8)]
+        assert log == [
+            ("exp", (1, 2)), ("exp", (1, 8)), (1, (1, 1)), (1, (1, 2)), (1, (1, 2)), (1, (1, 8))
+        ]
 
     def test_noise_only_sinr(self, monkeypatch):
         # interferers and the tail beyond them sit 1e15 m out: SINR = p * h *
@@ -388,7 +398,7 @@ class TestSingleTrial:
         assert event is AssociationEvent.CLUSTER
         interference = 1.0 * 1e9**-3 + 0.1 * 5.0 * 1e15**-3 + disk_tail(s, 1e9, 1e15)
         assert_allclose(sinr, 4.8e-6 / (interference + 1e-6), rtol=1e-12)
-        assert queue.calls == [(1, 1), (1, 2), (1, 1), (1, 3)]
+        assert queue.calls == [(1, (1, 1)), (1, (1, 2)), (1, (1, 1)), (1, (1, 3))]
 
     def test_fixed_geometry_fading_distribution(self):
         # noise-dominated single macro link with an 8-antenna beamformer:
@@ -456,9 +466,10 @@ class TestBatchStatistics:
 
 
 class TestRunTrials:
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         # more threads than cores, switching often: each owns its Philox and
-        # block, so no interleaving may leak into another's trials
+        # blocks, so no interleaving may leak into another's trials
+        many_cpus(monkeypatch)
         s = default_scenario()
         ref = run_trials(s, "cooperative", 300, master_seed=42, workers=1)
         interval = sys.getswitchinterval()
@@ -532,34 +543,60 @@ class TestRunModes:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
     def test_matches_per_mode_runs(self, monkeypatch, strategy, k, noise):
-        # the scalar oracle draws each trial from its own jumped stream and
-        # evaluates it alone; alpha 2.05 and 4 list other counts of BSs, the
-        # trial count is no multiple of the block, and blocks of one trial,
-        # of three and of the default size see the same trials
+        # the scalar oracle draws each block from its own jumped stream and
+        # evaluates each trial alone; alpha 2.05 and 4 list other counts of
+        # BSs, and the trial count is no multiple of the block
+        many_cpus(monkeypatch)
         seed = 7
-        default_bytes = mcsim.BLOCK_BYTES
+        trials = 2 * mcsim.STREAM_BLOCK + 3
         for alpha in (3.0, 2.05, 4.0):
             s = with_pathloss(
                 default_scenario(strategy=strategy, cluster_size=k, noise=noise), alpha
             )
-            counts = point_counts(s)
-            per_block = mcsim._block_trials(counts)
-            trials = 2 * per_block + 3
-            expected = run_modes_scalar(s, MODES, trials, seed, counts)
+            expected = run_modes_scalar(s, MODES, trials, seed, point_counts(s))
             for mode in MODES:
                 ref = run_trials(s, mode, trials, master_seed=seed)
                 assert ref.events.tobytes() == expected[mode][0].tobytes()
                 assert ref.sinr.tobytes() == expected[mode][1].tobytes()
-            trial_bytes = mcsim._BYTES_PER_POINT * sum(counts)
-            for block_bytes, rows in ((1, 1), (3 * trial_bytes, 3), (default_bytes, per_block)):
-                monkeypatch.setattr(mcsim, "BLOCK_BYTES", block_bytes)
-                assert mcsim._block_trials(counts) == rows
-                for workers in (1, 2, 3):
-                    both = run_modes(s, MODES, trials, master_seed=seed, workers=workers)
-                    assert list(both) == list(MODES)
-                    for mode in MODES:
-                        assert both[mode].events.tobytes() == expected[mode][0].tobytes()
-                        assert both[mode].sinr.tobytes() == expected[mode][1].tobytes()
+            for workers in (1, 2, 3):
+                both = run_modes(s, MODES, trials, master_seed=seed, workers=workers)
+                assert list(both) == list(MODES)
+                for mode in MODES:
+                    assert both[mode].events.tobytes() == expected[mode][0].tobytes()
+                    assert both[mode].sinr.tobytes() == expected[mode][1].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_trial_does_not_depend_on_trial_count_or_split(self, monkeypatch, workers):
+        # a block draws all of its rows even when it is the last, partial
+        # one, and threads split the trials at block edges: a run of n trials
+        # is the first n trials of a longer run
+        many_cpus(monkeypatch)
+        rows = mcsim.STREAM_BLOCK
+        s = default_scenario(cluster_size=2)
+        for mode in MODES:
+            ref = run_trials(s, mode, 3 * rows, master_seed=11)
+            for n in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
+                out = run_trials(s, mode, n, master_seed=11, workers=workers)
+                assert out.events.tobytes() == ref.events[:n].tobytes(), (mode, n)
+                assert out.sinr.tobytes() == ref.sinr[:n].tobytes(), (mode, n)
+
+    def test_threads_capped_at_usable_cpus(self, monkeypatch):
+        # output is byte-identical for any count, so threads past the CPUs
+        # the process may use could only cost time
+        started = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
+        s = default_scenario()
+        for cpus, threads in ((1, []), (3, [3]), (16, [8])):
+            many_cpus(monkeypatch, cpus)
+            started.clear()
+            run_modes(s, MODES, 4 * mcsim.STREAM_BLOCK, master_seed=2, workers=8)
+            assert started == threads, cpus
 
     def test_one_draw_per_trial(self, monkeypatch):
         calls = []
@@ -571,13 +608,17 @@ class TestRunModes:
 
         monkeypatch.setattr(mcsim, "sample_gamma", spy)
         fixed_counts(monkeypatch, 2, 8)
-        out = run_modes(siso_scenario(cluster_size=2), MODES, 5, master_seed=3)
+        rows = mcsim.STREAM_BLOCK
+        out = run_modes(siso_scenario(cluster_size=2), MODES, rows + 5, master_seed=3)
         assert set(out) == set(MODES)
-        # serving macro, serving cluster, macro and small interferers
-        assert calls == [1, 2, 2, 8] * 5
+        # serving macro, serving cluster, macro and small interferers, one
+        # draw of each per block; the partial second block draws whole
+        assert calls == [(rows, 1), (rows, 2), (rows, 2), (rows, 8)] * 2
 
-    def test_more_workers_than_trials(self):
-        # 8 workers on 3 trials: five of the eight worker ranges are empty
+    def test_more_workers_than_trials(self, monkeypatch):
+        # 8 workers on 3 trials, one block: seven of the eight worker ranges
+        # are empty
+        many_cpus(monkeypatch)
         s = default_scenario(cluster_size=2)
         ref = run_modes(s, MODES, 3, master_seed=4, workers=1)
         out = run_modes(s, MODES, 3, master_seed=4, workers=8)
@@ -596,18 +637,19 @@ class TestRunModes:
 
 
 class TestTrialStreams:
-    """Trial i's stream is selected by setting a reused Philox's counter; it
-    must be the stream of Philox(key=seed).jumped(i), draw for draw. This
-    rests on numpy's Philox state layout, so a change there fails here."""
+    """Block b's stream, which its trials share, is selected by setting a
+    reused Philox's counter; it must be the stream of
+    Philox(key=seed).jumped(b), draw for draw. This rests on numpy's Philox
+    state layout, so a change there fails here."""
 
     @pytest.mark.parametrize("seed", [0, 2**63 - 1])
     def test_counter_addresses_the_jumped_stream(self, seed):
-        stream = mcsim._TrialStreams(seed)
-        # revisiting trial 1 after the others shows no draw leaks across
-        # trials; the odd uint32 count leaves half a 64-bit word buffered
-        for i in (0, 1, 4095, 2**40, 1):
-            ref = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-            rng = stream(i)
+        stream = mcsim._BlockStreams(seed)
+        # revisiting block 1 after the others shows no draw leaks across
+        # blocks; the odd uint32 count leaves half a 64-bit word buffered
+        for b in (0, 1, 4095, 2**40, 1):
+            ref = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+            rng = stream(b)
             for draw in (
                 lambda g: g.standard_exponential(5),
                 lambda g: g.standard_gamma(1, 3),
