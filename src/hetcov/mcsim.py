@@ -354,7 +354,8 @@ def run_modes(
                 events[rows], sinr[rows] = codes[:n], values[:n]
 
     blocks = -(-trials // STREAM_BLOCK)
-    workers = min(workers, len(os.sched_getaffinity(0)))
+    if workers > 1 and hasattr(os, "sched_getaffinity"):  # absent on macOS, Windows
+        workers = min(workers, len(os.sched_getaffinity(0)))
     if workers == 1:
         run_blocks(0, blocks)
     else:

@@ -65,7 +65,7 @@ def fixed_counts(monkeypatch, n_macro: int, n_small: int) -> None:
 def many_cpus(monkeypatch, count: int = 8) -> None:
     """Report ``count`` usable CPUs, so that run_modes starts as many threads
     as it is asked for, up to ``count``, on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def with_pathloss(s: Scenario, alpha: float) -> Scenario:
@@ -597,6 +597,11 @@ class TestRunModes:
             started.clear()
             run_modes(s, MODES, 4 * mcsim.STREAM_BLOCK, master_seed=2, workers=8)
             assert started == threads, cpus
+        # where the platform cannot say (macOS, Windows), no cap applies
+        monkeypatch.delattr(os, "sched_getaffinity")
+        started.clear()
+        run_modes(s, MODES, 4 * mcsim.STREAM_BLOCK, master_seed=2, workers=8)
+        assert started == [8]
 
     def test_one_draw_per_trial(self, monkeypatch):
         calls = []
