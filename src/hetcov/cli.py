@@ -400,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--workers", type=int, default=1,
-        help="worker threads, at most one per usable CPU; output is byte-identical for "
-        "any count, and on 2 cores two threads ran 10^4 trials 5-16%% faster than one "
-        "(default 1)",
+        help="worker threads; output is byte-identical for any count (default 1)",
     )
 
     sweep = argparse.ArgumentParser(add_help=False, parents=[common])

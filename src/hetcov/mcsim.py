@@ -34,7 +34,6 @@ for byte while drawing each trial once.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -320,11 +319,8 @@ def run_modes(
     ``run_modes(s, modes, ...)[mode]`` is byte-identical to
     ``run_trials(s, mode, ...)``, to itself for any ``workers``, and to the
     leading trials of any longer run. Each worker thread takes a range of
-    whole blocks with its own Philox; at most as many threads start as the
-    process has usable CPUs. numpy releases the GIL inside the block-sized
-    draws, so a second thread gains a little: on a shared 2-core Xeon, two
-    workers ran 10^4 SDMA trials of both modes 5-16% faster than one in 7 of
-    8 runs.
+    whole blocks with its own Philox; ``workers`` threads start, and numpy
+    releases the GIL inside the block-sized draws, so they can overlap.
     """
     modes = tuple(dict.fromkeys(modes))
     if not modes:
@@ -354,8 +350,6 @@ def run_modes(
                 events[rows], sinr[rows] = codes[:n], values[:n]
 
     blocks = -(-trials // STREAM_BLOCK)
-    if workers > 1 and hasattr(os, "sched_getaffinity"):  # absent on macOS, Windows
-        workers = min(workers, len(os.sched_getaffinity(0)))
     if workers == 1:
         run_blocks(0, blocks)
     else:

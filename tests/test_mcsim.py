@@ -6,9 +6,7 @@ through the engine's block path, _draw then _evaluate; a fixed geometry is
 drawn from a stream stub whose arrival gaps rebuild it."""
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -60,12 +58,6 @@ def small_budget(monkeypatch, count: int) -> None:
 def fixed_counts(monkeypatch, n_macro: int, n_small: int) -> None:
     """Pin the arrivals per tier, so that draw-order tests tell the tiers apart."""
     monkeypatch.setattr(mcsim, "point_counts", lambda scenario: (n_macro, n_small))
-
-
-def many_cpus(monkeypatch, count: int = 8) -> None:
-    """Report ``count`` usable CPUs, so that run_modes starts as many threads
-    as it is asked for, up to ``count``, on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def with_pathloss(s: Scenario, alpha: float) -> Scenario:
@@ -466,10 +458,9 @@ class TestBatchStatistics:
 
 
 class TestRunTrials:
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_worker_count_does_not_change_results(self):
         # more threads than cores, switching often: each owns its Philox and
         # blocks, so no interleaving may leak into another's trials
-        many_cpus(monkeypatch)
         s = default_scenario()
         ref = run_trials(s, "cooperative", 300, master_seed=42, workers=1)
         interval = sys.getswitchinterval()
@@ -542,11 +533,10 @@ class TestRunModes:
     @pytest.mark.parametrize("noise", [0.0, 1e-13])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("strategy", ["SISO", "SUBF", "SDMA"])
-    def test_matches_per_mode_runs(self, monkeypatch, strategy, k, noise):
+    def test_matches_per_mode_runs(self, strategy, k, noise):
         # the scalar oracle draws each block from its own jumped stream and
         # evaluates each trial alone; alpha 2.05 and 4 list other counts of
         # BSs, and the trial count is no multiple of the block
-        many_cpus(monkeypatch)
         seed = 7
         trials = 2 * mcsim.STREAM_BLOCK + 3
         for alpha in (3.0, 2.05, 4.0):
@@ -566,11 +556,10 @@ class TestRunModes:
                     assert both[mode].sinr.tobytes() == expected[mode][1].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_trial_does_not_depend_on_trial_count_or_split(self, monkeypatch, workers):
+    def test_trial_does_not_depend_on_trial_count_or_split(self, workers):
         # a block draws all of its rows even when it is the last, partial
         # one, and threads split the trials at block edges: a run of n trials
         # is the first n trials of a longer run
-        many_cpus(monkeypatch)
         rows = mcsim.STREAM_BLOCK
         s = default_scenario(cluster_size=2)
         for mode in MODES:
@@ -579,29 +568,6 @@ class TestRunModes:
                 out = run_trials(s, mode, n, master_seed=11, workers=workers)
                 assert out.events.tobytes() == ref.events[:n].tobytes(), (mode, n)
                 assert out.sinr.tobytes() == ref.sinr[:n].tobytes(), (mode, n)
-
-    def test_threads_capped_at_usable_cpus(self, monkeypatch):
-        # output is byte-identical for any count, so threads past the CPUs
-        # the process may use could only cost time
-        started = []
-
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(mcsim, "ThreadPoolExecutor", Pool)
-        s = default_scenario()
-        for cpus, threads in ((1, []), (3, [3]), (16, [8])):
-            many_cpus(monkeypatch, cpus)
-            started.clear()
-            run_modes(s, MODES, 4 * mcsim.STREAM_BLOCK, master_seed=2, workers=8)
-            assert started == threads, cpus
-        # where the platform cannot say (macOS, Windows), no cap applies
-        monkeypatch.delattr(os, "sched_getaffinity")
-        started.clear()
-        run_modes(s, MODES, 4 * mcsim.STREAM_BLOCK, master_seed=2, workers=8)
-        assert started == [8]
 
     def test_one_draw_per_trial(self, monkeypatch):
         calls = []
@@ -620,13 +586,12 @@ class TestRunModes:
         # draw of each per block; the partial second block draws whole
         assert calls == [(rows, 1), (rows, 2), (rows, 2), (rows, 8)] * 2
 
-    def test_more_workers_than_trials(self, monkeypatch):
-        # 8 workers on 3 trials, one block: seven of the eight worker ranges
-        # are empty
-        many_cpus(monkeypatch)
+    def test_more_workers_than_trials(self):
+        # 8 workers on 3 blocks: three ranges run at once, five are empty
         s = default_scenario(cluster_size=2)
-        ref = run_modes(s, MODES, 3, master_seed=4, workers=1)
-        out = run_modes(s, MODES, 3, master_seed=4, workers=8)
+        trials = 3 * mcsim.STREAM_BLOCK
+        ref = run_modes(s, MODES, trials, master_seed=4, workers=1)
+        out = run_modes(s, MODES, trials, master_seed=4, workers=8)
         for mode in MODES:
             assert out[mode].events.tobytes() == ref[mode].events.tobytes()
             assert out[mode].sinr.tobytes() == ref[mode].sinr.tobytes()
